@@ -105,7 +105,7 @@ def cmd_run_scenario(args) -> int:
     trace, report = hz.run_scenario(scenario, stack, seed=args.seed)
     if args.trace:
         hz.save_trace_csv(args.trace, trace)
-        print(f"trace written to {args.trace} ({len(trace.rows)} ticks)")
+        print(f"trace written to {args.trace} ({len(trace)} ticks)")
     if args.report:
         Path(args.report).write_text(json.dumps(report, indent=1))
         print(f"report written to {args.report}")

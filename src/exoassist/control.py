@@ -14,13 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (
-    ConfigError,
-    PlantModel,
-    PlantState,
-    _christoffel,
-    _plant_terms,
-)
+from .dynamics import ConfigError, PlantModel, PlantState, _rigid_body_terms
 
 __all__ = [
     "TransparentConfig",
@@ -140,15 +134,6 @@ def _friction_estimate(model: PlantModel, thetadot: np.ndarray,
     return -scale * (poly + coulomb)
 
 
-def _common_terms(model: PlantModel, state: PlantState, friction_scale: float,
-                  comp_eps: float):
-    M, g, D = _plant_terms(model, state.q, state.payload_mass)
-    C = _christoffel(D, state.qdot)
-    B_bar = model.S2.T @ model.B @ model.S2
-    tau_f_hat = _friction_estimate(model, state.thetadot, friction_scale, comp_eps)
-    return M + B_bar, C, g, tau_f_hat
-
-
 def transparent_control(
     model: PlantModel,
     state: PlantState,
@@ -166,11 +151,12 @@ def transparent_control(
         raise ValueError(f"tau_e must be finite with length {model.n}")
     cfg = cfg.validated(model.n_c)
 
-    Mtot, C, g, tau_f_hat = _common_terms(model, state, cfg.friction_scale, cfg.friction_comp_eps)
+    _, h = _rigid_body_terms(model, state.q, state.qdot, state.payload_mass, with_mass=False)
+    tau_f_hat = _friction_estimate(model, state.thetadot, cfg.friction_scale, cfg.friction_comp_eps)
     u_f = fast_term(state, cfg.Kv)
     # (M + B_bar) qdd0 with qdd0 = (1/gamma0)(M + B_bar)^-1 tau_e
     amplified = tau_e / cfg.gamma0
-    return amplified + C @ state.qdot + g - model.S2.T @ tau_f_hat - tau_e + u_f
+    return amplified + h - model.S2.T @ tau_f_hat - tau_e + u_f
 
 
 def impedance_control(
@@ -197,7 +183,8 @@ def impedance_control(
             raise ValueError(f"{name} must be finite with length {model.n}")
     cfg = cfg.validated(model.n, model.n_c)
 
-    Mtot, C, g, tau_f_hat = _common_terms(model, state, cfg.friction_scale, cfg.friction_comp_eps)
+    M, h = _rigid_body_terms(model, state.q, state.qdot, state.payload_mass)
+    tau_f_hat = _friction_estimate(model, state.thetadot, cfg.friction_scale, cfg.friction_comp_eps)
     u_f = fast_term(state, cfg.Kv)
     target = (
         cfg.Cd * (qdot_d - state.qdot)
@@ -205,7 +192,9 @@ def impedance_control(
         + tau_e / cfg.w
     )
     a = qddot_d + target / cfg.Mv
-    return Mtot @ a + C @ state.qdot + g - model.S2.T @ tau_f_hat - tau_e + u_f
+    nd = model.n - model.n_c
+    M[nd:, nd:] += model.B  # M + B_bar with B_bar = S2' B S2
+    return M @ a + h - model.S2.T @ tau_f_hat - tau_e + u_f
 
 
 def apply_task_config(cfg_bits: tuple[int, int, int]) -> tuple[str, TaskConfig]:

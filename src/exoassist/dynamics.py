@@ -5,10 +5,21 @@ through torsional springs by motor-side inertias (already projected to the
 joint side). Direct-driven and cable-driven joints are split by the
 selection matrices S1 and S2. All public operations are pure functions of
 (model, state); ``step`` returns a fresh state.
+
+The rigid-body terms come from two paths. The hot path, used by ``step``
+and by both controllers, is ``_rigid_body_terms``: a single-state kernel
+on Python floats that returns M(q) and the bias torque
+h = C(q, qdot) qdot + g(q) from one forward and one backward pass. The
+reference path is batched forward kinematics in real or complex
+arithmetic; it serves the batched public helpers (``mass_matrix``,
+``gravity_vector``, ...) and, by complex-step differentiation,
+``mass_matrix_derivatives`` and ``coriolis_matrix``. The tests hold the
+kernel to the reference.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -20,8 +31,6 @@ __all__ = [
     "SimulationFault",
     "PlantModel",
     "PlantState",
-    "SelectionMatrices",
-    "selection_matrices",
     "mass_matrix",
     "mass_matrix_derivatives",
     "coriolis_matrix",
@@ -189,6 +198,17 @@ class PlantModel:
             [np.zeros((self.n_c, n - self.n_c)), np.eye(self.n_c)]
         )
 
+        # scalar copies for the single-state kernel: per link the joint-axis
+        # index and the two column indices its rotation mixes, link length,
+        # COM distance, mass, transverse inertia and (axial - transverse)
+        self._chain = tuple(
+            (ax, (ax + 1) % 3, (ax + 2) % 3, float(self.link_lengths[i]),
+             float(self.link_com[i]), float(self.link_masses[i]),
+             float(self.inertia_local[i, 0, 0]),
+             float(self.inertia_local[i, 2, 2] - self.inertia_local[i, 0, 0]))
+            for i, ax in enumerate(int(np.argmax(a)) for a in self.axes)
+        )
+
     @property
     def ee_offset(self) -> np.ndarray:
         return np.array([0.0, 0.0, -self.link_lengths[-1]])
@@ -226,14 +246,17 @@ class PlantState:
         object.__setattr__(self, "payload_mass", float(self.payload_mass))
 
 
-@dataclass(frozen=True)
-class SelectionMatrices:
-    S1: np.ndarray
-    S2: np.ndarray
-
-
-def selection_matrices(model: PlantModel) -> SelectionMatrices:
-    return SelectionMatrices(S1=model.S1.copy(), S2=model.S2.copy())
+    @classmethod
+    def _unchecked(cls, q, qdot, theta, thetadot, payload_mass, tau_e) -> "PlantState":
+        """Build a state from fresh float arrays that the caller has already
+        checked and hands over; they are frozen in place, not copied."""
+        state = object.__new__(cls)
+        for name, arr in (("q", q), ("qdot", qdot), ("theta", theta),
+                          ("thetadot", thetadot), ("tau_e", tau_e)):
+            arr.flags.writeable = False
+            object.__setattr__(state, name, arr)
+        object.__setattr__(state, "payload_mass", payload_mass)
+        return state
 
 
 def default_model() -> PlantModel:
@@ -241,10 +264,10 @@ def default_model() -> PlantModel:
 
 
 # ---------------------------------------------------------------------------
-# forward kinematics
+# forward kinematics: the reference path
 #
-# All kinematic helpers accept q of shape (n,) or batched (B, n) and work in
-# complex arithmetic, which lets derivative code use complex-step
+# These helpers accept q of shape (n,) or batched (B, n), real or complex;
+# a complex q lets ``_plant_terms`` take dM/dq by complex-step
 # differentiation at machine precision.
 
 
@@ -391,6 +414,131 @@ def coriolis_matrix(model: PlantModel, q, qdot, payload_mass: float = 0.0) -> np
     return _christoffel(mass_matrix_derivatives(model, q, payload_mass), qdot)
 
 
+# ---------------------------------------------------------------------------
+# single-state kernel
+#
+# The 1 kHz plant and both controllers need M(q) and the bias torque
+# h = C(q, qdot) qdot + g(q) for one state at a time. On 3-vectors numpy's
+# per-call overhead costs more than the arithmetic, so this kernel works on
+# Python floats (Featherstone, Rigid Body Dynamics Algorithms, 2008):
+#
+# - a forward pass for the link frames, velocities and accelerations;
+# - a backward recursive Newton-Euler pass for h, with qddot = 0 and gravity
+#   as an upward base acceleration;
+# - in the same backward pass, the composite-rigid-body algorithm for M: the
+#   links beyond joint j (and the payload) form one body whose momentum
+#   under a unit rate of joint j, taken about the world origin, is column j.
+#
+# It relies on what PlantModel builds: every joint axis is a principal axis
+# of the parent link's frame, and every link, COM offset and inertia tensor
+# is symmetric about the link's local z axis. The complex-step path above
+# (``_plant_terms``, ``_christoffel``) is its reference.
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _add_inertia(I, m, c, it=0.0, dit=0.0, z=(0.0, 0.0, 0.0)):
+    """I (xx, yy, zz, xy, xz, yz) about the origin plus a body of mass m at
+    c whose own inertia is it E + dit z z'."""
+    cx, cy, cz = c
+    iso = it + m * (cx * cx + cy * cy + cz * cz)
+    zx, zy, zz = dit * z[0], dit * z[1], dit * z[2]
+    return (I[0] + iso + zx * z[0] - m * cx * cx, I[1] + iso + zy * z[1] - m * cy * cy,
+            I[2] + iso + zz * z[2] - m * cz * cz, I[3] + zx * z[1] - m * cx * cy,
+            I[4] + zx * z[2] - m * cx * cz, I[5] + zy * z[2] - m * cy * cz)
+
+
+def _rigid_body_terms(model: PlantModel, q: np.ndarray, qdot: np.ndarray,
+                      payload_mass: float, with_mass: bool = True):
+    """Mass matrix M(q) (None unless ``with_mass``) and bias h = C qdot + g
+    for one state; the payload is an end-effector point mass."""
+    n = model.n
+    qs, qds = q.tolist(), qdot.tolist()
+    R = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]  # link frame columns
+    p = (0.0, 0.0, 0.0)  # joint origin
+    w = wd = (0.0, 0.0, 0.0)  # angular velocity and acceleration
+    acc = (0.0, 0.0, float(model.gravity))  # joint-origin acceleration
+    links = []
+    for i, (ax, b, d, length, lc, m, it, dit) in enumerate(model._chain):
+        k = R[ax]  # world joint axis, fixed in the parent frame
+        co, si = math.cos(qs[i]), math.sin(qs[i])
+        rb, rd = R[b], R[d]
+        R = R.copy()
+        R[b] = (co * rb[0] + si * rd[0], co * rb[1] + si * rd[1], co * rb[2] + si * rd[2])
+        R[d] = (co * rd[0] - si * rb[0], co * rd[1] - si * rb[1], co * rd[2] - si * rb[2])
+        z = R[2]
+        qd = qds[i]
+        t = _cross(w, k)  # rate of turn of the joint axis
+        wd = (wd[0] + qd * t[0], wd[1] + qd * t[1], wd[2] + qd * t[2])
+        w = (w[0] + qd * k[0], w[1] + qd * k[1], w[2] + qd * k[2])
+
+        # the point x down the link axis (at -x z) accelerates as acc - x e
+        wz = _cross(w, z)
+        t, v = _cross(wd, z), _cross(w, wz)
+        e = (t[0] + v[0], t[1] + v[1], t[2] + v[2])
+        F = (m * (acc[0] - lc * e[0]), m * (acc[1] - lc * e[1]), m * (acc[2] - lc * e[2]))
+        # N = I wd + w x (I w) with I v = it v + dit (z . v) z
+        zwd, zw = dit * _dot(z, wd), dit * _dot(z, w)
+        N = (it * wd[0] + zwd * z[0] + zw * wz[0], it * wd[1] + zwd * z[1] + zw * wz[1],
+             it * wd[2] + zwd * z[2] + zw * wz[2])
+        links.append((k, _cross(k, p), (p[0] - lc * z[0], p[1] - lc * z[1], p[2] - lc * z[2]),
+                      z, F, N, length, lc, m, it, dit))
+        acc = (acc[0] - length * e[0], acc[1] - length * e[1], acc[2] - length * e[2])
+        p = (p[0] - length * z[0], p[1] - length * z[1], p[2] - length * z[2])
+    # p and acc are now the end effector's
+
+    # f, nm: force of the links beyond the current joint on it, and moment
+    # about its origin; mc, mu, I0: their composite mass, first moment and
+    # rotational inertia about the world origin
+    pm = payload_mass
+    f = (pm * acc[0], pm * acc[1], pm * acc[2])
+    nm = (0.0, 0.0, 0.0)
+    mc, mu = pm, (pm * p[0], pm * p[1], pm * p[2])
+    I0 = _add_inertia((0.0,) * 6, pm, p) if with_mass else None
+    h = [0.0] * n
+    M = [[0.0] * n for _ in range(n)] if with_mass else None
+    axes = [link[:2] for link in links]
+    for j in range(n - 1, -1, -1):
+        k, u, c, z, F, N, length, lc, m, it, dit = links[j]
+        # the link's own force acts at -lc z, the outer links' at -length z
+        t = _cross(z, (lc * F[0] + length * f[0], lc * F[1] + length * f[1],
+                       lc * F[2] + length * f[2]))
+        nm = (N[0] + nm[0] - t[0], N[1] + nm[1] - t[1], N[2] + nm[2] - t[2])
+        f = (F[0] + f[0], F[1] + f[1], F[2] + f[2])
+        h[j] = _dot(k, nm)
+        if M is None:
+            continue
+        mc += m
+        mu = (mu[0] + m * c[0], mu[1] + m * c[1], mu[2] + m * c[2])
+        I0 = _add_inertia(I0, m, c, it, dit, z)
+        # momentum of the composite under a unit rate of joint j, whose
+        # spatial axis is (k, p_j x k) = (k, -u); M[l][j] = k_l . n0 - u_l . f0
+        xx, yy, zz, xy, xz, yz = I0
+        t = _cross(u, mu)
+        n0x = xx * k[0] + xy * k[1] + xz * k[2] + t[0]
+        n0y = xy * k[0] + yy * k[1] + yz * k[2] + t[1]
+        n0z = xz * k[0] + yz * k[1] + zz * k[2] + t[2]
+        t = _cross(k, mu)
+        f0x, f0y, f0z = t[0] - mc * u[0], t[1] - mc * u[1], t[2] - mc * u[2]
+        row = M[j]
+        for l, (kl, ul) in enumerate(axes[:j + 1]):
+            row[l] = M[l][j] = (kl[0] * n0x + kl[1] * n0y + kl[2] * n0z
+                                - ul[0] * f0x - ul[1] * f0y - ul[2] * f0z)
+    return (None if M is None else np.array(M)), np.array(h)
+
+
+# ---------------------------------------------------------------------------
+# friction, energy and the integrator
+
+
 def friction_torque(model: PlantModel, thetadot) -> np.ndarray:
     """Dissipative cable-joint friction: odd polynomial plus smoothed Coulomb term."""
     thetadot = np.asarray(thetadot, dtype=float)
@@ -398,6 +546,10 @@ def friction_torque(model: PlantModel, thetadot) -> np.ndarray:
         raise ValueError(f"thetadot must have length {model.n_c}")
     if not np.all(np.isfinite(thetadot)):
         raise ValueError("thetadot must be finite")
+    return _friction(model, thetadot)
+
+
+def _friction(model: PlantModel, thetadot: np.ndarray) -> np.ndarray:
     poly = model.friction_c1 * thetadot + model.friction_c3 * thetadot**3
     coulomb = model.friction_c0 * np.tanh(thetadot / model.friction_eps_v)
     return -(poly + coulomb)
@@ -418,7 +570,9 @@ def end_effector_position(model: PlantModel, q) -> np.ndarray:
 
 def potential_energy(model: PlantModel, q, payload_mass: float = 0.0) -> float:
     """Total gravitational potential, zero datum at the shoulder."""
-    q = np.asarray(q, dtype=float)
+    q = _check_q(model, np.asarray(q, dtype=float))
+    if q.ndim != 1:
+        raise ValueError(f"q must be one configuration of length {model.n}")
     _, _, c, _, ee = _fk(model, q)
     u = float(np.sum(model.link_masses * c[0, :, 2].real) * model.gravity)
     if payload_mass > 0.0:
@@ -428,7 +582,7 @@ def potential_energy(model: PlantModel, q, payload_mass: float = 0.0) -> float:
 
 def total_energy(model: PlantModel, state: PlantState) -> float:
     """Link kinetic + motor kinetic + spring potential + gravitational potential."""
-    M = mass_matrix(model, state.q, state.payload_mass)
+    M = mass_matrix(model, state.q, state.payload_mass)  # checks q
     defl = state.theta - model.S2 @ state.q
     e = 0.5 * state.qdot @ M @ state.qdot
     e += 0.5 * state.thetadot @ model.B @ state.thetadot
@@ -463,26 +617,26 @@ def step(model: PlantModel, state: PlantState, u, tau_e, dt: float) -> PlantStat
     if not 0.0 < dt <= 0.005:
         raise ValueError("dt must lie in (0, 5 ms]")
     u = np.asarray(u, dtype=float)
-    tau_e = np.asarray(tau_e, dtype=float)
+    tau_e = np.array(tau_e, dtype=float)  # stored in the returned state
     if u.shape != (model.n,) or tau_e.shape != (model.n,):
         raise ValueError(f"u and tau_e must have length {model.n}")
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise SimulationFault("control torque u is non-finite")
-    if not np.all(np.isfinite(tau_e)):
+    if not np.isfinite(tau_e).all():
         raise SimulationFault("interaction torque tau_e is non-finite")
 
     q, qd = state.q, state.qdot
     th, thd = state.theta, state.thetadot
+    nd = model.n - model.n_c  # direct-driven joints come first
 
-    M, g, D = _plant_terms(model, q, state.payload_mass)
-    C = _christoffel(D, qd)
-    tau_f = friction_torque(model, thd)
-    defl = th - model.S2 @ q
-    spring = model.K @ defl
+    M, h = _rigid_body_terms(model, q, qd, state.payload_mass)
+    spring = model.spring_stiffness * (th - q[nd:])  # K (theta - S2 q)
 
-    rhs_link = model.S1 @ u + model.S2.T @ (spring + tau_f) + tau_e - C @ qd - g
+    # S1 u + S2' (spring + tau_f) stacks the direct-joint torques over the
+    # cable-joint ones
+    rhs_link = np.concatenate((u[:nd], spring + _friction(model, thd))) + tau_e - h
     qdd = np.linalg.solve(M, rhs_link)
-    thdd = (model.S2 @ u - spring) / np.diag(model.B)
+    thdd = (u[nd:] - spring) / model.motor_inertia
 
     qd_new = qd + dt * qdd
     thd_new = thd + dt * thdd
@@ -491,17 +645,10 @@ def step(model: PlantModel, state: PlantState, u, tau_e, dt: float) -> PlantStat
 
     for name, arr in (("q", q_new), ("qdot", qd_new), ("theta", th_new),
                       ("thetadot", thd_new)):
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise SimulationFault(f"integration produced non-finite {name}")
 
-    return PlantState(
-        q=q_new,
-        qdot=qd_new,
-        theta=th_new,
-        thetadot=thd_new,
-        payload_mass=state.payload_mass,
-        tau_e=tau_e,
-    )
+    return PlantState._unchecked(q_new, qd_new, th_new, thd_new, state.payload_mass, tau_e)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -123,19 +124,32 @@ TRACE_COLUMNS = (
 )
 
 
+# columns kept as lists: the mode label and the integer flags; the others
+# are stored as packed float64, 8 bytes a value
+_LIST_COLUMNS = ("mode", "subtask", "replan", "mode_cmd")
+
+
 @dataclass
 class TraceRecord:
-    """Column-major per-tick trace; rows() yields CSV-ready tuples."""
+    """Column-major per-tick trace; ``rows`` gives CSV-ready row lists."""
 
-    rows: list = field(default_factory=list)
     fault: str | None = None
+    columns: dict = field(default_factory=lambda: {
+        c: [] if c in _LIST_COLUMNS else array("d") for c in TRACE_COLUMNS})
+
+    def __len__(self) -> int:
+        return len(self.columns["t"])
+
+    @property
+    def rows(self) -> list[list]:
+        return [list(r) for r in zip(*self.columns.values())]
 
     def append(self, **kw):
-        self.rows.append([kw[c] for c in TRACE_COLUMNS])
+        for name, col in self.columns.items():
+            col.append(kw[name])
 
     def column(self, name: str) -> np.ndarray:
-        i = TRACE_COLUMNS.index(name)
-        vals = [r[i] for r in self.rows]
+        vals = self.columns[name]
         if name in ("subtask", "mode"):
             return np.array(vals, dtype=object)
         return np.array(vals, dtype=float)
@@ -149,7 +163,7 @@ def save_trace_csv(path: str | Path, trace: TraceRecord) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(TRACE_COLUMNS)
-        writer.writerows(trace.rows)
+        writer.writerows(zip(*trace.columns.values()))
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -591,7 +605,7 @@ def run_scenario(scenario: Scenario, stack: SimStack, seed: int | None = None):
 
 def metrics(trace: TraceRecord, scenario: Scenario | None = None) -> dict:
     """Aggregate per-run quantities from a trace."""
-    if not trace.rows:
+    if not len(trace):
         return {"n_ticks": 0}
     n = 4
     q = trace.vector("q", n)
@@ -608,7 +622,7 @@ def metrics(trace: TraceRecord, scenario: Scenario | None = None) -> dict:
     joints = list(scenario.assist_joints) if scenario else list(range(n))
 
     out = {
-        "n_ticks": len(trace.rows),
+        "n_ticks": len(trace),
         "rms_tracking_deg": float("nan"),
         "max_cmd_velocity_deg_s": float(np.degrees(np.max(np.abs(qd_d[mask])))) if mask.any() else 0.0,
         "max_velocity_deg_s": float(np.degrees(np.max(np.abs(qd)))),

@@ -99,9 +99,24 @@ class Adam:
         self.t = 0
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        """params - lr m_hat / (sqrt(v_hat) + eps) after the moment updates
+        m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2.
+
+        Computed in place with two temporaries, each operation in the
+        order of the formula, so the result is bit-identical to it.
+        """
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grads
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grads**2
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        tmp = grads * (1.0 - self.beta1)
+        self.m *= self.beta1
+        self.m += tmp
+        np.multiply(grads, grads, out=tmp)
+        tmp *= 1.0 - self.beta2
+        self.v *= self.beta2
+        self.v += tmp
+        denom = np.divide(self.v, 1.0 - self.beta2**self.t, out=tmp)  # v_hat
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update = self.m / (1.0 - self.beta1**self.t)  # m_hat
+        update *= self.lr
+        update /= denom
+        return np.subtract(params, update, out=update)

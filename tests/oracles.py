@@ -1,7 +1,10 @@
-"""Shared brute-force oracles used by the QP and trajectory tests."""
+"""Shared oracles: brute-force QP for the QP and trajectory tests, the
+complex-step plant step for the dynamics and control tests."""
 import itertools
 
 import numpy as np
+
+from exoassist import dynamics as dyn
 
 
 def brute_force_qp(H, f, A_in, b_in, tol=1e-9):
@@ -38,3 +41,23 @@ def brute_force_qp(H, f, A_in, b_in, tol=1e-9):
             if obj < best_obj - 1e-12:
                 best, best_obj = x, obj
     return best, best_obj
+
+
+def reference_step(model, state, u, tau_e, dt):
+    """Semi-implicit Euler plant step on the complex-step reference terms:
+    M, g and dM/dq from ``_plant_terms``, C from ``_christoffel``."""
+    q, qd = state.q, state.qdot
+    th, thd = state.theta, state.thetadot
+    M, g, D = dyn._plant_terms(model, q, state.payload_mass)
+    C = dyn._christoffel(D, qd)
+    tau_f = dyn.friction_torque(model, thd)
+    spring = model.K @ (th - model.S2 @ q)
+
+    rhs_link = model.S1 @ u + model.S2.T @ (spring + tau_f) + tau_e - C @ qd - g
+    qdd = np.linalg.solve(M, rhs_link)
+    thdd = (model.S2 @ u - spring) / np.diag(model.B)
+
+    qd_new = qd + dt * qdd
+    thd_new = thd + dt * thdd
+    return dyn.PlantState(q=q + dt * qd_new, qdot=qd_new, theta=th + dt * thd_new,
+                          thetadot=thd_new, payload_mass=state.payload_mass, tau_e=tau_e)

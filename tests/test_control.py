@@ -8,6 +8,7 @@ import pytest
 
 from exoassist import control as ctl
 from exoassist import dynamics as dyn
+from oracles import reference_step
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +138,43 @@ def test_transparent_backdrivability(model):
         if tick >= 100:
             worst = max(worst, np.max(np.abs(tau_fn(t, state))))
     assert worst < 0.7
+
+
+def test_transparent_matches_reference_terms(model):
+    q = np.array([0.1, 0.3, -0.2, 0.4])
+    qd = np.array([0.1, 0.2, -0.1, 0.15])
+    state = dyn.PlantState(q=q, qdot=qd, theta=model.S2 @ q + 0.01,
+                           thetadot=model.S2 @ qd + 0.05, payload_mass=0.4)
+    cfg = ctl.TransparentConfig()
+    tau_e = np.array([0.2, -0.1, 0.05, 0.3])
+    u = ctl.transparent_control(model, state, tau_e, cfg)
+    M, g, D = dyn._plant_terms(model, q, 0.4)
+    C = dyn._christoffel(D, qd)
+    tau_hat = ctl._friction_estimate(model, state.thetadot, 1.0, cfg.friction_comp_eps)
+    expected = (tau_e / cfg.gamma0 + C @ qd + g - model.S2.T @ tau_hat - tau_e
+                + ctl.fast_term(state, cfg.Kv))
+    assert np.allclose(u, expected, atol=1e-12)
+
+
+def test_closed_loop_matches_reference_step(model):
+    """2 000 substeps of transparent control under a constant wearer torque:
+    the plant step stays on the complex-step reference trajectory."""
+    cfg = ctl.TransparentConfig()
+    tau_e = np.array([0.02, 0.05, -0.01, 0.03])
+    q0 = np.array([0.0, 0.3, 0.0, 0.5])
+    fast = ref = dyn.settled_state(model, q0, payload_mass=0.3)
+    dq = dqd = 0.0
+    for _ in range(200):
+        u_fast = ctl.transparent_control(model, fast, tau_e, cfg)
+        u_ref = ctl.transparent_control(model, ref, tau_e, cfg)
+        for _ in range(10):
+            fast = dyn.step(model, fast, u_fast, tau_e, 1e-3)
+            ref = reference_step(model, ref, u_ref, tau_e, 1e-3)
+            dq = max(dq, np.max(np.abs(fast.q - ref.q)))
+            dqd = max(dqd, np.max(np.abs(fast.qdot - ref.qdot)))
+    assert np.max(np.abs(fast.q - q0)) > 0.1  # the wearer moved the arm
+    assert dq < 1e-9
+    assert dqd < 1e-7
 
 
 # ---------------------------------------------------------------------------

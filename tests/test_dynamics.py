@@ -87,6 +87,57 @@ def test_mass_matrix_rejects_nonfinite(model):
         dyn.mass_matrix(model, np.array([np.nan, 0, 0, 0]))
 
 
+@pytest.mark.parametrize("q", [np.array([np.nan, 0, 0, 0]), np.array([0, np.inf, 0, 0]),
+                               np.zeros(3), np.zeros(5)])
+def test_energies_reject_bad_q(model, q):
+    with pytest.raises(ValueError, match="q must"):
+        dyn.potential_energy(model, q)
+    n_c = model.n_c
+    # a state built without validation, as step builds its results
+    state = dyn.PlantState._unchecked(q.astype(float), np.zeros(q.size), np.zeros(n_c),
+                                      np.zeros(n_c), 0.0, np.zeros(q.size))
+    with pytest.raises(ValueError, match="q must"):
+        dyn.total_energy(model, state)
+
+
+def test_potential_energy_rejects_batched_q(model):
+    with pytest.raises(ValueError, match="q must"):
+        dyn.potential_energy(model, np.zeros((2, model.n)))
+
+
+# ---------------------------------------------------------------------------
+# single-state kernel against the complex-step reference
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def chain_states(draw):
+    n = draw(st.sampled_from([1, 2, 4, 6]))
+    n_c = draw(st.integers(1, n))
+
+    def vec(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi, **_FINITE), min_size=n, max_size=n)))
+
+    model = dyn.PlantModel(n=n, n_c=n_c, link_lengths=vec(0.05, 0.4),
+                           link_masses=vec(0.2, 3.0))
+    payload = draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0, **_FINITE)))
+    return model, vec(-np.pi, np.pi), vec(-3.0, 3.0), payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_states())
+def test_rigid_body_kernel_matches_complex_step(case):
+    model, q, qdot, payload = case
+    M_ref, g, D = dyn._plant_terms(model, q, payload)
+    h_ref = dyn._christoffel(D, qdot) @ qdot + g
+    M, h = dyn._rigid_body_terms(model, q, qdot, payload)
+    assert np.max(np.abs(M - M_ref)) <= 1e-12 * max(1.0, np.linalg.norm(M_ref))
+    assert np.max(np.abs(h - h_ref)) <= 1e-12 * max(1.0, np.linalg.norm(h_ref))
+    M_none, h_only = dyn._rigid_body_terms(model, q, qdot, payload, with_mass=False)
+    assert M_none is None and np.array_equal(h_only, h)
+
+
 # ---------------------------------------------------------------------------
 # Coriolis
 
@@ -270,11 +321,10 @@ def test_step_stores_tau_e(model):
 
 
 def test_selection_matrices_structure(model):
-    sel = dyn.selection_matrices(model)
-    diag = np.diag(sel.S1)
+    diag = np.diag(model.S1)
     assert np.array_equal(diag, [1, 1, 0, 0])
-    assert np.allclose(sel.S2 @ sel.S2.T, np.eye(model.n_c))
-    assert np.allclose(sel.S1 + sel.S2.T @ sel.S2, np.eye(model.n))
+    assert np.allclose(model.S2 @ model.S2.T, np.eye(model.n_c))
+    assert np.allclose(model.S1 + model.S2.T @ model.S2, np.eye(model.n))
 
 
 def test_plant_state_validation():

@@ -126,6 +126,20 @@ def synthetic_trace(q_fn, q_d_fn, ticks=200):
     return trace
 
 
+def test_trace_record_rows_and_csv(tmp_path):
+    trace = synthetic_trace(lambda t: np.array([0.1, 0.2, 0.3, 0.4]) + t,
+                            lambda t: np.zeros(4), ticks=5)
+    assert len(trace) == len(trace.rows) == 5
+    row = trace.rows[2]
+    assert row[hz.TRACE_COLUMNS.index("q1")] == 0.2 + 2 * hz.CONTROL_DT
+    assert row[hz.TRACE_COLUMNS.index("replan")] == 0  # flags stay integers
+    path = tmp_path / "trace.csv"
+    hz.save_trace_csv(path, trace)
+    lines = path.read_text().splitlines()
+    assert lines[0].split(",") == list(hz.TRACE_COLUMNS)
+    assert lines[3].split(",") == [str(v) for v in row]
+
+
 def test_metrics_perfect_tracking_zero_rms():
     q = lambda t: np.array([0.1, 0.2, 0.3, 0.4])
     trace = synthetic_trace(q, q)

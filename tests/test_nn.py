@@ -71,3 +71,23 @@ def test_adam_converges_on_quadratic():
     for _ in range(500):
         params = opt.step(params, 2.0 * (params - np.array([1.0, 1.0])))
     assert np.allclose(params, [1.0, 1.0], atol=1e-3)
+
+
+def test_adam_matches_textbook_update_bitwise():
+    rng = np.random.default_rng(3)
+    b1, b2, lr, eps = 0.9, 0.999, 0.01, 1e-8
+    opt = Adam(50, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    params = ref = rng.standard_normal(50)
+    m = v = np.zeros(50)
+    for t in range(1, 21):
+        g = rng.standard_normal(50)
+        before = params.copy()
+        new = opt.step(params, g)
+        assert np.array_equal(params, before)  # the input is not updated in place
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g**2
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        ref = ref - lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert np.array_equal(new, ref)
+        params = new
