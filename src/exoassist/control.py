@@ -45,6 +45,11 @@ def _diag_array(values, size: int, name: str) -> np.ndarray:
     return arr
 
 
+def _check_positive(value: float, name: str) -> None:
+    if not math.isfinite(value) or value <= 0:
+        raise ConfigError(f"{name} must be positive")
+
+
 @dataclass
 class TransparentConfig:
     """Scale factor for effort amplification and fast-term gains.
@@ -61,11 +66,14 @@ class TransparentConfig:
     friction_scale: float = 1.0  # 1.0 = perfect friction model
     friction_comp_eps: float = 0.2  # rad/s
 
+    def __post_init__(self):
+        _check_positive(self.gamma0, "gamma0")
+        _check_positive(self.friction_comp_eps, "friction_comp_eps")
+        _diag_array(self.Kv, np.size(self.Kv), "Kv")
+
     def validated(self, n_c: int) -> "TransparentConfig":
-        if not math.isfinite(self.gamma0) or self.gamma0 <= 0:
-            raise ConfigError("gamma0 must be positive")
-        if not math.isfinite(self.friction_comp_eps) or self.friction_comp_eps <= 0:
-            raise ConfigError("friction_comp_eps must be positive")
+        """Gains expanded to per-joint arrays; raises ConfigError on a wrong
+        length. Call once at loop entry: the controller does not check."""
         return replace(self, Kv=_diag_array(self.Kv, n_c, "Kv"))
 
 
@@ -86,11 +94,16 @@ class ImpedanceConfig:
     friction_scale: float = 1.0
     friction_comp_eps: float = 0.2
 
+    def __post_init__(self):
+        _check_positive(self.w, "w")
+        _check_positive(self.friction_comp_eps, "friction_comp_eps")
+        for name in ("Cd", "Kd", "Mv", "Kv"):
+            value = getattr(self, name)
+            _diag_array(value, np.size(value), name)
+
     def validated(self, n: int, n_c: int) -> "ImpedanceConfig":
-        if not math.isfinite(self.w) or self.w <= 0:
-            raise ConfigError("w must be positive")
-        if not math.isfinite(self.friction_comp_eps) or self.friction_comp_eps <= 0:
-            raise ConfigError("friction_comp_eps must be positive")
+        """Gains expanded to per-joint arrays; raises ConfigError on a wrong
+        length. Call once at loop entry: the controller does not check."""
         return replace(
             self,
             Cd=_diag_array(self.Cd, n, "Cd"),
@@ -112,18 +125,15 @@ class TaskConfig:
     imp_bit: int
 
 
-def _s2(n: int, n_c: int) -> np.ndarray:
-    return np.hstack([np.zeros((n_c, n - n_c)), np.eye(n_c)])
-
-
 def fast_term(state: PlantState, Kv) -> np.ndarray:
-    """Singular-perturbation damping -S2' Kv (thetadot - S2 qdot)."""
-    n = state.q.shape[0]
+    """Singular-perturbation damping -S2' Kv (thetadot - S2 qdot).
+
+    S2 selects the last n_c (cable-driven) joints, so both products are
+    slices; ``Kv`` is a scalar or a length-n_c array."""
     n_c = state.theta.shape[0]
-    S2 = _s2(n, n_c)
-    kv = _diag_array(Kv, n_c, "Kv")
-    mismatch = state.thetadot - S2 @ state.qdot
-    return -S2.T @ (kv * mismatch)
+    out = np.zeros(state.q.shape[0])
+    out[-n_c:] = -(Kv * (state.thetadot - state.qdot[-n_c:]))
+    return out
 
 
 def _friction_estimate(model: PlantModel, thetadot: np.ndarray,
@@ -149,7 +159,6 @@ def transparent_control(
     tau_e = np.asarray(tau_e, dtype=float)
     if tau_e.shape != (model.n,) or not np.all(np.isfinite(tau_e)):
         raise ValueError(f"tau_e must be finite with length {model.n}")
-    cfg = cfg.validated(model.n_c)
 
     _, h = _rigid_body_terms(model, state.q, state.qdot, state.payload_mass, with_mass=False)
     tau_f_hat = _friction_estimate(model, state.thetadot, cfg.friction_scale, cfg.friction_comp_eps)
@@ -181,7 +190,6 @@ def impedance_control(
     for name, arr in (("q_d", q_d), ("qdot_d", qdot_d), ("qddot_d", qddot_d), ("tau_e", tau_e)):
         if arr.shape != (model.n,) or not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} must be finite with length {model.n}")
-    cfg = cfg.validated(model.n, model.n_c)
 
     M, h = _rigid_body_terms(model, state.q, state.qdot, state.payload_mass)
     tau_f_hat = _friction_estimate(model, state.thetadot, cfg.friction_scale, cfg.friction_comp_eps)

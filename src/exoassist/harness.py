@@ -1,10 +1,15 @@
 """Closed-loop scenario engine: plant, controllers, refinement, detector
 and planner wired together with a scripted wearer model.
 
-Rates are fixed at 1 kHz physics with a 100 Hz control/detector tick; the
-control torque is held across the ten physics substeps of each tick. All
-randomness flows through seeded generators, so a (scenario, seed,
-checkpoint) triple reproduces its trace bit for bit.
+Rates are fixed at 1 kHz physics with a 100 Hz control/detector tick. A
+tick of ``run_scenario`` runs: events (with a grasp's gradual payload
+transfer) -> sense -> detect -> replan -> execute (``_PlanExecutor`` takes a
+new plan and steps its state machine) -> control -> advance -> record.
+``_advance`` owns the physics: it holds the control torque across the ten
+substeps of a tick for ``run_scenario``, ``tracking_comparison`` and
+``collect_training_data`` alike. All randomness flows through seeded
+generators, so a (scenario, seed, checkpoint) triple reproduces its trace
+bit for bit.
 """
 from __future__ import annotations
 
@@ -12,6 +17,7 @@ import csv
 import json
 import math
 from array import array
+from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -51,6 +57,9 @@ DEFAULT_SENSOR_NOISE = {
     "q": 1e-4, "qdot": 1e-3, "theta": 1e-4, "thetadot": 1e-3, "tau_e": 0.01,
 }
 
+# a go_target with no paramset before it moves at Spd = 0 (duration and speed limit)
+DEFAULT_TASK = ctl.apply_task_config((1, 0, 0))[1]
+
 
 @dataclass
 class WearerParams:
@@ -67,6 +76,15 @@ class EventSpec:
     type: str  # drop | payload_step | torque_pulse | intent_conflict
     t: float
     params: dict = field(default_factory=dict)
+
+
+# event type -> (required params, optional params)
+EVENT_PARAMS = {
+    "drop": ((), ("amplitude", "decay", "joints")),
+    "payload_step": (("mass",), ()),
+    "torque_pulse": (("amplitude",), ("decay",)),
+    "intent_conflict": (("pose_deg",), ("duration",)),
+}
 
 
 @dataclass
@@ -97,7 +115,8 @@ class Scenario:
 
 @dataclass
 class SimStack:
-    """Everything a scenario needs besides the scenario itself."""
+    """Everything a scenario needs besides the scenario itself. The gains
+    are checked against the plant here, once: the controllers do not."""
 
     model: dyn.PlantModel
     control: ctl.ControlConfig
@@ -106,6 +125,8 @@ class SimStack:
     targets: dict | None = None
 
     def __post_init__(self):
+        self.control.transparent.validated(self.model.n_c)
+        self.control.impedance.validated(self.model.n, self.model.n_c)
         if self.targets is None:
             self.targets = load_targets()
 
@@ -166,16 +187,44 @@ def save_trace_csv(path: str | Path, trace: TraceRecord) -> None:
         writer.writerows(zip(*trace.columns.values()))
 
 
+def _load_event(raw: dict, duration: float) -> EventSpec:
+    """One scripted event; ConfigError unless it can fire as written."""
+    kind, params = raw.get("type"), raw.get("params", {})
+    if kind not in EVENT_PARAMS:
+        raise dyn.ConfigError(f"unknown event type {kind!r}")
+    required, optional = EVENT_PARAMS[kind]
+    if not set(required) <= set(params) <= set(required + optional):
+        raise dyn.ConfigError(f"{kind} event needs params {list(required)} and may have "
+                              f"{list(optional)}, got {sorted(params)}")
+    try:
+        t = float(raw["t"])
+        values = {k: np.asarray(v, dtype=float) for k, v in params.items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise dyn.ConfigError(f"{kind} event needs a time and numeric params") from exc
+    if not (math.isfinite(t) and all(np.all(np.isfinite(v)) for v in values.values())):
+        raise dyn.ConfigError(f"{kind} event has a non-finite number")
+    if not 0.0 <= t <= duration:
+        raise dyn.ConfigError(f"{kind} event at t = {t} s is outside [0, {duration}] s")
+    if np.any(values.get("mass", 0.0) < 0.0) or np.any(values.get("decay", 1.0) <= 0.0):
+        raise dyn.ConfigError(f"{kind} event needs mass >= 0 and decay > 0")
+    return EventSpec(type=kind, t=t, params=params)
+
+
 def load_scenario(path: str | Path) -> Scenario:
+    """Load a scenario file; unknown fields and any event that could not
+    fire as written (unknown type, missing or unknown params, a time
+    outside [0, duration], a non-finite number) raise ConfigError."""
     raw = json.loads(Path(path).read_text())
-    events = [EventSpec(type=e["type"], t=float(e["t"]), params=e.get("params", {}))
-              for e in raw.pop("events", [])]
+    raw_events = raw.pop("events", [])
     wearer = WearerParams(**raw.pop("wearer", {}))
-    known = set(Scenario.__dataclass_fields__)
-    unknown = set(raw) - known
+    unknown = set(raw) - set(Scenario.__dataclass_fields__)
     if unknown:
         raise dyn.ConfigError(f"unknown scenario fields: {sorted(unknown)}")
-    return Scenario(events=events, wearer=wearer, **raw)
+    scenario = Scenario(wearer=wearer, **raw)
+    if not (math.isfinite(scenario.duration) and scenario.duration > 0.0):
+        raise dyn.ConfigError("scenario duration must be finite and positive")
+    scenario.events = [_load_event(e, scenario.duration) for e in raw_events]
+    return scenario
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +257,10 @@ def inject_event(state: dyn.PlantState, event: EventSpec,
             signs = np.sign(g_load)
             signs[signs == 0.0] = 1.0
             vec = np.zeros(model.n)
-            joints = event.params.get("joints", [1, 3])
-            for j in joints:
-                vec[j] = amp * signs[j]
+            joints = list(event.params.get("joints", [1, 3]))
+            vec[joints] = amp * signs[joints]
             transient = {"amplitude": vec, "decay": decay, "t0": event.t}
-        new_state = replace(state, payload_mass=0.0)
-        return EventOutcome(state=new_state, transient=transient)
+        return EventOutcome(state=replace(state, payload_mass=0.0), transient=transient)
     if event.type == "payload_step":
         return EventOutcome(state=replace(state, payload_mass=float(event.params["mass"])))
     if event.type == "torque_pulse":
@@ -229,74 +276,216 @@ def inject_event(state: dyn.PlantState, event: EventSpec,
 
 
 # ---------------------------------------------------------------------------
-# wearer intent machinery
+# the wearer
 
 
-class _Intent:
-    """Piecewise intent trajectory for the wearer model."""
+class _Wearer:
+    """The scripted wearer: a saturated spring-damper pulling the arm toward
+    its intent (or toward an intent-conflict pose while one is active), plus
+    the decaying torque transients that events inject. ``intent`` maps t to
+    the wearer's desired (q, qdot)."""
 
-    def __init__(self, pose: np.ndarray):
-        self.kind = "hold"
-        self.pose = pose.copy()
-        self.spline: traj.ReferenceSpline | None = None
-        self.t0 = 0.0
-        self.follow = None  # callable t -> (q, qd) when cooperating
+    def __init__(self, params: WearerParams, pose: np.ndarray):
+        self.params = params
+        self.override: dict | None = None  # {"pose": (n,), "until": s}
+        self.transients: list[dict] = []   # [{"amplitude": (n,), "decay": s, "t0": s}]
+        self.hold(pose)
 
     def hold(self, pose: np.ndarray):
-        self.kind = "hold"
-        self.pose = pose.copy()
+        pose = pose.copy()
+        self.intent = lambda t: (pose, np.zeros_like(pose))
 
-    def reach(self, t: float, start: np.ndarray, goal: np.ndarray, duration: float):
-        self.kind = "reach"
-        self.t0 = t
-        self.spline = traj.quintic_reference(start, goal, duration)
-        self.pose = goal.copy()
+    def reach(self, t0: float, start: np.ndarray, goal: np.ndarray, duration: float):
+        spline = traj.quintic_reference(start, goal, duration)
+        self.intent = lambda t: spline.sample(t - t0)[:2]
 
-    def cooperate(self, follow):
-        self.kind = "follow"
-        self.follow = follow
+    def torque(self, t: float, state: dyn.PlantState) -> np.ndarray:
+        """Interaction torque on the arm at time t."""
+        q_h, qd_h = self.intent(t)
+        if self.override is not None and t <= self.override["until"]:
+            q_h, qd_h = self.override["pose"], np.zeros(state.q.size)
+        tau = self.params.K_h * (q_h - state.q) + self.params.C_h * (qd_h - state.qdot)
+        tau = np.clip(tau, -self.params.saturation, self.params.saturation)
+        for tr in self.transients:
+            tau = tau + tr["amplitude"] * math.exp(-(t - tr["t0"]) / tr["decay"])
+        return tau
 
-    def sample(self, t: float):
-        if self.kind == "hold":
-            return self.pose, np.zeros_like(self.pose)
-        if self.kind == "reach":
-            q, qd, _ = self.spline.sample(t - self.t0)
-            return q, qd
-        return self.follow(t)
+    def sense(self, t: float, state: dyn.PlantState) -> np.ndarray:
+        """The torque at a control tick. An expired override is cleared
+        first; spent transients are pruned after they are summed."""
+        if self.override is not None and t > self.override["until"]:
+            self.override = None
+        tau = self.torque(t, state)
+        self.transients = [tr for tr in self.transients if t - tr["t0"] < 6 * tr["decay"]]
+        return tau
 
 
-def _wearer_torque(params: WearerParams, q_h, qd_h, state: dyn.PlantState) -> np.ndarray:
-    k = np.atleast_1d(np.asarray(params.K_h, dtype=float))
-    c = np.atleast_1d(np.asarray(params.C_h, dtype=float))
-    if k.size == 1:
-        k = np.full(state.q.size, k[0])
-    if c.size == 1:
-        c = np.full(state.q.size, c[0])
-    tau = k * (q_h - state.q) + c * (qd_h - state.qdot)
-    return np.clip(tau, -params.saturation, params.saturation)
+def _advance(model: dyn.PlantModel, state: dyn.PlantState, u: np.ndarray,
+             wearer: _Wearer, t: float):
+    """Hold ``u`` across the physics substeps of one control tick. Returns
+    the new state, the time and the last substep's interaction torque."""
+    for _ in range(CONTROL_SUBSTEPS):
+        tau = wearer.torque(t, state)
+        state = dyn.step(model, state, u, tau, PHYSICS_DT)
+        t += PHYSICS_DT
+    return state, t, tau
+
+
+def _qp_setup(qp: ctl.QPConfig, speed_limit, **fields) -> traj.QPSetup:
+    """Refinement setup from the QP config; unset position bounds are +-pi."""
+    return traj.QPSetup(
+        N=qp.horizon, dt=qp.dt, Q=qp.Q, R=qp.R,
+        speed_limit=speed_limit, accel_limit=qp.accel_limit,
+        q_min=(qp.position_min if qp.position_min is not None else -np.pi),
+        q_max=(qp.position_max if qp.position_max is not None else np.pi),
+        **fields,
+    )
+
+
+# ---------------------------------------------------------------------------
+# plan executor
+
+
+@dataclass
+class _Move:
+    """One go_target: its reference, its QP setup and the desired state."""
+
+    reference: traj.ReferenceSpline  # ends at the target pose
+    t0: float
+    qp: traj.QPSetup
+    q_d: np.ndarray
+    qd_d: np.ndarray
+    qdd_d: np.ndarray
+
+
+class _PlanExecutor:
+    """Runs the active plan step by step. It owns the control mode, the step
+    state (planning | grasp | move | done), the current move, the task config
+    of the last paramset, the grasp-confirm time and whether the last
+    go_target converged. ``mode_cmd`` marks a mode command within a tick.
+    """
+
+    def __init__(self, scenario: Scenario, stack: SimStack, wearer: _Wearer):
+        self.scenario, self.stack, self.wearer = scenario, stack, wearer
+        self.grasp_pose = np.radians(np.asarray(scenario.grasp_pose_deg, dtype=float))
+        self.plan = None
+        self.mode = "transparent"
+        self.mode_cmd = False
+        self.step = "planning"
+        self.move: _Move | None = None
+        self.task: ctl.TaskConfig | None = None
+        self.icfg = stack.control.impedance  # with the task's w once a paramset ran
+        self.grasp_confirm_at: float | None = None
+        self.converged = True
+
+    @property
+    def label(self) -> str:
+        step = self.plan.current() if self.plan is not None else None
+        return step.label if step is not None else self.step
+
+    def abort(self, t: float, state: dyn.PlantState) -> None:
+        """Drop the plan on a replan trigger: back to transparent mode while
+        the wearer reaches for the object again."""
+        self.plan.clear()
+        self.plan, self.move, self.mode, self.mode_cmd = None, None, "transparent", True
+        self.wearer.reach(t, state.q.copy(), self.grasp_pose, self.scenario.reach_duration)
+        self.step = "planning"
+
+    def execute(self, t: float, state: dyn.PlantState, grad: np.ndarray,
+                s_value: float) -> bool:
+        """Take a finished plan from the planner, then step the state
+        machine. Returns True on the tick the grasp is confirmed."""
+        if self.plan is None:
+            result = self.stack.planner.poll()
+            if result is not None and result.plan is not None and result.plan.valid:
+                self.plan = result.plan
+                self._begin(t, state)
+        if self.plan is None:
+            return False
+        if self.step == "grasp" and self.grasp_confirm_at is not None \
+                and t >= self.grasp_confirm_at:
+            self.grasp_confirm_at = None
+            self.wearer.hold(state.q.copy())
+            self.plan.advance()
+            self._begin(t, state)
+            return True
+        if self.step == "move":
+            self._track(t, state, grad, s_value)
+        return False
+
+    def _begin(self, t: float, state: dyn.PlantState) -> None:
+        """Start the step at the plan cursor; instantaneous steps chain
+        within the same tick."""
+        plan, sc = self.plan, self.scenario
+        while (step := plan.current()) is not None:
+            if step.name == "set_mode":
+                self.mode = "impedance" if step.args["mode"] == 1 else "transparent"
+                self.mode_cmd = True
+                if plan.cursor == 0 and self.mode == "transparent":
+                    # grasp phase: the wearer reaches for the object
+                    self.step = "grasp"
+                    self.wearer.reach(t, state.q.copy(), self.grasp_pose, sc.reach_duration)
+                    self.grasp_confirm_at = t + sc.reach_duration + sc.grasp_confirm_delay
+                    return
+            elif step.name == "paramset":
+                self.task = ctl.apply_task_config((1, step.args["spd"], step.args["imp"]))[1]
+                self.icfg = replace(self.stack.control.impedance, w=self.task.w)
+            elif step.name == "go_target":
+                target = np.radians(self.stack.targets[step.args["target"]])
+                task = self.task or DEFAULT_TASK
+                self.mode, self.mode_cmd = "impedance", True
+                self.move = move = _Move(
+                    reference=traj.quintic_reference(state.q.copy(), target, task.t_f),
+                    t0=t,
+                    qp=_qp_setup(self.stack.control.qp, task.speed_limit, Kd=self.icfg.Kd,
+                                 Cd=self.icfg.Cd, w=self.icfg.w),
+                    q_d=state.q.copy(), qd_d=np.zeros_like(target), qdd_d=np.zeros_like(target),
+                )
+                self.wearer.intent = lambda _t: (move.q_d, move.qd_d)
+                self.step, self.converged = "move", False
+                return
+            elif step.name == "done":
+                # without a trailing set_mode(1) control goes back to the wearer
+                prev = plan.steps[plan.cursor - 1] if plan.cursor >= 1 else None
+                kept_impedance = (prev is not None and prev.name == "set_mode"
+                                  and prev.args.get("mode") == 1)
+                if self.mode == "impedance" and not kept_impedance:
+                    self.mode, self.mode_cmd, self.move = "transparent", True, None
+                if self.mode == "transparent":
+                    self.wearer.hold(state.q.copy())
+                self.step = "done"
+                return
+            elif not step.name.startswith("predefined:"):
+                raise dyn.ConfigError(f"executor cannot run subtask {step.name!r}")
+            plan.advance()
+        self.step = "done"
+
+    def _track(self, t: float, state: dyn.PlantState, grad: np.ndarray,
+               s_value: float) -> None:
+        """Refine the move's desired state; on convergence hold the target
+        and start the next step."""
+        move, sc = self.move, self.scenario
+        elapsed = t - move.t0
+        setup = replace(move.qp, anomaly_gradient=grad, t_now=elapsed,
+                        score_init=max(0.0, s_value - sc.score_coupling_floor))
+        seg = traj.refine(move.reference, (move.q_d, move.qd_d), setup)
+        q_d, qd_d, _ = seg.sample(CONTROL_DT)
+        move.qdd_d = seg.qddot_d[0]
+        reference_done = elapsed >= move.reference.t_f + sc.settle_time
+        target = move.reference.qf
+        at_target = np.max(np.abs(state.q - target)) < math.radians(sc.target_tolerance_deg)
+        if reference_done and at_target:
+            self.converged = True
+            move.q_d, move.qd_d = target.copy(), np.zeros_like(target)
+            move.qdd_d = np.zeros_like(target)
+            self.plan.advance()
+            self._begin(t, state)
+        else:
+            move.q_d, move.qd_d = q_d, qd_d
 
 
 # ---------------------------------------------------------------------------
 # scenario engine
-
-
-class _WindowBuffer:
-    def __init__(self, L_s: int, per_tick: int):
-        self.L_s = L_s
-        self.rows: list[np.ndarray] = []
-        self.per_tick = per_tick
-
-    def push(self, row: np.ndarray):
-        self.rows.append(row)
-        if len(self.rows) > self.L_s:
-            self.rows.pop(0)
-
-    @property
-    def full(self) -> bool:
-        return len(self.rows) == self.L_s
-
-    def window(self) -> np.ndarray:
-        return np.stack(self.rows)
 
 
 def run_scenario(scenario: Scenario, stack: SimStack, seed: int | None = None):
@@ -306,276 +495,108 @@ def run_scenario(scenario: Scenario, stack: SimStack, seed: int | None = None):
     noise = scenario.sensor_noise
 
     q0 = np.radians(np.asarray(scenario.start_pose_deg, dtype=float))
-    grasp_pose = np.radians(np.asarray(scenario.grasp_pose_deg, dtype=float))
     state = dyn.settled_state(model, q0)
 
     layout = ChannelLayout(n=model.n, n_c=model.n_c)
     detector = stack.detector
-    buffer = _WindowBuffer(detector.L_s if detector else 25, layout.per_tick)
+    window = deque(maxlen=detector.L_s if detector else 25)
 
-    intent = _Intent(q0)
+    wearer = _Wearer(scenario.wearer, q0)
+    executor = _PlanExecutor(scenario, stack, wearer)
     trace = TraceRecord()
-    events = sorted(scenario.events, key=lambda e: e.t)
-    next_event = 0
-    transients: list[dict] = []
-    intent_override = None
-
-    mode = "transparent"
-    task_cfg: ctl.TaskConfig | None = None
-    active_plan = None
-    step_state = "planning"  # planning | grasp | move | hold | done
-    grasp_confirm_at = None
-    move = None           # dict with reference, desired state, start time
+    events = deque(sorted(scenario.events, key=lambda e: e.t))
+    first_event_t = events[0].t if events else None
     belief_payload = 0.0
-    payload_ramp = None   # {"t0": s, "mass": kg} while the grasp loads up
+    loading_since = None  # grasp time while the item's mass transfers
     replan_count = 0
     last_trigger_t = -1e9
     detection_latency = None
-    first_event_t = events[0].t if events else None
-    go_target_converged = True
-    s_value = 0.0
-
-    stack.planner.request_plan(scenario.task)
-
-    n_ticks = int(round(scenario.duration / CONTROL_DT))
-    icfg_base = stack.control.impedance
-    tcfg = stack.control.transparent
-    qp_base = stack.control.qp
 
     def sense(vec, key):
         sd = noise.get(key, 0.0)
         return vec + (rng.standard_normal(vec.shape) * sd if sd > 0 else 0.0)
 
-    def begin_step(t):
-        """Start executing the plan step at the cursor; instantaneous steps
-        chain within the same tick."""
-        nonlocal step_state, mode, task_cfg, move, grasp_confirm_at, go_target_converged
-        nonlocal mode_cmd
-        while True:
-            step = active_plan.current()
-            if step is None:
-                step_state = "done"
-                if mode == "impedance" and move is not None:
-                    pass  # hold last target
-                return
-            if step.name == "set_mode":
-                mode_bit = step.args["mode"]
-                new_mode = "impedance" if mode_bit == 1 else "transparent"
-                if active_plan.cursor == 0 and new_mode == "transparent":
-                    # grasp phase: wearer reaches for the object
-                    mode = new_mode
-                    mode_cmd = True
-                    step_state = "grasp"
-                    intent.reach(t, state.q.copy(), grasp_pose, scenario.reach_duration)
-                    grasp_confirm_at = t + scenario.reach_duration + scenario.grasp_confirm_delay
-                    return
-                mode = new_mode
-                mode_cmd = True
-                active_plan.advance()
-                continue
-            if step.name == "paramset":
-                _, cfg = ctl.apply_task_config((1, step.args["spd"], step.args["imp"]))
-                task_cfg = cfg
-                active_plan.advance()
-                continue
-            if step.name == "go_target":
-                target = np.radians(np.asarray(stack.targets[step.args["target"]], dtype=float))
-                cfg = task_cfg or ctl.apply_task_config((1, 0, 0))[1]
-                mode = "impedance"
-                mode_cmd = True
-                reference = traj.quintic_reference(state.q.copy(), target, cfg.t_f)
-                move = {
-                    "reference": reference,
-                    "target": target,
-                    "t0": t,
-                    "q_d": state.q.copy(),
-                    "qd_d": np.zeros(model.n),
-                    "qdd_d": np.zeros(model.n),
-                }
-                intent.cooperate(lambda tt: (move["q_d"], move["qd_d"]))
-                step_state = "move"
-                go_target_converged = False
-                return
-            if step.name.startswith("predefined:"):
-                active_plan.advance()
-                continue
-            if step.name == "done":
-                step_state = "done"
-                # without an explicit trailing set_mode(1) the system hands
-                # control back to the wearer once the task ends
-                idx = active_plan.cursor
-                kept_impedance = (idx >= 1
-                                  and active_plan.steps[idx - 1].name == "set_mode"
-                                  and active_plan.steps[idx - 1].args.get("mode") == 1)
-                if mode == "impedance" and not kept_impedance:
-                    mode = "transparent"
-                    mode_cmd = True
-                    move = None
-                if mode == "transparent":
-                    intent.hold(state.q.copy())
-                return
-            raise dyn.ConfigError(f"executor cannot run subtask {step.name!r}")
-
+    stack.planner.request_plan(scenario.task)
     try:
-        for tick in range(n_ticks):
+        for tick in range(int(round(scenario.duration / CONTROL_DT))):
             t = tick * CONTROL_DT
             replan_flag = False
-            mode_cmd = False
+            executor.mode_cmd = False
 
-            # scheduled events
-            while next_event < len(events) and events[next_event].t <= t + 1e-12:
-                outcome = inject_event(state, events[next_event], model)
+            # events, then the gradual load transfer while grasping
+            while events and events[0].t <= t + 1e-12:
+                event = events.popleft()
+                outcome = inject_event(state, event, model)
                 state = outcome.state
                 if outcome.transient:
-                    transients.append(outcome.transient)
+                    wearer.transients.append(outcome.transient)
                 if outcome.intent_override:
-                    intent_override = outcome.intent_override
-                if events[next_event].type == "drop":
-                    payload_ramp = None  # belief unchanged: detection must find it
-                next_event += 1
-
-            # gradual load transfer while grasping (and regrasping)
-            if payload_ramp is not None:
-                frac = min(1.0, (t - payload_ramp["t0"]) / max(scenario.grasp_load_time, 1e-9))
-                current_mass = payload_ramp["mass"] * frac
-                state = replace(state, payload_mass=current_mass)
-                belief_payload = current_mass
+                    wearer.override = outcome.intent_override
+                if event.type == "drop":
+                    loading_since = None  # belief unchanged: detection must find it
+            if loading_since is not None:
+                frac = min(1.0, (t - loading_since) / max(scenario.grasp_load_time, 1e-9))
+                belief_payload = scenario.item_mass * frac
+                state = replace(state, payload_mass=belief_payload)
                 if frac >= 1.0:
-                    payload_ramp = None
+                    loading_since = None
 
-            # sensing
+            # sense
             q_s = sense(state.q, "q")
             qd_s = sense(state.qdot, "qdot")
             th_s = sense(state.theta, "theta")
             thd_s = sense(state.thetadot, "thetadot")
-            q_h, qd_h = intent.sample(t)
-            if intent_override is not None:
-                if t <= intent_override["until"]:
-                    q_h, qd_h = intent_override["pose"], np.zeros(model.n)
-                else:
-                    intent_override = None
-            tau_true = _wearer_torque(scenario.wearer, q_h, qd_h, state)
-            for tr in transients:
-                tau_true = tau_true + tr["amplitude"] * math.exp(-(t - tr["t0"]) / tr["decay"])
-            transients = [tr for tr in transients if t - tr["t0"] < 6 * tr["decay"]]
+            tau_true = wearer.sense(t, state)
             tau_s = sense(tau_true, "tau_e")
 
-            # detector
-            buffer.push(layout.pack(q_s, qd_s, th_s, thd_s, tau_s))
-            grad = np.zeros(model.n)
-            if detector is not None and buffer.full:
-                s_value, _, grad = detector.score_gradient(buffer.window())
+            # detect
+            window.append(layout.pack(q_s, qd_s, th_s, thd_s, tau_s))
+            s_value, grad = 0.0, np.zeros(model.n)
+            if detector is not None and len(window) == window.maxlen:
+                s_value, _, grad = detector.score_gradient(np.stack(window))
                 if detection_latency is None and first_event_t is not None \
                         and t >= first_event_t and s_value >= scenario.s_bar:
                     detection_latency = (t - first_event_t) * 1000.0
-            else:
-                s_value = 0.0
 
-            # replan trigger (only while executing a plan)
-            if (detector is not None and active_plan is not None
-                    and step_state in ("grasp", "move", "hold")
+            # replan (only while a plan is being executed)
+            if (detector is not None and executor.step in ("grasp", "move")
                     and replan_check(s_value, scenario.s_bar)
                     and t - last_trigger_t > scenario.replan_refractory):
                 replan_flag = True
                 replan_count += 1
                 last_trigger_t = t
-                active_plan.clear()
-                active_plan = None
-                move = None
-                mode = "transparent"
-                mode_cmd = True
+                executor.abort(t, state)
                 belief_payload = 0.0
-                intent.reach(t, state.q.copy(), grasp_pose, scenario.reach_duration)
-                step_state = "planning"
                 stack.planner.record({"type": "replan", "t": t, "score": s_value})
                 stack.planner.request_plan(scenario.task)
 
-            # planner handoff
-            if active_plan is None:
-                result = stack.planner.poll()
-                if result is not None and result.plan is not None and result.plan.valid:
-                    active_plan = result.plan
-                    begin_step(t)
+            # execute
+            if executor.execute(t, state, grad, s_value) and scenario.item_mass > 0.0:
+                loading_since = t
 
-            # step execution state machine
-            if active_plan is not None:
-                if step_state == "grasp" and grasp_confirm_at is not None \
-                        and t >= grasp_confirm_at:
-                    if scenario.item_mass > 0.0:
-                        payload_ramp = {"t0": t, "mass": scenario.item_mass}
-                    grasp_confirm_at = None
-                    intent.hold(state.q.copy())
-                    active_plan.advance()
-                    begin_step(t)
-                elif step_state == "move":
-                    elapsed = t - move["t0"]
-                    setup = traj.QPSetup(
-                        N=qp_base.horizon, dt=qp_base.dt, Q=qp_base.Q, R=qp_base.R,
-                        speed_limit=(task_cfg.speed_limit if task_cfg else qp_base.accel_limit),
-                        accel_limit=qp_base.accel_limit,
-                        q_min=(qp_base.position_min if qp_base.position_min is not None else -np.pi),
-                        q_max=(qp_base.position_max if qp_base.position_max is not None else np.pi),
-                        anomaly_gradient=grad,
-                        Kd=icfg_base.Kd, Cd=icfg_base.Cd,
-                        w=(task_cfg.w if task_cfg else icfg_base.w),
-                        score_init=max(0.0, s_value - scenario.score_coupling_floor),
-                        t_now=elapsed,
-                    )
-                    seg = traj.refine(move["reference"], (move["q_d"], move["qd_d"]), setup)
-                    q_d, qd_d, qdd_d = seg.sample(CONTROL_DT)
-                    move["qdd_d"] = seg.qddot_d[0]
-                    reference_done = elapsed >= move["reference"].t_f + scenario.settle_time
-                    at_target = np.max(np.abs(state.q - move["target"])) \
-                        < math.radians(scenario.target_tolerance_deg)
-                    if reference_done and at_target:
-                        go_target_converged = True
-                        active_plan.advance()
-                        move_target = move["target"]
-                        move = {**move, "q_d": move_target.copy(),
-                                "qd_d": np.zeros(model.n), "qdd_d": np.zeros(model.n)}
-                        begin_step(t)
-                    else:
-                        move["q_d"], move["qd_d"] = q_d, qd_d
-
-            # controller
+            # control
             belief = dyn.PlantState(q=q_s, qdot=qd_s, theta=th_s, thetadot=thd_s,
                                     payload_mass=belief_payload, tau_e=tau_s)
-            if mode == "impedance" and move is not None:
-                w = task_cfg.w if task_cfg else icfg_base.w
-                icfg = replace(icfg_base, w=w)
-                u = ctl.impedance_control(model, belief, move["q_d"], move["qd_d"],
-                                          move["qdd_d"], tau_s, icfg)
-                q_d_row, qd_d_row = move["q_d"], move["qd_d"]
+            move = executor.move
+            if executor.mode == "impedance" and move is not None:
+                u = ctl.impedance_control(model, belief, move.q_d, move.qd_d,
+                                          move.qdd_d, tau_s, executor.icfg)
+                q_d_row, qd_d_row = move.q_d, move.qd_d
             else:
-                u = ctl.transparent_control(model, belief, tau_s, tcfg)
+                u = ctl.transparent_control(model, belief, tau_s, stack.control.transparent)
                 q_d_row, qd_d_row = q_s, qd_s
 
-            # physics substeps with the held command
-            for _ in range(CONTROL_SUBSTEPS):
-                q_h, qd_h = intent.sample(t)
-                if intent_override is not None and t <= intent_override["until"]:
-                    q_h, qd_h = intent_override["pose"], np.zeros(model.n)
-                tau = _wearer_torque(scenario.wearer, q_h, qd_h, state)
-                for tr in transients:
-                    tau = tau + tr["amplitude"] * math.exp(-(t - tr["t0"]) / tr["decay"])
-                state = dyn.step(model, state, u, tau, PHYSICS_DT)
-                t += PHYSICS_DT
+            # advance
+            state, _, _ = _advance(model, state, u, wearer, t)
 
-            row = dict(t=tick * CONTROL_DT, s=s_value,
-                       mode=(1 if mode == "impedance" else 0),
-                       subtask=(active_plan.current().label if active_plan is not None
-                                and active_plan.current() else step_state),
-                       replan=int(replan_flag), mode_cmd=int(mode_cmd))
-            for i in range(model.n):
-                row[f"q{i}"] = state.q[i]
-                row[f"qdot{i}"] = state.qdot[i]
-                row[f"tau_e{i}"] = tau_true[i]
-                row[f"u{i}"] = u[i]
-                row[f"q_d{i}"] = q_d_row[i]
-                row[f"qdot_d{i}"] = qd_d_row[i]
-            for i in range(model.n_c):
-                row[f"theta{i}"] = state.theta[i]
-                row[f"thetadot{i}"] = state.thetadot[i]
+            # record
+            row = dict(t=t, s=s_value, mode=int(executor.mode == "impedance"),
+                       subtask=executor.label, replan=int(replan_flag),
+                       mode_cmd=int(executor.mode_cmd))
+            for prefix, vec in (("q", state.q), ("qdot", state.qdot), ("theta", state.theta),
+                                ("thetadot", state.thetadot), ("tau_e", tau_true), ("u", u),
+                                ("q_d", q_d_row), ("qdot_d", qd_d_row)):
+                row.update((f"{prefix}{i}", v) for i, v in enumerate(vec))
             trace.append(**row)
     except (dyn.SimulationFault, traj.RefinementError) as exc:
         trace.fault = f"{type(exc).__name__}: {exc}"
@@ -584,9 +605,9 @@ def run_scenario(scenario: Scenario, stack: SimStack, seed: int | None = None):
         return trace, report
 
     completed = (
-        active_plan is not None
-        and step_state == "done"
-        and go_target_converged
+        executor.plan is not None
+        and executor.step == "done"
+        and executor.converged
         and (state.payload_mass > 0.0 if scenario.item_mass > 0.0 else True)
     )
     report = metrics(trace, scenario)
@@ -675,34 +696,27 @@ def tracking_comparison(model: dyn.PlantModel, control_cfg: ctl.ControlConfig,
     n = q0.size
     limit = math.radians(speed_limit_deg)
     wearer = wearer or WearerParams()
+    icfg = control_cfg.impedance.validated(model.n, model.n_c)
     up = traj.quintic_reference(q0, qp, t_f)
     down = traj.quintic_reference(qp, q0, t_f)
     duration = 2 * t_f + settle
 
     def reference(t):
-        if t <= t_f:
-            return up.sample(t)
-        if t <= 2 * t_f:
-            return down.sample(t - t_f)
-        return down.sample(t_f)
+        return up.sample(t) if t <= t_f else down.sample(min(t - t_f, t_f))
 
     def run(desired_fn):
         state = dyn.settled_state(model, q0)
-        icfg = control_cfg.impedance
-        rows_q, rows_qd, rows_ref, rows_cmd_v = [], [], [], []
+        arm = _Wearer(wearer, q0)
+        rows_q, rows_ref, rows_cmd_v = [], [], []
         t = 0.0
         for _ in range(int(round(duration / CONTROL_DT))):
             q_d, qd_d, qdd_d = desired_fn(t, state)
-            q_r = reference(t)[0]
-            q_h, qd_h = q_d, qd_d  # cooperative wearer follows the command
-            tau = _wearer_torque(wearer, q_h, qd_h, state)
-            u = ctl.impedance_control(model, state, q_d, qd_d, qdd_d, tau, icfg)
-            for _ in range(CONTROL_SUBSTEPS):
-                tau = _wearer_torque(wearer, q_d, qd_d, state)
-                state = dyn.step(model, state, u, tau, PHYSICS_DT)
-                t += PHYSICS_DT
+            rows_ref.append(reference(t)[0])
+            arm.intent = lambda _t, cmd=(q_d, qd_d): cmd  # the wearer follows
+            u = ctl.impedance_control(model, state, q_d, qd_d, qdd_d,
+                                      arm.torque(t, state), icfg)
+            state, t, _ = _advance(model, state, u, arm, t)
             rows_q.append(state.q.copy())
-            rows_ref.append(q_r)
             rows_cmd_v.append(qd_d.copy())
         err = np.degrees(np.array(rows_q) - np.array(rows_ref))
         return {
@@ -721,20 +735,14 @@ def tracking_comparison(model: dyn.PlantModel, control_cfg: ctl.ControlConfig,
         return clamp_state["q"].copy(), delta / CONTROL_DT, np.zeros(n)
 
     # variant B: receding-horizon refinement
-    qp_cfg = control_cfg.qp
-    refine_state = {"q": q0.copy(), "qd": np.zeros(n), "phase": "up"}
+    setup = _qp_setup(control_cfg.qp, limit)
+    refine_state = {"q": q0.copy(), "qd": np.zeros(n)}
 
     def refined(t, state):
         ref = up if t <= t_f else down
         t_local = t if t <= t_f else t - t_f
-        setup = traj.QPSetup(
-            N=qp_cfg.horizon, dt=qp_cfg.dt, Q=qp_cfg.Q, R=qp_cfg.R,
-            speed_limit=limit, accel_limit=qp_cfg.accel_limit,
-            q_min=(qp_cfg.position_min if qp_cfg.position_min is not None else -np.pi),
-            q_max=(qp_cfg.position_max if qp_cfg.position_max is not None else np.pi),
-            t_now=min(t_local, 2 * t_f),
-        )
-        seg = traj.refine(ref, (refine_state["q"], refine_state["qd"]), setup)
+        seg = traj.refine(ref, (refine_state["q"], refine_state["qd"]),
+                          replace(setup, t_now=min(t_local, 2 * t_f)))
         q_d, qd_d, qdd_d = seg.sample(CONTROL_DT)
         out = (refine_state["q"].copy(), refine_state["qd"].copy(), seg.qddot_d[0])
         refine_state["q"], refine_state["qd"] = q_d, qd_d
@@ -763,7 +771,7 @@ def collect_training_data(model: dyn.PlantModel, subjects: list[WearerParams],
     ticks_per_subject = int(round(duration / CONTROL_DT))
     if ticks_per_subject < L_s:
         raise ValueError("duration too short for a single sensory window")
-    cfg = cfg or ctl.TransparentConfig()
+    cfg = (cfg or ctl.TransparentConfig()).validated(model.n_c)
     noise = DEFAULT_SENSOR_NOISE if sensor_noise is None else sensor_noise
     box = [np.radians(np.array(b, dtype=float)) for b in motion_box_deg]
 
@@ -773,36 +781,27 @@ def collect_training_data(model: dyn.PlantModel, subjects: list[WearerParams],
         rng = np.random.default_rng(seed + 1000 * s_idx)
         q0 = np.array([b.mean() for b in box])
         state = dyn.settled_state(model, q0)
-        intent = _Intent(q0)
+        wearer = _Wearer(subject, q0)
         rows = []
+
+        def noisy(vec, key):
+            return vec + rng.standard_normal(vec.shape) * noise[key]
         t = 0.0
         motion_ends = 0.0
         for tick in range(ticks_per_subject):
             if t >= motion_ends:
                 target = np.array([rng.uniform(lo, hi) for lo, hi in box])
                 move_t = rng.uniform(0.8, 2.2)
-                intent.reach(t, intent.sample(t)[0].copy(), target, move_t)
+                wearer.reach(t, wearer.intent(t)[0].copy(), target, move_t)
                 motion_ends = t + move_t + rng.uniform(0.1, 0.3)
-            q_h, qd_h = intent.sample(t)
-            tau = _wearer_torque(subject, q_h, qd_h, state)
-            u = ctl.transparent_control(
-                model,
-                dyn.PlantState(q=state.q + rng.standard_normal(model.n) * noise["q"],
-                               qdot=state.qdot + rng.standard_normal(model.n) * noise["qdot"],
-                               theta=state.theta, thetadot=state.thetadot,
-                               payload_mass=0.0, tau_e=tau),
-                tau + rng.standard_normal(model.n) * noise["tau_e"], cfg)
-            for _ in range(CONTROL_SUBSTEPS):
-                q_h, qd_h = intent.sample(t)
-                tau = _wearer_torque(subject, q_h, qd_h, state)
-                state = dyn.step(model, state, u, tau, PHYSICS_DT)
-                t += PHYSICS_DT
-            rows.append(layout.pack(
-                state.q + rng.standard_normal(model.n) * noise["q"],
-                state.qdot + rng.standard_normal(model.n) * noise["qdot"],
-                state.theta + rng.standard_normal(model.n_c) * noise["theta"],
-                state.thetadot + rng.standard_normal(model.n_c) * noise["thetadot"],
-                tau + rng.standard_normal(model.n) * noise["tau_e"]))
+            tau = wearer.torque(t, state)
+            belief = dyn.PlantState(q=noisy(state.q, "q"), qdot=noisy(state.qdot, "qdot"),
+                                    theta=state.theta, thetadot=state.thetadot, tau_e=tau)
+            u = ctl.transparent_control(model, belief, noisy(tau, "tau_e"), cfg)
+            state, t, tau = _advance(model, state, u, wearer, t)
+            rows.append(layout.pack(noisy(state.q, "q"), noisy(state.qdot, "qdot"),
+                                    noisy(state.theta, "theta"),
+                                    noisy(state.thetadot, "thetadot"), noisy(tau, "tau_e")))
         rows = np.stack(rows)
         n_windows = (len(rows) - L_s) // stride + 1
         windows = np.stack([rows[i * stride:i * stride + L_s] for i in range(n_windows)])

@@ -29,7 +29,6 @@ __all__ = [
     "RecordingTransport",
     "ReplayTransport",
     "LLMScorer",
-    "llm_score",
     "load_prompt_template",
 ]
 
@@ -241,8 +240,3 @@ class LLMScorer:
 
     def _bindings_for_context(self, context: str) -> list[str]:
         return self._context_map[context]
-
-
-def llm_score(query: ScorerQuery, scorer: LLMScorer) -> ScoreResult:
-    """Single-query form mirroring rule_score."""
-    return scorer.score(query)

@@ -27,7 +27,6 @@ __all__ = [
     "ScoreResult",
     "ItemRecord",
     "RuleScorer",
-    "rule_score",
     "replan_check",
     "plan",
     "PlannerRuntime",
@@ -363,11 +362,6 @@ class RuleScorer:
         return ScoreResult(probability=1.0 if query.candidate == expected_label else 0.0)
 
 
-def rule_score(query: ScorerQuery, item_db: list[ItemRecord]) -> ScoreResult:
-    """Single-query form of the rule scorer."""
-    return RuleScorer(item_db).score(query)
-
-
 # ---------------------------------------------------------------------------
 # Algorithm-1 planning loop
 
@@ -479,17 +473,11 @@ class PlannerRuntime:
         self.background = background
         self._lock = threading.Lock()
         self._slot: PlanResult | None = None
-        self._busy = False
         self.events: list[dict] = []
-
-    @property
-    def busy(self) -> bool:
-        return self._busy
 
     def request_plan(self, task: str, anomaly_feed=None) -> None:
         with self._lock:
             self._slot = None
-            self._busy = True
 
         def work():
             try:
@@ -500,7 +488,6 @@ class PlannerRuntime:
                 result = PlanResult(plan=Plan(valid=False, invalid_reason=str(exc)))
             with self._lock:
                 self._slot = result
-                self._busy = False
 
         if self.background:
             threading.Thread(target=work, daemon=True).start()

@@ -1,0 +1,85 @@
+"""Golden behaviour set: the five bundled scenarios, run without a detector
+at their own seeds, against references stored in ``tests/data/golden``.
+
+Each reference holds 10 Hz samples of the joint angles, the mode and the
+replan flag, plus the run report. Joint samples must agree within
+``Q_TOL``; the integer columns and the report's flags and counts must agree
+exactly, its float metrics within a relative 1e-6. This catches drift from
+a change that alters floating-point results, which a same-code determinism
+check cannot.
+
+Regenerate only for an intended change of behaviour:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from exoassist import control as ctl
+from exoassist import dynamics as dyn
+from exoassist import harness as hz
+from exoassist import planner as pl
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+SCENARIOS = ("apple_chest", "drop_replan", "dumbbell_shelf", "raise_lower", "water_mouth")
+SAMPLE_EVERY = 10  # control ticks per sample: 100 Hz -> 10 Hz
+Q_TOL = 1e-6  # rad
+
+
+def golden_run(name: str) -> dict:
+    """Run one bundled scenario without a detector and sample its trace."""
+    runtime = pl.PlannerRuntime(pl.RuleScorer(pl.load_corpus(pl.data_path("corpus.jsonl"))),
+                                pl.default_library())
+    stack = hz.SimStack(model=dyn.load_plant_config(pl.data_path("plant.json")),
+                        control=ctl.load_control_config(pl.data_path("control.json")),
+                        planner=runtime)
+    scenario = hz.load_scenario(pl.data_path(f"scenarios/{name}.json"))
+    trace, report = hz.run_scenario(scenario, stack)
+    every = slice(None, None, SAMPLE_EVERY)
+    return {
+        "scenario": name,
+        "seed": scenario.seed,
+        "sample_every": SAMPLE_EVERY,
+        "q": trace.vector("q", stack.model.n)[every].tolist(),
+        "mode": [int(m) for m in trace.columns["mode"][every]],
+        "replan": [int(r) for r in trace.columns["replan"][every]],
+        "report": report,
+    }
+
+
+def _assert_report_matches(got: dict, want: dict) -> None:
+    assert sorted(got) == sorted(want)
+    for key, ref in want.items():
+        val = got[key]
+        if isinstance(ref, (bool, int, str)) or ref is None:
+            assert val == ref, key
+        else:
+            np.testing.assert_allclose(val, ref, rtol=1e-6, atol=1e-9,
+                                       equal_nan=True, err_msg=key)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_golden_scenario(name):
+    want = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    got = golden_run(name)
+    assert got["seed"] == want["seed"]
+    assert got["sample_every"] == want["sample_every"]
+    assert got["mode"] == want["mode"]
+    assert got["replan"] == want["replan"]
+    q, q_ref = np.array(got["q"]), np.array(want["q"])
+    assert q.shape == q_ref.shape
+    worst = float(np.max(np.abs(q - q_ref)))
+    assert worst <= Q_TOL, f"joint drift {math.degrees(worst):.3g} deg"
+    _assert_report_matches(got["report"], want["report"])
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for scenario_name in SCENARIOS:
+        path = GOLDEN_DIR / f"{scenario_name}.json"
+        path.write_text(json.dumps(golden_run(scenario_name)) + "\n")
+        print(f"wrote {path}")

@@ -1,12 +1,17 @@
 """Harness tests: event injection, data collection, metrics bookkeeping,
 trace format, determinism, and the scenario engine's interlocks."""
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import scenario_path
 
 from exoassist import anomaly as ano
+from exoassist import control as ctl
 from exoassist import dynamics as dyn
 from exoassist import harness as hz
+from exoassist import planner as pl
 
 
 # ---------------------------------------------------------------------------
@@ -236,3 +241,96 @@ def test_scenario_loader_rejects_unknown_fields(tmp_path):
     path.write_text('{"name": "x", "task": "y", "warp_speed": 9}')
     with pytest.raises(dyn.ConfigError, match="warp_speed"):
         hz.load_scenario(path)
+
+
+# ---------------------------------------------------------------------------
+# scenario validation at load time
+
+
+def _scenario_file(tmp_path, event, duration=1.0):
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps({"name": "x", "task": "help me drink water",
+                                "duration": duration, "events": [event]}))
+    return path
+
+
+@pytest.mark.parametrize("event, match", [
+    ({"type": "dorp", "t": 0.5}, "unknown event type"),
+    ({"type": "payload_step", "t": 0.5}, "mass"),
+    ({"type": "payload_step", "t": 0.5, "params": {"mass": float("nan")}}, "non-finite"),
+    ({"type": "drop", "t": 99.0}, "outside"),
+], ids=["unknown-type", "missing-param", "non-finite", "time-outside-run"])
+def test_scenario_loader_rejects_bad_events(tmp_path, event, match):
+    with pytest.raises(dyn.ConfigError, match=match):
+        hz.load_scenario(_scenario_file(tmp_path, event))
+
+
+# ---------------------------------------------------------------------------
+# controller gains are checked once, before the first tick
+
+
+@pytest.fixture()
+def no_physics(monkeypatch):
+    def step(*args, **kwargs):
+        raise AssertionError("the plant was stepped with a bad gain")
+    monkeypatch.setattr(dyn, "step", step)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ctl.TransparentConfig(gamma0=0.0),
+    lambda: ctl.TransparentConfig(Kv=[5.0, -1.0]),
+    lambda: ctl.ImpedanceConfig(w=float("nan")),
+    lambda: ctl.ImpedanceConfig(Kd=-50.0),
+    lambda: ctl.ImpedanceConfig(Mv=[0.5, 0.5, 0.0, 0.5]),
+], ids=["gamma0", "Kv", "w", "Kd", "Mv"])
+def test_bad_gain_rejected_at_construction(make):
+    with pytest.raises(dyn.ConfigError):
+        make()
+
+
+def test_bad_gain_rejected_at_load(tmp_path):
+    path = tmp_path / "control.json"
+    path.write_text(json.dumps({"impedance": {"Cd": 0.0}}))
+    with pytest.raises(dyn.ConfigError, match="Cd"):
+        ctl.load_control_config(path)
+
+
+def test_wrong_gain_length_fails_before_the_first_tick(no_physics):
+    model = dyn.default_model()
+    control = ctl.load_control_config(pl.data_path("control.json"))
+    short_kd = replace(control, impedance=replace(control.impedance, Kd=[50.0, 50.0]))
+    with pytest.raises(dyn.ConfigError, match="Kd"):
+        hz.SimStack(model=model, control=short_kd, planner=None)
+    with pytest.raises(dyn.ConfigError, match="Kd"):
+        hz.tracking_comparison(model, short_kd, [0, 5, 0, 20], [0, 95, 0, 20], t_f=3.0)
+    with pytest.raises(dyn.ConfigError, match="Kv"):
+        hz.collect_training_data(model, [hz.WearerParams()], duration=1.0,
+                                 cfg=ctl.TransparentConfig(Kv=[5.0, 5.0, 5.0]))
+
+
+# ---------------------------------------------------------------------------
+# a go_target without a paramset before it
+
+
+class NoParamsetScorer(pl.RuleScorer):
+    """Rule scorer whose plans skip paramset, as a language model's may."""
+
+    def canonical_plan(self, task):
+        steps = super().canonical_plan(task)
+        return [s for s in steps if s[0] != "paramset"] if steps else steps
+
+
+def test_default_speed_limit_binds_without_paramset():
+    # 90 deg on the shoulder from the grasp pose: the 5 s quintic peaks at
+    # 33.75 deg/s, above the Spd = 0 limit of 30 deg/s
+    targets = dict(pl.load_targets(), mouth=[5.0, 120.0, 0.0, 60.0])
+    scorer = NoParamsetScorer(pl.load_corpus(pl.data_path("corpus.jsonl")))
+    stack = hz.SimStack(model=dyn.load_plant_config(pl.data_path("plant.json")),
+                        control=ctl.load_control_config(pl.data_path("control.json")),
+                        planner=pl.PlannerRuntime(scorer, pl.default_library()),
+                        targets=targets)
+    scen = hz.load_scenario(scenario_path("water_mouth.json"))
+    scen.duration = 8.0
+    trace, report = hz.run_scenario(scen, stack)
+    assert "paramset" not in " ".join(map(str, trace.column("subtask")))
+    assert 29.0 < report["max_cmd_velocity_deg_s"] <= 30.0 + 1e-6
