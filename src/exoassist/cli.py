@@ -269,7 +269,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_gradcheck)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except dyn.ConfigError as exc:
+        print(f"exoassist {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

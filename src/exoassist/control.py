@@ -21,6 +21,7 @@ __all__ = [
     "ImpedanceConfig",
     "TaskConfig",
     "ControlConfig",
+    "QPConfig",
     "fast_term",
     "transparent_control",
     "impedance_control",
@@ -231,15 +232,53 @@ def apply_task_config(cfg_bits: tuple[int, int, int]) -> tuple[str, TaskConfig]:
 # configuration file
 
 
+def _finite_values(value, name: str) -> np.ndarray:
+    """A finite number or list of numbers as an array; ConfigError otherwise."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be numeric") from None
+    if arr.ndim > 1 or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{name} must be a finite number or list of numbers")
+    return arr
+
+
 @dataclass
 class QPConfig:
+    """Refinement QP settings. Values are checked at construction (so at
+    load), per-joint lengths by ``check_lengths`` once at loop entry."""
+
     horizon: int = 20
     dt: float = 0.05
-    Q: float = 1.0
-    R: float = 0.01
+    Q: np.ndarray | float = 1.0
+    R: np.ndarray | float = 0.01
     accel_limit: float = math.radians(300.0)  # rad/s^2
-    position_min: np.ndarray | None = None  # rad
-    position_max: np.ndarray | None = None
+    position_min: np.ndarray | float = -math.pi  # rad
+    position_max: np.ndarray | float = math.pi
+
+    def __post_init__(self):
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int) or self.horizon < 2:
+            raise ConfigError("horizon must be an integer of at least 2")
+        dt, Q, R, accel, lo, hi = (_finite_values(getattr(self, name), name) for name in (
+            "dt", "Q", "R", "accel_limit", "position_min", "position_max"))
+        if dt.ndim or dt <= 0:
+            raise ConfigError("dt must be a positive number")
+        if accel.ndim or accel <= 0:
+            raise ConfigError("accel_limit must be a positive number")
+        if np.any(Q <= 0):
+            raise ConfigError("Q must be positive")
+        if np.any(R < 0):
+            raise ConfigError("R must be non-negative")
+        if lo.size > 1 and hi.size > 1 and lo.shape != hi.shape:
+            raise ConfigError("position_min and position_max differ in length")
+        if np.any(lo >= hi):
+            raise ConfigError("position_min must be below position_max")
+
+    def check_lengths(self, n: int) -> None:
+        """Raise ConfigError unless each per-joint value is a scalar or has length n."""
+        for name in ("Q", "R", "position_min", "position_max"):
+            if np.size(getattr(self, name)) not in (1, n):
+                raise ConfigError(f"qp {name} must have length {n}")
 
 
 @dataclass

@@ -127,6 +127,7 @@ class SimStack:
     def __post_init__(self):
         self.control.transparent.validated(self.model.n_c)
         self.control.impedance.validated(self.model.n, self.model.n_c)
+        self.control.qp.check_lengths(self.model.n)
         if self.targets is None:
             self.targets = load_targets()
 
@@ -332,13 +333,11 @@ def _advance(model: dyn.PlantModel, state: dyn.PlantState, u: np.ndarray,
 
 
 def _qp_setup(qp: ctl.QPConfig, speed_limit, **fields) -> traj.QPSetup:
-    """Refinement setup from the QP config; unset position bounds are +-pi."""
+    """Refinement setup from the QP config."""
     return traj.QPSetup(
         N=qp.horizon, dt=qp.dt, Q=qp.Q, R=qp.R,
         speed_limit=speed_limit, accel_limit=qp.accel_limit,
-        q_min=(qp.position_min if qp.position_min is not None else -np.pi),
-        q_max=(qp.position_max if qp.position_max is not None else np.pi),
-        **fields,
+        q_min=qp.position_min, q_max=qp.position_max, **fields,
     )
 
 
@@ -697,6 +696,7 @@ def tracking_comparison(model: dyn.PlantModel, control_cfg: ctl.ControlConfig,
     limit = math.radians(speed_limit_deg)
     wearer = wearer or WearerParams()
     icfg = control_cfg.impedance.validated(model.n, model.n_c)
+    control_cfg.qp.check_lengths(model.n)
     up = traj.quintic_reference(q0, qp, t_f)
     down = traj.quintic_reference(qp, q0, t_f)
     duration = 2 * t_f + settle

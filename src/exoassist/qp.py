@@ -1,11 +1,10 @@
 """Dense convex QP solver: dual active-set method with KKT certification.
 
-Solves  min 0.5 x'Hx + f'x  s.t.  A_eq x = b_eq,  A_in x <= b_in,
-lb <= x <= ub.  Equalities are eliminated through a nullspace
-parameterization, bounds are folded into inequality rows, and the reduced
-inequality-only problem is solved with a Goldfarb-Idnani style dual active
-set (the working set grows from the unconstrained optimum, so no feasible
-starting point is needed and infeasibility is detected directly).
+Solves  min 0.5 x'Hx + f'x  s.t.  A_in x <= b_in,  lb <= x <= ub.  Bounds
+are folded into inequality rows and the problem is solved with a
+Goldfarb-Idnani style dual active set (the working set grows from the
+unconstrained optimum, so no feasible starting point is needed and
+infeasibility is detected directly).
 
 Problems here are small and dense (at most a few hundred variables), so
 every iteration re-solves against H instead of maintaining factorization
@@ -20,6 +19,7 @@ import numpy as np
 __all__ = ["QPResult", "qp_solve"]
 
 _TOL = 1e-10
+_MAX_ITER = 200  # active-set iterations before giving up
 
 
 @dataclass
@@ -31,7 +31,6 @@ class QPResult:
     x: np.ndarray | None = None
     objective: float | None = None
     iterations: int = 0
-    eq_multipliers: np.ndarray | None = None
     ineq_multipliers: np.ndarray | None = None  # merged rows: user, ub, lb
     residuals: dict = field(default_factory=dict)
 
@@ -73,7 +72,7 @@ def _merge_inequalities(n, A_in, b_in, lb, ub):
     return np.zeros((0, n)), np.zeros(0)
 
 
-def _dual_active_set(G, a, A, b, max_iter):
+def _dual_active_set(G, a, A, b):
     """min 0.5 v'Gv + a'v s.t. A v <= b with G symmetric positive definite.
 
     Returns (status, v, multipliers, iterations). Blocking-constraint ties
@@ -103,7 +102,7 @@ def _dual_active_set(G, a, A, b, max_iter):
 
         while True:
             iters += 1
-            if iters > max_iter:
+            if iters > _MAX_ITER:
                 return "iteration_limit", v, None, iters
             Ginp = np.linalg.solve(G, n_p)
             if work:
@@ -159,17 +158,7 @@ def _dual_active_set(G, a, A, b, max_iter):
             u = u_plus[:-1].copy()
 
 
-def qp_solve(
-    H,
-    f,
-    A_eq=None,
-    b_eq=None,
-    A_in=None,
-    b_in=None,
-    lb=None,
-    ub=None,
-    max_iter: int = 200,
-) -> QPResult:
+def qp_solve(H, f, A_in=None, b_in=None, lb=None, ub=None) -> QPResult:
     """Solve the QP; returns a typed result rather than raising on
     infeasible or unbounded problems."""
     H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -181,88 +170,41 @@ def qp_solve(
         raise ValueError("H must be symmetric")
     H = 0.5 * (H + H.T)
 
-    A_all, b_all = _merge_inequalities(n, A_in, b_in, lb, ub)
+    A, b = _merge_inequalities(n, A_in, b_in, lb, ub)
 
-    # eliminate equalities via a nullspace basis
-    if A_eq is not None and np.size(A_eq):
-        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
-        b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
-        if A_eq.shape != (b_eq.size, n):
-            raise ValueError("equality rows are dimensionally inconsistent")
-        x_p, *_ = np.linalg.lstsq(A_eq, b_eq, rcond=None)
-        if np.max(np.abs(A_eq @ x_p - b_eq)) > 1e-8 * (1.0 + np.max(np.abs(b_eq))):
-            return QPResult(status="infeasible")
-        _, sv, vt = np.linalg.svd(A_eq)
-        rank = int(np.sum(sv > max(A_eq.shape) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)))
-        Z = vt[rank:].T  # (n, n - rank)
-    else:
-        A_eq = np.zeros((0, n))
-        b_eq = np.zeros(0)
-        x_p = np.zeros(n)
-        Z = np.eye(n)
+    # unbounded directions: null curvature with a nonzero linear term
+    evals, evecs = np.linalg.eigh(H)
+    scale = max(1.0, float(np.max(np.abs(H))))
+    null_mask = evals < 1e-12 * scale
+    G = H
+    if np.any(null_mask):
+        if np.max(np.abs(evecs[:, null_mask].T @ f)) > 1e-10 * (1.0 + np.max(np.abs(f))):
+            return QPResult(status="unbounded")
+        G = H + (1e-12 * scale) * np.eye(n)
+    status, x, mu, iters = _dual_active_set(G, f, A, b)
+    if status != "optimal":
+        return QPResult(status=status, iterations=iters)
 
-    if Z.shape[1] == 0:
-        x = x_p
-        status = "optimal"
-        mu = np.zeros(A_all.shape[0])
-        iters = 0
-        if A_all.size and np.any(A_all @ x - b_all > 1e-8):
-            return QPResult(status="infeasible")
-    else:
-        G = Z.T @ H @ Z
-        a = Z.T @ (f + H @ x_p)
-        # unbounded directions: null curvature with a nonzero linear term
-        evals, evecs = np.linalg.eigh(G)
-        scale = max(1.0, float(np.max(np.abs(G))))
-        null_mask = evals < 1e-12 * scale
-        if np.any(null_mask):
-            if np.max(np.abs(evecs[:, null_mask].T @ a)) > 1e-10 * (1.0 + np.max(np.abs(a))):
-                return QPResult(status="unbounded")
-            G = G + (1e-12 * scale) * np.eye(G.shape[0])
-        Ar = A_all @ Z
-        br = b_all - A_all @ x_p
-        status, vr, mu, iters = _dual_active_set(G, a, Ar, br, max_iter)
-        if status != "optimal":
-            return QPResult(status=status, iterations=iters)
-        x = x_p + Z @ vr
-
-    # recover equality multipliers from stationarity
-    grad = H @ x + f + (A_all.T @ mu if A_all.size else 0.0)
-    if A_eq.shape[0]:
-        lam = np.linalg.lstsq(A_eq.T, -grad, rcond=None)[0]
-    else:
-        lam = np.zeros(0)
-
-    res = _residuals(H, f, A_eq, b_eq, A_all, b_all, x, lam, mu)
-    obj = float(0.5 * x @ H @ x + f @ x)
     return QPResult(
         status="optimal",
         x=x,
-        objective=obj,
+        objective=float(0.5 * x @ H @ x + f @ x),
         iterations=iters,
-        eq_multipliers=lam,
         ineq_multipliers=mu,
-        residuals=res,
+        residuals=_residuals(H, f, A, b, x, mu),
     )
 
 
-def _residuals(H, f, A_eq, b_eq, A_in, b_in, x, lam, mu) -> dict:
+def _residuals(H, f, A, b, x, mu) -> dict:
     grad = H @ x + f
-    if A_eq.shape[0] and lam is not None:
-        grad = grad + A_eq.T @ lam
-    if A_in.shape[0] and mu is not None:
-        grad = grad + A_in.T @ mu
-    primal = 0.0
-    if A_eq.shape[0]:
-        primal = max(primal, float(np.max(np.abs(A_eq @ x - b_eq))))
-    comp = 0.0
-    if A_in.shape[0]:
-        slack = A_in @ x - b_in
-        primal = max(primal, float(np.max(np.maximum(slack, 0.0))))
-        if mu is not None:
-            comp = float(np.max(np.abs(mu * slack)))
+    primal = comp = 0.0
+    if A.shape[0]:
+        grad = grad + A.T @ mu
+        slack = A @ x - b
+        primal = float(np.max(np.maximum(slack, 0.0)))
+        comp = float(np.max(np.abs(mu * slack)))
     return {
-        "stationarity": float(np.max(np.abs(grad))) if (lam is not None or mu is not None) else np.inf,
+        "stationarity": float(np.max(np.abs(grad))),
         "primal": primal,
         "complementarity": comp,
     }

@@ -8,11 +8,11 @@ input gradient of the detector, so the program stays a convex QP.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qp import QPResult, qp_solve
+from .qp import qp_solve
 
 __all__ = [
     "ReferenceSpline",
@@ -125,7 +125,6 @@ class RefinedSegment:
     qddot_d: np.ndarray  # (N, n)
     score_pred: np.ndarray  # (N+1,)
     objective: float
-    qp: QPResult = field(repr=False, default=None)
 
     def sample(self, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Interpolate at offset tau from t0, consistent with the discrete
@@ -139,7 +138,7 @@ class RefinedSegment:
         return q, qd, u
 
 
-def _prediction_matrices(n: int, N: int, dt: float):
+def _prediction_matrices(N: int, dt: float):
     """Affine maps from stacked accelerations U to stacked q and qdot."""
     # qdot_i = qdot_0 + dt * sum_{j<i} u_j ; q_i = q_0 + i dt qdot_0
     #          + dt^2 * sum_{j<=i-2} (i-1-j) u_j
@@ -155,23 +154,18 @@ def _prediction_matrices(n: int, N: int, dt: float):
 def refine(reference: ReferenceSpline, current_state, setup: QPSetup) -> RefinedSegment:
     """Solve one refinement QP from the current desired state.
 
-    ``current_state`` provides the initial (q, qdot); it may be a
-    PlantState-like object or a (q, qdot) pair. Raises RefinementError on
-    infeasibility or an uncertified solution — constraints are never
+    ``current_state`` is the initial (q, qdot) pair. Raises RefinementError
+    on infeasibility or an uncertified solution — constraints are never
     silently clamped.
     """
-    if hasattr(current_state, "q"):
-        q0 = np.asarray(current_state.q, dtype=float)
-        qd0 = np.asarray(current_state.qdot, dtype=float)
-    else:
-        q0, qd0 = (np.asarray(v, dtype=float) for v in current_state)
+    q0, qd0 = (np.asarray(v, dtype=float) for v in current_state)
     n = q0.size
     s = setup.expanded(n)
     N, dt = s.N, s.dt
 
     refs = np.stack([reference.sample(s.t_now + i * dt)[0] for i in range(N + 1)])
 
-    Lp, Lv = _prediction_matrices(n, N, dt)
+    Lp, Lv = _prediction_matrices(N, dt)
     # kron expansion over joints: U is (N*n,), samples stacked step-major
     Lp_full = np.kron(Lp, np.eye(n))
     Lv_full = np.kron(Lv, np.eye(n))
@@ -254,22 +248,7 @@ def refine(reference: ReferenceSpline, current_state, setup: QPSetup) -> Refined
         qddot_d=U,
         score_pred=score_pred,
         objective=objective,
-        qp=result,
     )
-
-
-def save_segment_csv(path, segment: RefinedSegment) -> None:
-    """Export a refined segment as CSV rows of (t, q_d..., qdot_d...)."""
-    import csv
-
-    n = segment.q_d.shape[1]
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t"] + [f"q_d{i}" for i in range(n)]
-                        + [f"qdot_d{i}" for i in range(n)])
-        for i in range(segment.q_d.shape[0]):
-            writer.writerow([segment.t0 + i * segment.dt,
-                             *segment.q_d[i], *segment.qdot_d[i]])
 
 
 def refine_rollout(reference: ReferenceSpline, q0, qd0, setup: QPSetup,
@@ -285,7 +264,7 @@ def refine_rollout(reference: ReferenceSpline, q0, qd0, setup: QPSetup,
     times, qs, qds, qdds = [], [], [], []
     t = 0.0
     while t < duration:
-        seg = refine(reference, (q, qd), QPSetup(**{**setup.__dict__, "t_now": t}))
+        seg = refine(reference, (q, qd), replace(setup, t_now=t))
         q_s, qd_s, u_s = seg.sample(step)
         times.append(t)
         qs.append(q.copy())

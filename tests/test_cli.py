@@ -82,6 +82,25 @@ def test_run_scenario_writes_trace_and_report(tmp_path, small_checkpoint):
     assert "replan_count" in rep and "rms_tracking_deg" in rep
 
 
+def test_run_scenario_rejects_bad_scenario_file(tmp_path, capsys):
+    scen = tmp_path / "scen.json"
+    base = json.loads(scenario_path("drop_replan.json").read_text())
+    base["events"] = [{"type": "dorp", "t": 1.0}]
+    scen.write_text(json.dumps(base))
+    assert main(["run-scenario", "--scenario", str(scen)]) == 2
+    err = capsys.readouterr().err
+    assert "dorp" in err and len(err.strip().splitlines()) == 1
+
+
+def test_run_scenario_rejects_bad_control_file(tmp_path, capsys):
+    control = tmp_path / "control.json"
+    control.write_text(json.dumps({"qp": {"horizon": 1}}))
+    assert main(["run-scenario", "--scenario", str(scenario_path("raise_lower.json")),
+                 "--control", str(control)]) == 2
+    err = capsys.readouterr().err
+    assert "horizon" in err and len(err.strip().splitlines()) == 1
+
+
 def test_eval_planner_rule_scorer(tmp_path):
     report = tmp_path / "planner.json"
     assert main(["eval-planner", "--scorer", "rule", "--report", str(report)]) == 0

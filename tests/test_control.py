@@ -316,3 +316,23 @@ def test_control_config_rejects_unknown(tmp_path):
     path.write_text(json.dumps({"transparent": {"gamma0": 0.5, "turbo": True}}))
     with pytest.raises(dyn.ConfigError, match="turbo"):
         ctl.load_control_config(path)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("horizon", 1, "horizon"),
+    ("horizon", 20.0, "horizon"),
+    ("dt", 0.0, "dt"),
+    ("Q", -1.0, "Q"),
+    ("R", -1.0, "R"),
+    ("accel_limit", 0.0, "accel_limit"),
+    ("position_min", [-1.0, float("nan"), 0.0, 0.0], "position_min"),
+    ("position_max", [1.0, 1.0, 1.0], "differ in length"),
+    ("position_max", [1.0, 1.0, -1.0, 1.0], "below"),
+], ids=["horizon-short", "horizon-float", "dt", "Q", "R", "accel_limit",
+        "position-nonfinite", "position-lengths", "position-order"])
+def test_bad_qp_setting_rejected_at_construction(field, value, match):
+    kwargs = {"position_min": [-1.0, -1.0, 0.0, 0.0], "position_max": [1.0, 1.0, 1.0, 1.0],
+              field: value}
+    with pytest.raises(dyn.ConfigError, match=match):
+        ctl.QPConfig(**kwargs)
+

@@ -8,6 +8,11 @@ exactly, its float metrics within a relative 1e-6. This catches drift from
 a change that alters floating-point results, which a same-code determinism
 check cannot.
 
+The scenarios never grow a QP active set, so ``tracking_comparison.json``
+also records criterion 4's raise-then-lower comparison, whose refinement
+QPs do: both variants' RMS error and peak commanded velocity, within a
+relative 1e-6.
+
 Regenerate only for an intended change of behaviour:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -28,6 +33,8 @@ GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 SCENARIOS = ("apple_chest", "drop_replan", "dumbbell_shelf", "raise_lower", "water_mouth")
 SAMPLE_EVERY = 10  # control ticks per sample: 100 Hz -> 10 Hz
 Q_TOL = 1e-6  # rad
+TRACKING_ARGS = {"q_start_deg": [0, 5, 0, 20], "q_peak_deg": [0, 95, 0, 20],
+                 "t_f": 3.0, "speed_limit_deg": 30.0}
 
 
 def golden_run(name: str) -> dict:
@@ -49,6 +56,14 @@ def golden_run(name: str) -> dict:
         "replan": [int(r) for r in trace.columns["replan"][every]],
         "report": report,
     }
+
+
+def tracking_run() -> dict:
+    """Criterion 4's comparison on the bundled plant and gains."""
+    out = hz.tracking_comparison(dyn.load_plant_config(pl.data_path("plant.json")),
+                                 ctl.load_control_config(pl.data_path("control.json")),
+                                 **TRACKING_ARGS)
+    return {"args": TRACKING_ARGS, **out}
 
 
 def _assert_report_matches(got: dict, want: dict) -> None:
@@ -77,9 +92,22 @@ def test_golden_scenario(name):
     _assert_report_matches(got["report"], want["report"])
 
 
+def test_golden_tracking_comparison():
+    want = json.loads((GOLDEN_DIR / "tracking_comparison.json").read_text())
+    assert want["args"] == TRACKING_ARGS
+    got = tracking_run()
+    for variant in ("clamped", "refined"):
+        for key in ("rms_deg", "max_cmd_velocity_deg_s"):
+            np.testing.assert_allclose(got[variant][key], want[variant][key],
+                                       rtol=1e-6, err_msg=f"{variant}.{key}")
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for scenario_name in SCENARIOS:
         path = GOLDEN_DIR / f"{scenario_name}.json"
         path.write_text(json.dumps(golden_run(scenario_name)) + "\n")
         print(f"wrote {path}")
+    path = GOLDEN_DIR / "tracking_comparison.json"
+    path.write_text(json.dumps(tracking_run()) + "\n")
+    print(f"wrote {path}")

@@ -308,6 +308,17 @@ def test_wrong_gain_length_fails_before_the_first_tick(no_physics):
                                  cfg=ctl.TransparentConfig(Kv=[5.0, 5.0, 5.0]))
 
 
+def test_wrong_qp_bound_length_fails_before_the_first_tick(no_physics):
+    model = dyn.default_model()
+    control = ctl.load_control_config(pl.data_path("control.json"))
+    short_bound = replace(control, qp=replace(control.qp, position_min=[-1.0, -1.0],
+                                              position_max=[1.0, 1.0]))
+    with pytest.raises(dyn.ConfigError, match="position_min must have length 4"):
+        hz.SimStack(model=model, control=short_bound, planner=None)
+    with pytest.raises(dyn.ConfigError, match="position_min must have length 4"):
+        hz.tracking_comparison(model, short_bound, [0, 5, 0, 20], [0, 95, 0, 20], t_f=3.0)
+
+
 # ---------------------------------------------------------------------------
 # a go_target without a paramset before it
 

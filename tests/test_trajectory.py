@@ -101,7 +101,7 @@ def test_refine_small_instance_matches_bruteforce():
         # rebuild the same condensed QP and solve by enumeration
         N, dt = setup.N, setup.dt
         refs = np.array([ref.sample(i * dt)[0][0] for i in range(N + 1)])
-        Lp, Lv = traj._prediction_matrices(1, N, dt)
+        Lp, Lv = traj._prediction_matrices(N, dt)
         q_base = q0[0] + np.arange(N + 1) * dt * qd0[0]
         gK = setup.anomaly_gradient[0] * setup.Kd[0]
         gC = setup.anomaly_gradient[0] * setup.Cd[0]
@@ -200,19 +200,6 @@ def test_qpsetup_validation():
         traj.QPSetup(dt=0.0).expanded(2)
     with pytest.raises(ValueError):
         traj.QPSetup(Q=0.0).expanded(2)
-
-
-def test_segment_csv_export(tmp_path):
-    ref = traj.quintic_reference([0.0, 0.1], [0.5, 0.8], 2.0)
-    seg = traj.refine(ref, (np.array([0.0, 0.1]), np.zeros(2)),
-                      traj.QPSetup(N=5, dt=0.05, speed_limit=1.0))
-    path = tmp_path / "segment.csv"
-    traj.save_segment_csv(path, seg)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,q_d0,q_d1,qdot_d0,qdot_d1"
-    assert len(lines) == 7  # header + N+1 knots
-    first = [float(v) for v in lines[1].split(",")]
-    assert first[1] == pytest.approx(0.0) and first[2] == pytest.approx(0.1)
 
 
 def test_refined_segment_sampling_consistency():
