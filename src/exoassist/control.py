@@ -35,20 +35,38 @@ W_BY_IMP_BIT = {0: 2.0, 1: 0.5}
 SPEED_BY_SPD_BIT = {0: (5.0, 30.0), 1: (2.0, 70.0)}  # (t_f seconds, deg/s)
 
 
+def _finite_values(value, name: str) -> np.ndarray:
+    """A finite number or list of numbers as an array; ConfigError otherwise
+    (strings and booleans are not numbers)."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        raise ConfigError(f"{name} must be numeric") from None
+    if arr.dtype.kind not in "iuf":
+        raise ConfigError(f"{name} must be numeric")
+    arr = arr.astype(float)
+    if arr.ndim > 1 or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{name} must be a finite number or list of numbers")
+    return arr
+
+
 def _diag_array(values, size: int, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    arr = np.atleast_1d(_finite_values(values, name))
     if arr.size == 1 and size > 1:
         arr = np.full(size, float(arr[0]))
     if arr.shape != (size,):
         raise ConfigError(f"{name} must have length {size}")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise ConfigError(f"{name} must be finite and strictly positive")
+    if np.any(arr <= 0):
+        raise ConfigError(f"{name} must be strictly positive")
     return arr
 
 
-def _check_positive(value: float, name: str) -> None:
-    if not math.isfinite(value) or value <= 0:
-        raise ConfigError(f"{name} must be positive")
+def _number(value, name: str, positive: bool = True) -> float:
+    """A finite number, positive unless ``positive`` is False; ConfigError otherwise."""
+    arr = _finite_values(value, name)
+    if arr.ndim or (positive and arr <= 0):
+        raise ConfigError(f"{name} must be a {'positive ' if positive else ''}number")
+    return float(arr)
 
 
 @dataclass
@@ -68,12 +86,13 @@ class TransparentConfig:
     friction_comp_eps: float = 0.2  # rad/s
 
     def __post_init__(self):
-        _check_positive(self.gamma0, "gamma0")
-        _check_positive(self.friction_comp_eps, "friction_comp_eps")
+        _number(self.gamma0, "gamma0")
+        _number(self.friction_scale, "friction_scale", positive=False)
+        _number(self.friction_comp_eps, "friction_comp_eps")
         _diag_array(self.Kv, np.size(self.Kv), "Kv")
 
     def validated(self, n_c: int) -> "TransparentConfig":
-        """Gains expanded to per-joint arrays; raises ConfigError on a wrong
+        """Gains as per-joint arrays (a scalar repeated); raises ConfigError on a wrong
         length. Call once at loop entry: the controller does not check."""
         return replace(self, Kv=_diag_array(self.Kv, n_c, "Kv"))
 
@@ -96,14 +115,15 @@ class ImpedanceConfig:
     friction_comp_eps: float = 0.2
 
     def __post_init__(self):
-        _check_positive(self.w, "w")
-        _check_positive(self.friction_comp_eps, "friction_comp_eps")
+        _number(self.w, "w")
+        _number(self.friction_scale, "friction_scale", positive=False)
+        _number(self.friction_comp_eps, "friction_comp_eps")
         for name in ("Cd", "Kd", "Mv", "Kv"):
             value = getattr(self, name)
             _diag_array(value, np.size(value), name)
 
     def validated(self, n: int, n_c: int) -> "ImpedanceConfig":
-        """Gains expanded to per-joint arrays; raises ConfigError on a wrong
+        """Gains as per-joint arrays (a scalar repeated); raises ConfigError on a wrong
         length. Call once at loop entry: the controller does not check."""
         return replace(
             self,
@@ -232,17 +252,6 @@ def apply_task_config(cfg_bits: tuple[int, int, int]) -> tuple[str, TaskConfig]:
 # configuration file
 
 
-def _finite_values(value, name: str) -> np.ndarray:
-    """A finite number or list of numbers as an array; ConfigError otherwise."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be numeric") from None
-    if arr.ndim > 1 or not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{name} must be a finite number or list of numbers")
-    return arr
-
-
 @dataclass
 class QPConfig:
     """Refinement QP settings. Values are checked at construction (so at
@@ -322,11 +331,13 @@ def load_control_config(path: str | Path) -> ControlConfig:
         if key in qp:
             qp_kwargs[key] = qp[key]
     if "accel_limit_deg" in qp:
-        qp_kwargs["accel_limit"] = math.radians(float(qp["accel_limit_deg"]))
+        qp_kwargs["accel_limit"] = math.radians(_number(qp["accel_limit_deg"], "accel_limit_deg"))
     if "position_min_deg" in qp:
-        qp_kwargs["position_min"] = np.radians(np.asarray(qp["position_min_deg"], dtype=float))
+        qp_kwargs["position_min"] = np.radians(_finite_values(qp["position_min_deg"],
+                                                              "position_min_deg"))
     if "position_max_deg" in qp:
-        qp_kwargs["position_max"] = np.radians(np.asarray(qp["position_max_deg"], dtype=float))
+        qp_kwargs["position_max"] = np.radians(_finite_values(qp["position_max_deg"],
+                                                              "position_max_deg"))
 
     return ControlConfig(
         transparent=TransparentConfig(**tr),

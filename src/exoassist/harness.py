@@ -85,6 +85,10 @@ EVENT_PARAMS = {
     "torque_pulse": (("amplitude",), ("decay",)),
     "intent_conflict": (("pose_deg",), ("duration",)),
 }
+# the one per-joint param of an event type; every other param is one number.
+# Its length is checked against the plant before the first tick.
+JOINT_PARAMS = {"drop": "joints", "torque_pulse": "amplitude", "intent_conflict": "pose_deg"}
+DROP_JOINTS = (1, 3)  # the joints a drop's transient acts on unless given
 
 
 @dataclass
@@ -208,6 +212,9 @@ def _load_event(raw: dict, duration: float) -> EventSpec:
         raise dyn.ConfigError(f"{kind} event at t = {t} s is outside [0, {duration}] s")
     if np.any(values.get("mass", 0.0) < 0.0) or np.any(values.get("decay", 1.0) <= 0.0):
         raise dyn.ConfigError(f"{kind} event needs mass >= 0 and decay > 0")
+    for k, v in values.items():
+        if v.ndim and k != JOINT_PARAMS.get(kind):
+            raise dyn.ConfigError(f"{kind} event: {k} must be a single number")
     return EventSpec(type=kind, t=t, params=params)
 
 
@@ -226,6 +233,24 @@ def load_scenario(path: str | Path) -> Scenario:
         raise dyn.ConfigError("scenario duration must be finite and positive")
     scenario.events = [_load_event(e, scenario.duration) for e in raw_events]
     return scenario
+
+
+def _check_joint_params(events: list[EventSpec], n: int) -> None:
+    """ConfigError unless each event's per-joint param fits an n-joint
+    plant: drop joints are indices below n, the others have n values."""
+    for e in events:
+        key = JOINT_PARAMS.get(e.type)
+        if key is None:
+            continue
+        if key == "joints":
+            joints = np.asarray(e.params.get("joints", DROP_JOINTS))
+            ok = (joints.ndim == 1 and joints.dtype.kind in "iu"
+                  and np.all((joints >= 0) & (joints < n)))
+            want = f"a list of joint indices below {n}"
+        else:
+            ok, want = np.shape(e.params[key]) == (n,), f"a list of {n} numbers"
+        if not ok:
+            raise dyn.ConfigError(f"{e.type} event at t = {e.t} s: {key} must be {want}")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +283,7 @@ def inject_event(state: dyn.PlantState, event: EventSpec,
             signs = np.sign(g_load)
             signs[signs == 0.0] = 1.0
             vec = np.zeros(model.n)
-            joints = list(event.params.get("joints", [1, 3]))
+            joints = list(event.params.get("joints", DROP_JOINTS))
             vec[joints] = amp * signs[joints]
             transient = {"amplitude": vec, "decay": decay, "t0": event.t}
         return EventOutcome(state=replace(state, payload_mass=0.0), transient=transient)
@@ -332,26 +357,17 @@ def _advance(model: dyn.PlantModel, state: dyn.PlantState, u: np.ndarray,
     return state, t, tau
 
 
-def _qp_setup(qp: ctl.QPConfig, speed_limit, **fields) -> traj.QPSetup:
-    """Refinement setup from the QP config."""
-    return traj.QPSetup(
-        N=qp.horizon, dt=qp.dt, Q=qp.Q, R=qp.R,
-        speed_limit=speed_limit, accel_limit=qp.accel_limit,
-        q_min=qp.position_min, q_max=qp.position_max, **fields,
-    )
-
-
 # ---------------------------------------------------------------------------
 # plan executor
 
 
 @dataclass
 class _Move:
-    """One go_target: its reference, its QP setup and the desired state."""
+    """One go_target: its reference, its refinement setup and the desired state."""
 
     reference: traj.ReferenceSpline  # ends at the target pose
     t0: float
-    qp: traj.QPSetup
+    setup: traj.QPSetup
     q_d: np.ndarray
     qd_d: np.ndarray
     qdd_d: np.ndarray
@@ -436,8 +452,9 @@ class _PlanExecutor:
                 self.move = move = _Move(
                     reference=traj.quintic_reference(state.q.copy(), target, task.t_f),
                     t0=t,
-                    qp=_qp_setup(self.stack.control.qp, task.speed_limit, Kd=self.icfg.Kd,
-                                 Cd=self.icfg.Cd, w=self.icfg.w),
+                    setup=traj.QPSetup.from_config(self.stack.control.qp, self.stack.model.n,
+                                                   task.speed_limit, self.icfg.Kd,
+                                                   self.icfg.Cd, self.icfg.w),
                     q_d=state.q.copy(), qd_d=np.zeros_like(target), qdd_d=np.zeros_like(target),
                 )
                 self.wearer.intent = lambda _t: (move.q_d, move.qd_d)
@@ -465,9 +482,8 @@ class _PlanExecutor:
         and start the next step."""
         move, sc = self.move, self.scenario
         elapsed = t - move.t0
-        setup = replace(move.qp, anomaly_gradient=grad, t_now=elapsed,
-                        score_init=max(0.0, s_value - sc.score_coupling_floor))
-        seg = traj.refine(move.reference, (move.q_d, move.qd_d), setup)
+        seg = traj.refine(move.reference, (move.q_d, move.qd_d), move.setup, elapsed,
+                          grad, max(0.0, s_value - sc.score_coupling_floor))
         q_d, qd_d, _ = seg.sample(CONTROL_DT)
         move.qdd_d = seg.qddot_d[0]
         reference_done = elapsed >= move.reference.t_f + sc.settle_time
@@ -488,8 +504,10 @@ class _PlanExecutor:
 
 
 def run_scenario(scenario: Scenario, stack: SimStack, seed: int | None = None):
-    """Execute the closed loop; returns (TraceRecord, metrics dict)."""
+    """Execute the closed loop; returns (TraceRecord, metrics dict). Event
+    params are checked against the plant before the first tick."""
     model = stack.model
+    _check_joint_params(scenario.events, model.n)
     rng = np.random.default_rng(scenario.seed if seed is None else seed)
     noise = scenario.sensor_noise
 
@@ -687,68 +705,51 @@ def tracking_comparison(model: dyn.PlantModel, control_cfg: ctl.ControlConfig,
     """Raise-then-lower motion tracked twice under the same speed limit:
     once with the reference merely rate-limited, once with QP refinement.
 
-    Returns a dict with per-variant measured RMS error against the
-    reference, max commanded velocity, and the dense desired trajectories.
+    Returns ``{"clamped": ..., "refined": ...}``; each variant has the RMS
+    error of the measured joints against the reference (``rms_deg``) and
+    the largest commanded joint velocity (``max_cmd_velocity_deg_s``).
     """
     q0 = np.radians(np.asarray(q_start_deg, dtype=float))
-    qp = np.radians(np.asarray(q_peak_deg, dtype=float))
+    q_peak = np.radians(np.asarray(q_peak_deg, dtype=float))
     n = q0.size
     limit = math.radians(speed_limit_deg)
+    step_lim = limit * CONTROL_DT
     wearer = wearer or WearerParams()
     icfg = control_cfg.impedance.validated(model.n, model.n_c)
     control_cfg.qp.check_lengths(model.n)
-    up = traj.quintic_reference(q0, qp, t_f)
-    down = traj.quintic_reference(qp, q0, t_f)
-    duration = 2 * t_f + settle
+    setup = traj.QPSetup.from_config(control_cfg.qp, n, limit, icfg.Kd, icfg.Cd, icfg.w)
+    up = traj.quintic_reference(q0, q_peak, t_f)
+    down = traj.quintic_reference(q_peak, q0, t_f)
+    ticks = int(round((2 * t_f + settle) / CONTROL_DT))
 
-    def reference(t):
-        return up.sample(t) if t <= t_f else down.sample(min(t - t_f, t_f))
-
-    def run(desired_fn):
-        state = dyn.settled_state(model, q0)
-        arm = _Wearer(wearer, q0)
+    out = {}
+    for variant in ("clamped", "refined"):
+        state, arm, t = dyn.settled_state(model, q0), _Wearer(wearer, q0), 0.0
+        q_d, qd_d = q0.copy(), np.zeros(n)  # the variant's desired state for this tick
         rows_q, rows_ref, rows_cmd_v = [], [], []
-        t = 0.0
-        for _ in range(int(round(duration / CONTROL_DT))):
-            q_d, qd_d, qdd_d = desired_fn(t, state)
-            rows_ref.append(reference(t)[0])
-            arm.intent = lambda _t, cmd=(q_d, qd_d): cmd  # the wearer follows
-            u = ctl.impedance_control(model, state, q_d, qd_d, qdd_d,
-                                      arm.torque(t, state), icfg)
+        for _ in range(ticks):
+            ref, t_ref = (up, t) if t <= t_f else (down, t - t_f)
+            q_r = ref.sample(t_ref)[0]
+            if variant == "clamped":  # causal rate limiter on the reference
+                delta = np.clip(q_r - q_d, -step_lim, step_lim)
+                q_d = q_d + delta
+                cmd = (q_d, delta / CONTROL_DT, np.zeros(n))
+            else:  # receding-horizon refinement, stepped along its own solution
+                seg = traj.refine(ref, (q_d, qd_d), setup, t_ref)
+                cmd = (q_d, qd_d, seg.qddot_d[0])
+                q_d, qd_d, _ = seg.sample(CONTROL_DT)
+            arm.intent = lambda _t, cmd=cmd: cmd[:2]  # the wearer follows
+            u = ctl.impedance_control(model, state, *cmd, arm.torque(t, state), icfg)
             state, t, _ = _advance(model, state, u, arm, t)
             rows_q.append(state.q.copy())
-            rows_cmd_v.append(qd_d.copy())
+            rows_ref.append(q_r)
+            rows_cmd_v.append(cmd[1])
         err = np.degrees(np.array(rows_q) - np.array(rows_ref))
-        return {
+        out[variant] = {
             "rms_deg": float(np.sqrt(np.mean(err**2))),
             "max_cmd_velocity_deg_s": float(np.degrees(np.max(np.abs(rows_cmd_v)))),
         }
-
-    # variant A: causal rate limiter on the reference
-    clamp_state = {"q": q0.copy()}
-
-    def clamped(t, state):
-        q_r, qd_r, _ = reference(t)
-        step_lim = limit * CONTROL_DT
-        delta = np.clip(q_r - clamp_state["q"], -step_lim, step_lim)
-        clamp_state["q"] = clamp_state["q"] + delta
-        return clamp_state["q"].copy(), delta / CONTROL_DT, np.zeros(n)
-
-    # variant B: receding-horizon refinement
-    setup = _qp_setup(control_cfg.qp, limit)
-    refine_state = {"q": q0.copy(), "qd": np.zeros(n)}
-
-    def refined(t, state):
-        ref = up if t <= t_f else down
-        t_local = t if t <= t_f else t - t_f
-        seg = traj.refine(ref, (refine_state["q"], refine_state["qd"]),
-                          replace(setup, t_now=min(t_local, 2 * t_f)))
-        q_d, qd_d, qdd_d = seg.sample(CONTROL_DT)
-        out = (refine_state["q"].copy(), refine_state["qd"].copy(), seg.qddot_d[0])
-        refine_state["q"], refine_state["qd"] = q_d, qd_d
-        return out
-
-    return {"clamped": run(clamped), "refined": run(refined)}
+    return out
 
 
 # ---------------------------------------------------------------------------

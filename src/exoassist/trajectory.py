@@ -8,10 +8,11 @@ input gradient of the detector, so the program stays a convex QP.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from .control import QPConfig
 from .qp import qp_solve
 
 __all__ = [
@@ -21,7 +22,6 @@ __all__ = [
     "RefinementError",
     "quintic_reference",
     "refine",
-    "refine_rollout",
 ]
 
 
@@ -72,46 +72,40 @@ def quintic_reference(q0, qf, t_f: float) -> ReferenceSpline:
     return ReferenceSpline(coeffs=coeffs, t_f=float(t_f), q0=q0, qf=qf)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QPSetup:
-    """Per-solve refinement setup (weights, limits, anomaly coupling)."""
+    """The refinement problem of one move: horizon, step, weights, limits and
+    the impedance gains of the score chain, each per-joint value an array.
+    Build it once per move with ``from_config``; ``refine`` takes the
+    per-tick inputs (time, anomaly gradient, initial score) as arguments."""
 
-    N: int = 20
-    dt: float = 0.05
-    Q: np.ndarray | float = 1.0
-    R: np.ndarray | float = 0.01
-    speed_limit: np.ndarray | float = np.radians(30.0)
-    accel_limit: np.ndarray | float = np.radians(300.0)
-    q_min: np.ndarray | float = -np.pi
-    q_max: np.ndarray | float = np.pi
-    anomaly_gradient: np.ndarray | float = 0.0  # df/dtau_e, frozen per solve
-    Kd: np.ndarray | float = 50.0
-    Cd: np.ndarray | float = 30.0
-    w: float = 2.0
-    score_init: float = 0.0
-    t_now: float = 0.0
+    N: int
+    dt: float
+    Q: np.ndarray
+    R: np.ndarray
+    speed_limit: np.ndarray
+    accel_limit: np.ndarray
+    q_min: np.ndarray
+    q_max: np.ndarray
+    Kd: np.ndarray
+    Cd: np.ndarray
+    w: float
 
-    def expanded(self, n: int) -> "QPSetup":
+    @classmethod
+    def from_config(cls, qp: QPConfig, n: int, speed_limit, Kd, Cd, w: float) -> QPSetup:
+        """The setup for an n-joint move from the checked QP config, the
+        move's speed limit and the impedance gains the controller uses; a
+        scalar stands for the same value on every joint."""
         def vec(v):
             arr = np.atleast_1d(np.asarray(v, dtype=float))
             return np.full(n, float(arr[0])) if arr.size == 1 else arr
 
-        out = QPSetup(
-            N=int(self.N), dt=float(self.dt),
-            Q=vec(self.Q), R=vec(self.R),
-            speed_limit=vec(self.speed_limit), accel_limit=vec(self.accel_limit),
-            q_min=vec(self.q_min), q_max=vec(self.q_max),
-            anomaly_gradient=vec(self.anomaly_gradient),
-            Kd=vec(self.Kd), Cd=vec(self.Cd), w=float(self.w),
-            score_init=float(self.score_init), t_now=float(self.t_now),
+        return cls(
+            N=qp.horizon, dt=float(qp.dt), Q=vec(qp.Q), R=vec(qp.R),
+            speed_limit=vec(speed_limit), accel_limit=vec(qp.accel_limit),
+            q_min=vec(qp.position_min), q_max=vec(qp.position_max),
+            Kd=vec(Kd), Cd=vec(Cd), w=float(w),
         )
-        if out.N < 2:
-            raise ValueError("horizon N must be at least 2")
-        if out.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if np.any(out.Q <= 0.0) or np.any(out.R < 0.0):
-            raise ValueError("Q must be positive and R non-negative")
-        return out
 
 
 @dataclass
@@ -151,19 +145,21 @@ def _prediction_matrices(N: int, dt: float):
     return Lp, Lv
 
 
-def refine(reference: ReferenceSpline, current_state, setup: QPSetup) -> RefinedSegment:
+def refine(reference: ReferenceSpline, current_state, setup: QPSetup, t_now: float,
+           anomaly_gradient=None, score_init: float = 0.0) -> RefinedSegment:
     """Solve one refinement QP from the current desired state.
 
-    ``current_state`` is the initial (q, qdot) pair. Raises RefinementError
-    on infeasibility or an uncertified solution — constraints are never
-    silently clamped.
+    ``current_state`` is the initial (q, qdot) pair and ``t_now`` the time
+    on ``reference`` it starts at. ``anomaly_gradient`` (df/dtau_e, frozen
+    for the solve; zero when None) and ``score_init`` drive the score
+    chain. Raises RefinementError on infeasibility or an uncertified
+    solution — constraints are never silently clamped.
     """
     q0, qd0 = (np.asarray(v, dtype=float) for v in current_state)
     n = q0.size
-    s = setup.expanded(n)
-    N, dt = s.N, s.dt
+    N, dt = setup.N, setup.dt
 
-    refs = np.stack([reference.sample(s.t_now + i * dt)[0] for i in range(N + 1)])
+    refs = np.stack([reference.sample(t_now + i * dt)[0] for i in range(N + 1)])
 
     Lp, Lv = _prediction_matrices(N, dt)
     # kron expansion over joints: U is (N*n,), samples stacked step-major
@@ -174,19 +170,19 @@ def refine(reference: ReferenceSpline, current_state, setup: QPSetup) -> Refined
     v_base = np.tile(qd0, (N + 1, 1))
 
     # score chain: s_{i+1} = s_i - w dt g'(Kd qdot_i + Cd u_i)
-    g = s.anomaly_gradient
-    gKd = g * s.Kd
-    gCd = g * s.Cd
+    g = np.zeros(n) if anomaly_gradient is None else np.asarray(anomaly_gradient, dtype=float)
+    gKd = g * setup.Kd
+    gCd = g * setup.Cd
     Ls = np.zeros((N + 1, N * n))
-    s_base = np.full(N + 1, s.score_init)
+    s_base = np.full(N + 1, float(score_init))
     for i in range(1, N + 1):
-        Ls[i] = Ls[i - 1] - s.w * dt * (gKd @ Lv_full[(i - 1) * n:i * n, :])
-        Ls[i, (i - 1) * n:i * n] += -s.w * dt * gCd
-        s_base[i] = s_base[i - 1] - s.w * dt * float(gKd @ v_base[i - 1])
+        Ls[i] = Ls[i - 1] - setup.w * dt * (gKd @ Lv_full[(i - 1) * n:i * n, :])
+        Ls[i, (i - 1) * n:i * n] += -setup.w * dt * gCd
+        s_base[i] = s_base[i - 1] - setup.w * dt * float(gKd @ v_base[i - 1])
 
     # objective: sum_i ||q_i - r_i||_Q^2 + ||u_i||_R^2 + s_i^2  (i=0 terms constant)
-    Qw = np.tile(s.Q, N + 1)
-    Rw = np.tile(s.R, N)
+    Qw = np.tile(setup.Q, N + 1)
+    Rw = np.tile(setup.R, N)
     dev_base = (q_base - refs).reshape(-1)
     H = 2.0 * (
         Lp_full.T @ (Qw[:, None] * Lp_full)
@@ -199,26 +195,26 @@ def refine(reference: ReferenceSpline, current_state, setup: QPSetup) -> Refined
     sel = np.arange(n, (N + 1) * n)
     A_rows = []
     b_rows = []
-    vlim = np.tile(s.speed_limit, N)
+    vlim = np.tile(setup.speed_limit, N)
     A_rows.append(Lv_full[sel])
     b_rows.append(vlim - v_base.reshape(-1)[sel])
     A_rows.append(-Lv_full[sel])
     b_rows.append(vlim + v_base.reshape(-1)[sel])
-    qmax = np.tile(s.q_max, N)
-    qmin = np.tile(s.q_min, N)
+    qmax = np.tile(setup.q_max, N)
+    qmin = np.tile(setup.q_min, N)
     A_rows.append(Lp_full[sel])
     b_rows.append(qmax - q_base.reshape(-1)[sel])
     A_rows.append(-Lp_full[sel])
     b_rows.append(q_base.reshape(-1)[sel] - qmin)
     A_in = np.vstack(A_rows)
     b_in = np.concatenate(b_rows)
-    alim = np.tile(s.accel_limit, N)
+    alim = np.tile(setup.accel_limit, N)
 
     result = qp_solve(H / 2.0, f / 2.0, A_in=A_in, b_in=b_in, lb=-alim, ub=alim)
     if result.status == "infeasible":
         raise RefinementError(
             f"refinement constraints infeasible: N={N}, dt={dt}, "
-            f"speed_limit={s.speed_limit}, initial qdot={qd0}"
+            f"speed_limit={setup.speed_limit}, initial qdot={qd0}"
         )
     if result.status != "optimal":
         raise RefinementError(f"QP solver failed: {result.status} after {result.iterations} iterations")
@@ -231,7 +227,7 @@ def refine(reference: ReferenceSpline, current_state, setup: QPSetup) -> Refined
     score_pred = s_base + Ls @ result.x
 
     # contract: refined velocity never exceeds the limit beyond tolerance
-    overrun = np.max(np.abs(qdot_d[1:]) - s.speed_limit[None, :])
+    overrun = np.max(np.abs(qdot_d[1:]) - setup.speed_limit[None, :])
     if overrun > 1e-9:
         raise RefinementError(f"velocity bound violated by {overrun:.2e}")
 
@@ -241,7 +237,7 @@ def refine(reference: ReferenceSpline, current_state, setup: QPSetup) -> Refined
     objective = track + effort + float(score_pred @ score_pred)
 
     return RefinedSegment(
-        t0=s.t_now,
+        t0=t_now,
         dt=dt,
         q_d=q_d,
         qdot_d=qdot_d,
@@ -250,26 +246,3 @@ def refine(reference: ReferenceSpline, current_state, setup: QPSetup) -> Refined
         objective=objective,
     )
 
-
-def refine_rollout(reference: ReferenceSpline, q0, qd0, setup: QPSetup,
-                   duration: float, step: float):
-    """Receding-horizon rollout of the refinement alone (no plant).
-
-    Re-solves every ``step`` seconds from the previously refined desired
-    state and stitches the executed prefix into a dense trajectory.
-    Returns (times, q_d, qdot_d, qddot_d) arrays.
-    """
-    q = np.asarray(q0, dtype=float).copy()
-    qd = np.asarray(qd0, dtype=float).copy()
-    times, qs, qds, qdds = [], [], [], []
-    t = 0.0
-    while t < duration:
-        seg = refine(reference, (q, qd), replace(setup, t_now=t))
-        q_s, qd_s, u_s = seg.sample(step)
-        times.append(t)
-        qs.append(q.copy())
-        qds.append(qd.copy())
-        qdds.append(seg.qddot_d[0].copy())
-        q, qd = q_s, qd_s
-        t += step
-    return np.array(times), np.array(qs), np.array(qds), np.array(qdds)

@@ -101,6 +101,29 @@ def test_run_scenario_rejects_bad_control_file(tmp_path, capsys):
     assert "horizon" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("section, values, name", [
+    ("qp", {"accel_limit_deg": "fast"}, "accel_limit_deg"),
+    ("transparent", {"gamma0": "x"}, "gamma0"),
+], ids=["accel-limit", "gamma0"])
+def test_run_scenario_rejects_non_numeric_control_value(tmp_path, capsys, section, values, name):
+    control = tmp_path / "control.json"
+    control.write_text(json.dumps({section: values}))
+    assert main(["run-scenario", "--scenario", str(scenario_path("raise_lower.json")),
+                 "--control", str(control)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and len(err.strip().splitlines()) == 1
+
+
+def test_run_scenario_rejects_event_vector_of_wrong_length(tmp_path, capsys):
+    scen = tmp_path / "scen.json"
+    base = json.loads(scenario_path("raise_lower.json").read_text())
+    base["events"] = [{"type": "torque_pulse", "t": 1.0, "params": {"amplitude": [0, 1, 0]}}]
+    scen.write_text(json.dumps(base))
+    assert main(["run-scenario", "--scenario", str(scen)]) == 2
+    err = capsys.readouterr().err
+    assert "amplitude" in err and len(err.strip().splitlines()) == 1
+
+
 def test_eval_planner_rule_scorer(tmp_path):
     report = tmp_path / "planner.json"
     assert main(["eval-planner", "--scorer", "rule", "--report", str(report)]) == 0

@@ -259,7 +259,8 @@ def _scenario_file(tmp_path, event, duration=1.0):
     ({"type": "payload_step", "t": 0.5}, "mass"),
     ({"type": "payload_step", "t": 0.5, "params": {"mass": float("nan")}}, "non-finite"),
     ({"type": "drop", "t": 99.0}, "outside"),
-], ids=["unknown-type", "missing-param", "non-finite", "time-outside-run"])
+    ({"type": "payload_step", "t": 0.5, "params": {"mass": [1.0, 2.0]}}, "single number"),
+], ids=["unknown-type", "missing-param", "non-finite", "time-outside-run", "list-mass"])
 def test_scenario_loader_rejects_bad_events(tmp_path, event, match):
     with pytest.raises(dyn.ConfigError, match=match):
         hz.load_scenario(_scenario_file(tmp_path, event))
@@ -317,6 +318,22 @@ def test_wrong_qp_bound_length_fails_before_the_first_tick(no_physics):
         hz.SimStack(model=model, control=short_bound, planner=None)
     with pytest.raises(dyn.ConfigError, match="position_min must have length 4"):
         hz.tracking_comparison(model, short_bound, [0, 5, 0, 20], [0, 95, 0, 20], t_f=3.0)
+
+
+@pytest.mark.parametrize("events, match", [
+    ([hz.EventSpec("torque_pulse", 0.5, {"amplitude": [0.0, 1.0, 0.0]})], "amplitude"),
+    ([hz.EventSpec("payload_step", 0.2, {"mass": 1.0}),
+      hz.EventSpec("drop", 0.5, {"joints": [7]})], "joints"),
+    ([hz.EventSpec("drop", 0.5, {"joints": [1.0]})], "joints"),
+    ([hz.EventSpec("intent_conflict", 0.5, {"pose_deg": [0.0, 10.0]})], "pose_deg"),
+], ids=["pulse-length", "drop-joint-range", "drop-joint-type", "pose-length"])
+def test_wrong_event_vector_fails_before_the_first_tick(no_physics, events, match):
+    stack = hz.SimStack(model=dyn.default_model(),
+                        control=ctl.load_control_config(pl.data_path("control.json")),
+                        planner=None)
+    scen = hz.Scenario(name="x", task="help me drink water", duration=1.0, events=events)
+    with pytest.raises(dyn.ConfigError, match=match):
+        hz.run_scenario(scen, stack)
 
 
 # ---------------------------------------------------------------------------

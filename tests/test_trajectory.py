@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from oracles import brute_force_qp
 
+from exoassist import control as ctl
 from exoassist import trajectory as traj
 
 
@@ -55,6 +56,11 @@ def test_quintic_rejects_bad_duration():
 # refinement
 
 
+def make_setup(n=1, speed_limit=np.radians(30.0), Kd=50.0, Cd=30.0, w=2.0, **qp):
+    """A refinement setup through the one constructor; ``qp`` holds QPConfig fields."""
+    return traj.QPSetup.from_config(ctl.QPConfig(**qp), n, speed_limit, Kd, Cd, w)
+
+
 def discrete_consistent_start(ref, dt):
     r0 = ref.sample(0.0)[0]
     r1 = ref.sample(dt)[0]
@@ -63,9 +69,9 @@ def discrete_consistent_start(ref, dt):
 
 def test_refine_identity_when_constraints_inactive():
     ref = traj.quintic_reference([0.0], [np.pi / 2], 5.0)  # peak 33.75 deg/s
-    setup = traj.QPSetup(N=20, dt=0.05, R=1e-8, speed_limit=np.radians(70.0))
+    setup = make_setup(horizon=20, dt=0.05, R=1e-8, speed_limit=np.radians(70.0))
     q0, qd0 = discrete_consistent_start(ref, 0.05)
-    seg = traj.refine(ref, (q0, qd0), setup)
+    seg = traj.refine(ref, (q0, qd0), setup, 0.0)
     refs = np.stack([ref.sample(i * 0.05)[0] for i in range(21)])
     assert np.degrees(np.max(np.abs(seg.q_d - refs))) < 0.01
 
@@ -73,10 +79,17 @@ def test_refine_identity_when_constraints_inactive():
 def test_refine_speed_limit_rollout_reaches_target():
     """Raise profile whose unrefined peak (56 deg/s) exceeds the 30 deg/s cap."""
     ref = traj.quintic_reference([0.0], [np.pi / 2], 3.0)
-    setup = traj.QPSetup(N=20, dt=0.05, speed_limit=np.radians(30.0))
-    _, qs, qds, _ = traj.refine_rollout(ref, [0.0], [0.0], setup, duration=5.0, step=0.01)
+    setup = make_setup(horizon=20, dt=0.05, speed_limit=np.radians(30.0))
+    # receding horizon without a plant: re-solve every 10 ms from the
+    # previously refined desired state
+    q, qd = np.array([0.0]), np.array([0.0])
+    qs, qds = [], []
+    for k in range(500):
+        qs.append(q)
+        qds.append(qd)
+        q, qd, _ = traj.refine(ref, (q, qd), setup, k * 0.01).sample(0.01)
     assert np.degrees(np.max(np.abs(qds))) <= 30.0 + 1e-6
-    assert np.degrees(abs(qs[-1, 0] - np.pi / 2)) < 0.5
+    assert np.degrees(abs(qs[-1][0] - np.pi / 2)) < 0.5
 
 
 def test_refine_small_instance_matches_bruteforce():
@@ -85,28 +98,27 @@ def test_refine_small_instance_matches_bruteforce():
     for trial in range(5):
         t_f = rng.uniform(1.0, 2.0)
         ref = traj.quintic_reference([0.0], [rng.uniform(0.5, 1.2)], t_f)
-        setup = traj.QPSetup(
-            N=3, dt=0.1, R=0.05,
+        setup = make_setup(
+            horizon=3, dt=0.1, R=0.05,
             speed_limit=rng.uniform(0.25, 0.6),
             accel_limit=rng.uniform(2.0, 5.0),
-            q_min=-2.0, q_max=2.0,
-            anomaly_gradient=rng.uniform(-0.5, 0.5),
-            score_init=rng.uniform(0.0, 0.4),
-            w=2.0,
-        ).expanded(1)
+            position_min=-2.0, position_max=2.0,
+        )
+        gradient = np.array([rng.uniform(-0.5, 0.5)])
+        score_init = rng.uniform(0.0, 0.4)
         q0 = np.array([0.0])
         qd0 = np.array([rng.uniform(0.0, 0.2)])
-        seg = traj.refine(ref, (q0, qd0), setup)
+        seg = traj.refine(ref, (q0, qd0), setup, 0.0, gradient, score_init)
 
         # rebuild the same condensed QP and solve by enumeration
         N, dt = setup.N, setup.dt
         refs = np.array([ref.sample(i * dt)[0][0] for i in range(N + 1)])
         Lp, Lv = traj._prediction_matrices(N, dt)
         q_base = q0[0] + np.arange(N + 1) * dt * qd0[0]
-        gK = setup.anomaly_gradient[0] * setup.Kd[0]
-        gC = setup.anomaly_gradient[0] * setup.Cd[0]
+        gK = gradient[0] * setup.Kd[0]
+        gC = gradient[0] * setup.Cd[0]
         Ls = np.zeros((N + 1, N))
-        s_base = np.full(N + 1, setup.score_init)
+        s_base = np.full(N + 1, score_init)
         for i in range(1, N + 1):
             Ls[i] = Ls[i - 1] - setup.w * dt * gK * Lv[i - 1]
             Ls[i, i - 1] += -setup.w * dt * gC
@@ -136,9 +148,9 @@ def test_refine_small_instance_matches_bruteforce():
 def test_refine_infeasible_is_reported():
     # initial velocity far above the limit with a tiny acceleration budget
     ref = traj.quintic_reference([0.0], [0.5], 2.0)
-    setup = traj.QPSetup(N=5, dt=0.05, speed_limit=0.1, accel_limit=0.01)
+    setup = make_setup(horizon=5, dt=0.05, speed_limit=0.1, accel_limit=0.01)
     with pytest.raises(traj.RefinementError, match="infeasible"):
-        traj.refine(ref, (np.array([0.0]), np.array([2.0])), setup)
+        traj.refine(ref, (np.array([0.0]), np.array([2.0])), setup, 0.0)
 
 
 def test_refine_monotone_cost_in_speed_limit():
@@ -146,8 +158,8 @@ def test_refine_monotone_cost_in_speed_limit():
     q0, qd0 = discrete_consistent_start(ref, 0.05)
     costs = []
     for lim_deg in (20.0, 30.0, 45.0, 70.0):
-        setup = traj.QPSetup(N=20, dt=0.05, speed_limit=np.radians(lim_deg))
-        costs.append(traj.refine(ref, (q0, qd0), setup).objective)
+        setup = make_setup(horizon=20, dt=0.05, speed_limit=np.radians(lim_deg))
+        costs.append(traj.refine(ref, (q0, qd0), setup, 0.0).objective)
     assert all(c1 >= c2 - 1e-9 for c1, c2 in zip(costs, costs[1:]))
 
 
@@ -157,7 +169,7 @@ def test_refine_receding_horizon_consistency():
     ref = traj.quintic_reference([0.0], [np.pi / 2], 3.0)
     base = dict(dt=0.05, R=0.01, speed_limit=np.radians(30.0))
     q0, qd0 = discrete_consistent_start(ref, 0.05)
-    seg0 = traj.refine(ref, (q0, qd0), traj.QPSetup(N=12, **base))
+    seg0 = traj.refine(ref, (q0, qd0), make_setup(horizon=12, **base), 0.0)
     stage0 = (
         float(np.sum((seg0.q_d[0] - ref.sample(0.0)[0]) ** 2))
         + 0.01 * float(np.sum(seg0.qddot_d[0] ** 2))
@@ -166,7 +178,8 @@ def test_refine_receding_horizon_consistency():
     seg1 = traj.refine(
         ref,
         (seg0.q_d[1], seg0.qdot_d[1]),
-        traj.QPSetup(N=11, t_now=0.05, score_init=float(seg0.score_pred[1]), **base),
+        make_setup(horizon=11, **base), 0.05,
+        score_init=float(seg0.score_pred[1]),
     )
     assert seg1.objective == pytest.approx(seg0.objective - stage0, rel=1e-6, abs=1e-8)
 
@@ -178,14 +191,13 @@ def test_refine_score_coupling_slows_resisted_motion():
     # on-reference during the acceleration phase: the free solve speeds up
     t_now = 0.3
     q0, qd0 = (ref.sample(t_now)[i] for i in (0, 1))
-    base = dict(N=10, dt=0.05, speed_limit=np.radians(90.0), t_now=t_now)
-    seg_free = traj.refine(ref, (q0, qd0), traj.QPSetup(**base))
+    setup = make_setup(horizon=10, dt=0.05, speed_limit=np.radians(90.0),
+                       Kd=50.0, Cd=30.0, w=2.0)
+    seg_free = traj.refine(ref, (q0, qd0), setup, t_now)
     assert seg_free.qddot_d[0, 0] > 0.1  # sanity: accelerating
     # detector says interaction torque resisting the motion raises the score
-    seg_resist = traj.refine(
-        ref, (q0, qd0),
-        traj.QPSetup(anomaly_gradient=-0.6, score_init=0.4, **base),
-    )
+    seg_resist = traj.refine(ref, (q0, qd0), setup, t_now,
+                             anomaly_gradient=np.array([-0.6]), score_init=0.4)
     assert seg_resist.qddot_d[0, 0] < seg_free.qddot_d[0, 0] - 1e-6
     # and the predicted score stays below the uncontrolled growth
     drift = 0.4 + np.cumsum(
@@ -193,19 +205,31 @@ def test_refine_score_coupling_slows_resisted_motion():
     assert seg_resist.score_pred[-1] < drift[-1]
 
 
-def test_qpsetup_validation():
-    with pytest.raises(ValueError):
-        traj.QPSetup(N=1).expanded(2)
-    with pytest.raises(ValueError):
-        traj.QPSetup(dt=0.0).expanded(2)
-    with pytest.raises(ValueError):
-        traj.QPSetup(Q=0.0).expanded(2)
+def test_refine_without_gradient_equals_zero_gradient():
+    ref = traj.quintic_reference([0.0, 0.0], [0.6, 0.9], 2.0)
+    setup = make_setup(n=2, horizon=10, dt=0.05, speed_limit=0.4)
+    state = (np.array([0.01, 0.0]), np.array([0.1, 0.2]))
+    none = traj.refine(ref, state, setup, 0.3, score_init=0.2)
+    zero = traj.refine(ref, state, setup, 0.3, np.zeros(2), 0.2)
+    for name in ("q_d", "qdot_d", "qddot_d", "score_pred"):
+        assert np.array_equal(getattr(none, name), getattr(zero, name)), name
+    assert none.objective == zero.objective
+
+
+def test_setup_from_config_gives_per_joint_arrays():
+    setup = make_setup(n=3, speed_limit=0.5, Kd=[40.0, 50.0, 60.0], Cd=30.0, w=1.0,
+                       horizon=8, Q=[1.0, 2.0, 3.0], position_max=2.0)
+    assert setup.N == 8 and setup.w == 1.0
+    for name in ("Q", "R", "speed_limit", "accel_limit", "q_min", "q_max", "Kd", "Cd"):
+        assert getattr(setup, name).shape == (3,), name
+    assert list(setup.Kd) == [40.0, 50.0, 60.0]
+    assert list(setup.q_max) == [2.0, 2.0, 2.0]
 
 
 def test_refined_segment_sampling_consistency():
     ref = traj.quintic_reference([0.0, 0.0], [0.6, 0.9], 2.0)
-    setup = traj.QPSetup(N=10, dt=0.05, speed_limit=1.0)
-    seg = traj.refine(ref, (np.zeros(2), np.zeros(2)), setup)
+    setup = make_setup(n=2, horizon=10, dt=0.05, speed_limit=1.0)
+    seg = traj.refine(ref, (np.zeros(2), np.zeros(2)), setup, 0.0)
     # knot samples match the stored arrays; dynamics rows are exact
     for i in range(10):
         q, qd, _ = seg.sample(i * 0.05)
