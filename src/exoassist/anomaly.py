@@ -238,9 +238,9 @@ class TrainConfig:
 def denoiser_loss_and_grads(denoiser: Denoiser, x0: np.ndarray, t: np.ndarray,
                             eps: np.ndarray, schedule: NoiseSchedule,
                             with_grads: bool = True):
-    """Noise-prediction loss sum_d ||eps - eps_hat||^2 averaged over the batch.
-
-    Deterministic given (x0, t, eps); used by training and gradient checks.
+    """Noise-prediction loss sum_d ||eps - eps_hat||^2 averaged over the batch,
+    and its flat parameter gradient: the network's gradient buffer, valid
+    until the next backward. Deterministic given (x0, t, eps).
     """
     ab = schedule.alpha_bar[t - 1][:, None]
     x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
@@ -249,9 +249,7 @@ def denoiser_loss_and_grads(denoiser: Denoiser, x0: np.ndarray, t: np.ndarray,
     loss = float(np.mean(np.sum(resid**2, axis=1)))
     if not with_grads:
         return loss, None
-    grad_out = 2.0 * resid / x0.shape[0]
-    dW, db, _ = denoiser.mlp.backward(acts, grad_out)
-    return loss, MLP.flatten_grads(dW, db)
+    return loss, denoiser.mlp.backward(acts, 2.0 * resid / x0.shape[0])
 
 
 def train_denoiser(windows: np.ndarray, schedule: NoiseSchedule,
@@ -268,7 +266,7 @@ def train_denoiser(windows: np.ndarray, schedule: NoiseSchedule,
     rng = np.random.default_rng(cfg.seed)
     denoiser = Denoiser(D, schedule.T, hidden=cfg.hidden,
                         embed_dim=cfg.embed_dim, seed=cfg.seed)
-    params = denoiser.mlp.get_flat()
+    params = denoiser.mlp.params  # optimised in place
     opt = Adam(params.size, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
                eps=cfg.adam_eps)
 
@@ -293,8 +291,7 @@ def train_denoiser(windows: np.ndarray, schedule: NoiseSchedule,
             if not np.isfinite(loss):
                 raise AnomalyTrainingError(
                     f"NaN loss at epoch {epoch}, batch {batches} (lr={cfg.lr})")
-            params = opt.step(params, grads)
-            denoiser.mlp.set_flat(params)
+            opt.step(params, grads)
             epoch_loss += loss
             batches += 1
         history["train"].append(epoch_loss / max(batches, 1))
@@ -472,13 +469,12 @@ def load_checkpoint(path: str | Path) -> AnomalyDetector:
         dim = L_s * layout.per_tick
         denoiser = Denoiser(dim, schedule.T, hidden=tuple(meta["hidden"]),
                             embed_dim=int(meta["embed_dim"]))
-        for i in range(denoiser.mlp.n_layers):
-            w, b = data[f"W{i}"], data[f"b{i}"]
-            if w.shape != denoiser.mlp.W[i].shape:
-                raise ValueError(f"checkpoint layer {i} has shape {w.shape}, "
-                                 f"expected {denoiser.mlp.W[i].shape}")
-            denoiser.mlp.W[i] = w.copy()
-            denoiser.mlp.b[i] = b.copy()
+        for i, (w, b) in enumerate(zip(denoiser.mlp.W, denoiser.mlp.b)):
+            for name, view in ((f"W{i}", w), (f"b{i}", b)):
+                arr = data[name]
+                if arr.shape != view.shape:
+                    raise ValueError(f"checkpoint {name} has shape {arr.shape}, expected {view.shape}")
+                view[...] = arr
         stats = NormStats(mean=data["mean"].copy(), std=data["std"].copy())
         det = AnomalyDetector(denoiser, schedule, stats, L_s, layout,
                               cal_scale=float(meta["cal_scale"]),

@@ -89,6 +89,14 @@ EVENT_PARAMS = {
 # Its length is checked against the plant before the first tick.
 JOINT_PARAMS = {"drop": "joints", "torque_pulse": "amplitude", "intent_conflict": "pose_deg"}
 DROP_JOINTS = (1, 3)  # the joints a drop's transient acts on unless given
+# the scalar scenario fields checked at load, each with its bound, if any
+SCENARIO_NUMBERS = {
+    **dict.fromkeys(("duration", "reach_duration", "target_tolerance_deg",
+                     "replan_refractory"), "> 0"),
+    **dict.fromkeys(("item_mass", "grasp_confirm_delay", "settle_time",
+                     "grasp_load_time"), ">= 0"),
+    **dict.fromkeys(("s_bar", "score_coupling_floor"), ""),
+}
 
 
 @dataclass
@@ -219,18 +227,27 @@ def _load_event(raw: dict, duration: float) -> EventSpec:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Load a scenario file; unknown fields and any event that could not
-    fire as written (unknown type, missing or unknown params, a time
-    outside [0, duration], a non-finite number) raise ConfigError."""
+    """Load a scenario file; unknown or missing fields, a scalar field out
+    of its ``SCENARIO_NUMBERS`` bound and any event that could not fire as
+    written (unknown type, missing or unknown params, a time outside
+    [0, duration], a non-finite number) raise ConfigError."""
     raw = json.loads(Path(path).read_text())
     raw_events = raw.pop("events", [])
-    wearer = WearerParams(**raw.pop("wearer", {}))
-    unknown = set(raw) - set(Scenario.__dataclass_fields__)
+    wearer = raw.pop("wearer", {})
+    if not isinstance(wearer, dict):
+        raise dyn.ConfigError("scenario wearer must be an object of wearer fields")
+    unknown = sorted(set(raw) - set(Scenario.__dataclass_fields__)) \
+        + [f"wearer.{k}" for k in sorted(set(wearer) - set(WearerParams.__dataclass_fields__))]
     if unknown:
-        raise dyn.ConfigError(f"unknown scenario fields: {sorted(unknown)}")
-    scenario = Scenario(wearer=wearer, **raw)
-    if not (math.isfinite(scenario.duration) and scenario.duration > 0.0):
-        raise dyn.ConfigError("scenario duration must be finite and positive")
+        raise dyn.ConfigError(f"unknown scenario fields: {unknown}")
+    missing = {"name", "task"} - set(raw)
+    if missing:
+        raise dyn.ConfigError(f"scenario needs fields {sorted(missing)}")
+    scenario = Scenario(wearer=WearerParams(**wearer), **raw)
+    for name, bound in SCENARIO_NUMBERS.items():
+        value = ctl._number(getattr(scenario, name), f"scenario {name}", positive=bound == "> 0")
+        if bound == ">= 0" and value < 0:
+            raise dyn.ConfigError(f"scenario {name} must be a number >= 0")
     scenario.events = [_load_event(e, scenario.duration) for e in raw_events]
     return scenario
 

@@ -1,7 +1,9 @@
 """Minimal fully-connected network with manual backprop and Adam.
 
 Kept deliberately small: tanh hidden layers, linear output, float64
-throughout so finite-difference gradient checks hold tightly.
+throughout so finite-difference gradient checks hold tightly. ``W``/``b``
+view one flat parameter buffer and ``dW``/``db`` one flat gradient buffer,
+which ``backward`` fills and returns; Adam updates the parameters in place.
 """
 from __future__ import annotations
 
@@ -17,13 +19,22 @@ class MLP:
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.sizes = list(sizes)
+        shapes = list(zip(sizes[:-1], sizes[1:]))
+        size = sum(i * o + o for i, o in shapes)
+        self.params, self.grads = np.zeros(size), np.zeros(size)
+        self.W, self.b = self._views(self.params, shapes)
+        self.dW, self.db = self._views(self.grads, shapes)
         rng = np.random.default_rng(seed)
-        self.W = []
-        self.b = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        for w, (fan_in, fan_out) in zip(self.W, shapes):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            self.W.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            self.b.append(np.zeros(fan_out))
+            w[...] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+    @staticmethod
+    def _views(flat: np.ndarray, shapes):
+        """Weight and bias views into ``flat``: all weights first, then all biases."""
+        sizes = [i * o for i, o in shapes] + [o for _, o in shapes]
+        parts = np.split(flat, np.cumsum(sizes)[:-1])
+        return [p.reshape(s) for p, s in zip(parts, shapes)], parts[len(shapes):]
 
     @property
     def n_layers(self) -> int:
@@ -42,18 +53,18 @@ class MLP:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
-    def backward(self, acts, grad_out: np.ndarray):
-        """Backprop a cotangent; returns (dW list, db list, dx)."""
-        dW = [None] * self.n_layers
-        db = [None] * self.n_layers
+    def backward(self, acts, grad_out: np.ndarray) -> np.ndarray:
+        """Backprop a cotangent into the gradient buffer and return it, valid
+        until the next call; the input cotangent is ``input_vjp``'s."""
         g = grad_out
         for i in range(self.n_layers - 1, -1, -1):
             if i < self.n_layers - 1:
                 g = g * (1.0 - acts[i + 1] ** 2)  # tanh'
-            dW[i] = acts[i].T @ g
-            db[i] = g.sum(axis=0)
-            g = g @ self.W[i].T
-        return dW, db, g
+            np.matmul(acts[i].T, g, out=self.dW[i])
+            np.sum(g, axis=0, out=self.db[i])
+            if i:
+                g = g @ self.W[i].T
+        return self.grads
 
     def input_vjp(self, acts, grad_out: np.ndarray) -> np.ndarray:
         """Cotangent w.r.t. the input only (skips parameter grads)."""
@@ -64,25 +75,15 @@ class MLP:
             g = g @ self.W[i].T
         return g
 
-    # -- flat parameter views (checkpoints, gradient checks) ---------------
+    # -- flat parameter copies (gradient checks) ---------------------------
 
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([w.ravel() for w in self.W] + [b for b in self.b])
+        return self.params.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
-        idx = 0
-        for i, w in enumerate(self.W):
-            self.W[i] = flat[idx:idx + w.size].reshape(w.shape).copy()
-            idx += w.size
-        for i, b in enumerate(self.b):
-            self.b[i] = flat[idx:idx + b.size].copy()
-            idx += b.size
-        if idx != flat.size:
+        if np.shape(flat) != self.params.shape:
             raise ValueError("flat parameter vector has wrong length")
-
-    @staticmethod
-    def flatten_grads(dW, db) -> np.ndarray:
-        return np.concatenate([g.ravel() for g in dW] + [g for g in db])
+        self.params[...] = flat
 
 
 class Adam:
@@ -97,26 +98,29 @@ class Adam:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
+        self._tmp, self._update = np.zeros(size), np.zeros(size)
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        """params - lr m_hat / (sqrt(v_hat) + eps) after the moment updates
-        m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2.
+        """params -= lr m_hat / (sqrt(v_hat) + eps) after the moment updates
+        m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2; returns params.
 
-        Computed in place with two temporaries, each operation in the
+        Computed in place in two scratch buffers, each operation in the
         order of the formula, so the result is bit-identical to it.
         """
         self.t += 1
-        tmp = grads * (1.0 - self.beta1)
+        tmp, update = self._tmp, self._update
+        np.multiply(grads, 1.0 - self.beta1, out=tmp)
         self.m *= self.beta1
         self.m += tmp
         np.multiply(grads, grads, out=tmp)
         tmp *= 1.0 - self.beta2
         self.v *= self.beta2
         self.v += tmp
-        denom = np.divide(self.v, 1.0 - self.beta2**self.t, out=tmp)  # v_hat
-        np.sqrt(denom, out=denom)
-        denom += self.eps
-        update = self.m / (1.0 - self.beta1**self.t)  # m_hat
+        np.divide(self.v, 1.0 - self.beta2**self.t, out=tmp)  # v_hat
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        np.divide(self.m, 1.0 - self.beta1**self.t, out=update)  # m_hat
         update *= self.lr
-        update /= denom
-        return np.subtract(params, update, out=update)
+        update /= tmp
+        params -= update
+        return params

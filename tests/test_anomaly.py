@@ -325,6 +325,17 @@ def test_checkpoint_rejects_bad_version(tmp_path, small_setup):
         ano.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("name", ["W1", "b0", "b2"])
+def test_checkpoint_rejects_wrong_layer_shape(tmp_path, small_setup, name):
+    path = tmp_path / "det.npz"
+    ano.save_checkpoint(path, small_setup["detector"])
+    data = dict(np.load(path))
+    data[name] = data[name][..., :1]  # a bias of shape (1,) would broadcast
+    np.savez(path, **data)
+    with pytest.raises(ValueError, match=f"checkpoint {name} has shape"):
+        ano.load_checkpoint(path)
+
+
 def test_windows_csv_roundtrip(tmp_path, small_setup):
     raw = small_setup["raw"][:5]
     path = tmp_path / "win.csv"

@@ -92,6 +92,32 @@ def test_run_scenario_rejects_bad_scenario_file(tmp_path, capsys):
     assert "dorp" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("field, value, name", [
+    ("wearer", {"K_x": 1.0}, "K_x"),
+    ("wearer", [20.0, 5.0], "wearer"),
+    ("duration", "long", "duration"),
+    ("item_mass", -0.5, "item_mass"),
+    ("grasp_confirm_delay", float("inf"), "grasp_confirm_delay"),
+    ("settle_time", -1.0, "settle_time"),
+    ("grasp_load_time", True, "grasp_load_time"),
+    ("reach_duration", 0.0, "reach_duration"),
+    ("target_tolerance_deg", "3", "target_tolerance_deg"),
+    ("replan_refractory", -0.5, "replan_refractory"),
+    ("s_bar", float("nan"), "s_bar"),
+    ("score_coupling_floor", None, "score_coupling_floor"),
+], ids=["unknown-wearer-field", "wearer-list", "string-duration", "negative-mass",
+        "infinite-delay", "negative-settle", "boolean-load-time", "zero-reach",
+        "string-tolerance", "negative-refractory", "nan-threshold", "null-floor"])
+def test_run_scenario_rejects_bad_scenario_value(tmp_path, capsys, field, value, name):
+    scen = tmp_path / "scen.json"
+    base = json.loads(scenario_path("raise_lower.json").read_text())
+    base[field] = value
+    scen.write_text(json.dumps(base))
+    assert main(["run-scenario", "--scenario", str(scen)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and len(err.strip().splitlines()) == 1
+
+
 def test_run_scenario_rejects_bad_control_file(tmp_path, capsys):
     control = tmp_path / "control.json"
     control.write_text(json.dumps({"qp": {"horizon": 1}}))

@@ -13,6 +13,12 @@ also records criterion 4's raise-then-lower comparison, whose refinement
 QPs do: both variants' RMS error and peak commanded velocity, within a
 relative 1e-6.
 
+``train_denoiser.json`` records a small fixed training run: the per-epoch
+train and validation losses, 200 fixed entries of the final flat
+parameters and the calibration scale, within a relative 1e-9. That leaves
+room for another BLAS kernel's rounding and none for a change to the
+training arithmetic.
+
 Regenerate only for an intended change of behaviour:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -24,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from exoassist import anomaly as ano
 from exoassist import control as ctl
 from exoassist import dynamics as dyn
 from exoassist import harness as hz
@@ -35,6 +42,8 @@ SAMPLE_EVERY = 10  # control ticks per sample: 100 Hz -> 10 Hz
 Q_TOL = 1e-6  # rad
 TRACKING_ARGS = {"q_start_deg": [0, 5, 0, 20], "q_peak_deg": [0, 95, 0, 20],
                  "t_f": 3.0, "speed_limit_deg": 30.0}
+TRAIN_RTOL = 1e-9
+TRAIN_SAMPLES = 200  # fixed, evenly spaced entries of the final flat parameters
 
 
 def golden_run(name: str) -> dict:
@@ -64,6 +73,29 @@ def tracking_run() -> dict:
                                  ctl.load_control_config(pl.data_path("control.json")),
                                  **TRACKING_ARGS)
     return {"args": TRACKING_ARGS, **out}
+
+
+def training_run() -> dict:
+    """Train and calibrate a small denoiser on fixed sinusoid windows."""
+    rng = np.random.default_rng(21)
+    layout, L_s = ano.ChannelLayout(n=2, n_c=1), 6  # 8 channels a tick, dim 48
+    t = np.arange(L_s)[:, None, None]
+    phase = rng.uniform(0.0, 2.0 * np.pi, (1, 60, layout.per_tick))
+    freq = rng.uniform(0.05, 0.2, (1, 60, 1))
+    raw = (np.sin(2.0 * np.pi * freq * t + phase).transpose(1, 0, 2)
+           + 0.02 * rng.standard_normal((60, L_s, layout.per_tick)))
+    stats = ano.compute_stats(raw)
+    normed = stats.normalize(raw).reshape(60, -1)
+    schedule = ano.NoiseSchedule.linear(T=12, nu=4)
+    cfg = ano.TrainConfig(epochs=15, batch_size=16, hidden=(32, 32), embed_dim=8, seed=4)
+    denoiser, history = ano.train_denoiser(normed[:48], schedule, cfg,
+                                           val_windows=normed[48:])
+    detector = ano.AnomalyDetector(denoiser, schedule, stats, L_s, layout, seed=5)
+    flat = denoiser.mlp.get_flat()
+    idx = np.linspace(0, flat.size - 1, TRAIN_SAMPLES).astype(int)
+    return {"train": history["train"], "val": history["val"],
+            "param_index": idx.tolist(), "params": flat[idx].tolist(),
+            "n_params": int(flat.size), "cal_scale": detector.calibrate(normed[:48])}
 
 
 def _assert_report_matches(got: dict, want: dict) -> None:
@@ -102,6 +134,15 @@ def test_golden_tracking_comparison():
                                        rtol=1e-6, err_msg=f"{variant}.{key}")
 
 
+def test_golden_training_run():
+    want = json.loads((GOLDEN_DIR / "train_denoiser.json").read_text())
+    got = training_run()
+    assert got["n_params"] == want["n_params"]
+    assert got["param_index"] == want["param_index"]
+    for key in ("train", "val", "params", "cal_scale"):
+        np.testing.assert_allclose(got[key], want[key], rtol=TRAIN_RTOL, err_msg=key)
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for scenario_name in SCENARIOS:
@@ -110,4 +151,7 @@ if __name__ == "__main__":
         print(f"wrote {path}")
     path = GOLDEN_DIR / "tracking_comparison.json"
     path.write_text(json.dumps(tracking_run()) + "\n")
+    print(f"wrote {path}")
+    path = GOLDEN_DIR / "train_denoiser.json"
+    path.write_text(json.dumps(training_run()) + "\n")
     print(f"wrote {path}")

@@ -243,6 +243,13 @@ def test_scenario_loader_rejects_unknown_fields(tmp_path):
         hz.load_scenario(path)
 
 
+def test_scenario_loader_needs_name_and_task(tmp_path):
+    path = tmp_path / "scen.json"
+    path.write_text('{"name": "x"}')
+    with pytest.raises(dyn.ConfigError, match="task"):
+        hz.load_scenario(path)
+
+
 # ---------------------------------------------------------------------------
 # scenario validation at load time
 

@@ -1,8 +1,9 @@
 """Network engine tests: backprop against finite differences, Adam sanity,
-flat parameter round-trips."""
+flat parameter buffers and round-trips."""
 import numpy as np
 import pytest
 
+from exoassist import anomaly as ano
 from exoassist.nn import MLP, Adam
 
 
@@ -19,8 +20,7 @@ def test_backprop_matches_finite_differences():
 
     flat = net.get_flat()
     out, acts = net.forward(x)
-    dW, db, _ = net.backward(acts, 2.0 * (out - target))
-    grads = MLP.flatten_grads(dW, db)
+    grads = net.backward(acts, 2.0 * (out - target))
 
     h = 1e-6
     idx = rng.choice(flat.size, 40, replace=False)
@@ -33,15 +33,45 @@ def test_backprop_matches_finite_differences():
     net.set_flat(flat)
 
 
-def test_input_vjp_matches_full_backward():
+def test_input_vjp_matches_finite_differences():
     rng = np.random.default_rng(3)
     net = MLP([6, 10, 4], seed=4)
     x = rng.standard_normal((3, 6))
     cot = rng.standard_normal((3, 4))
     _, acts = net.forward(x)
-    _, _, dx_full = net.backward(acts, cot)
     dx = net.input_vjp(acts, cot)
-    assert np.allclose(dx, dx_full)
+
+    h = 1e-6
+    for idx in np.ndindex(x.shape):
+        xp, xm = x.copy(), x.copy()
+        xp[idx] += h
+        xm[idx] -= h
+        fd = float(np.sum(cot * (net(xp) - net(xm)))) / (2 * h)
+        assert dx[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+def test_weights_and_gradients_are_views_of_the_flat_buffers(tmp_path):
+    def assert_views(net):
+        for i in range(net.n_layers):
+            assert np.shares_memory(net.W[i], net.params)
+            assert np.shares_memory(net.b[i], net.params)
+            assert np.shares_memory(net.dW[i], net.grads)
+            assert np.shares_memory(net.db[i], net.grads)
+
+    net = MLP([4, 7, 5, 2], seed=0)
+    assert_views(net)
+    net.set_flat(np.arange(net.params.size, dtype=float))
+    assert_views(net)
+    assert net.W[0][0, 1] == 1.0 and net.b[-1][-1] == net.params.size - 1
+
+    sch = ano.NoiseSchedule.linear(T=4, nu=2)
+    layout = ano.ChannelLayout(n=1, n_c=1)
+    den = ano.Denoiser(2 * layout.per_tick, sch.T, hidden=(6,), embed_dim=4, seed=1)
+    stats = ano.NormStats(mean=np.zeros(layout.per_tick), std=np.ones(layout.per_tick))
+    ano.save_checkpoint(tmp_path / "det.npz", ano.AnomalyDetector(den, sch, stats, 2, layout))
+    loaded = ano.load_checkpoint(tmp_path / "det.npz").denoiser.mlp
+    assert_views(loaded)
+    assert np.array_equal(loaded.params, den.mlp.params)
 
 
 def test_flat_roundtrip():
@@ -77,17 +107,16 @@ def test_adam_matches_textbook_update_bitwise():
     rng = np.random.default_rng(3)
     b1, b2, lr, eps = 0.9, 0.999, 0.01, 1e-8
     opt = Adam(50, lr=lr, beta1=b1, beta2=b2, eps=eps)
-    params = ref = rng.standard_normal(50)
+    params = rng.standard_normal(50)
+    ref = params.copy()
     m = v = np.zeros(50)
     for t in range(1, 21):
         g = rng.standard_normal(50)
-        before = params.copy()
         new = opt.step(params, g)
-        assert np.array_equal(params, before)  # the input is not updated in place
+        assert new is params  # updated in place
         m = b1 * m + (1.0 - b1) * g
         v = b2 * v + (1.0 - b2) * g**2
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
         ref = ref - lr * m_hat / (np.sqrt(v_hat) + eps)
         assert np.array_equal(new, ref)
-        params = new
