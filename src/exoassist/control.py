@@ -165,6 +165,16 @@ def _friction_estimate(model: PlantModel, thetadot: np.ndarray,
     return -scale * (poly + coulomb)
 
 
+def _compensate(model: PlantModel, state: PlantState, u, h, tau_e, cfg) -> np.ndarray:
+    """u + h - S2' tau_f_hat - tau_e + fast term, in place in ``u``, in that order."""
+    u += h
+    u[-model.n_c:] -= _friction_estimate(  # S2' selects the cable joints
+        model, state.thetadot, cfg.friction_scale, cfg.friction_comp_eps)
+    u -= tau_e
+    u += fast_term(state, cfg.Kv)
+    return u
+
+
 def transparent_control(
     model: PlantModel,
     state: PlantState,
@@ -178,15 +188,11 @@ def transparent_control(
     qdd0 = (1/gamma0) (M + B_bar)^-1 tau_e.
     """
     tau_e = np.asarray(tau_e, dtype=float)
-    if tau_e.shape != (model.n,) or not np.all(np.isfinite(tau_e)):
+    if tau_e.shape != (model.n,) or not np.isfinite(tau_e).all():
         raise ValueError(f"tau_e must be finite with length {model.n}")
 
     _, h = _rigid_body_terms(model, state.q, state.qdot, state.payload_mass, with_mass=False)
-    tau_f_hat = _friction_estimate(model, state.thetadot, cfg.friction_scale, cfg.friction_comp_eps)
-    u_f = fast_term(state, cfg.Kv)
-    # (M + B_bar) qdd0 with qdd0 = (1/gamma0)(M + B_bar)^-1 tau_e
-    amplified = tau_e / cfg.gamma0
-    return amplified + h - model.S2.T @ tau_f_hat - tau_e + u_f
+    return _compensate(model, state, tau_e / cfg.gamma0, h, tau_e, cfg)  # (M + B_bar) qdd0
 
 
 def impedance_control(
@@ -204,26 +210,20 @@ def impedance_control(
     (1/w) tau_e through the virtual inertia Mv, so that quasi-statically
     the closed loop satisfies Cd (qdot - qdot_d) + Kd (q - q_d) = tau_e / w.
     """
-    q_d = np.asarray(q_d, dtype=float)
-    qdot_d = np.asarray(qdot_d, dtype=float)
-    qddot_d = np.asarray(qddot_d, dtype=float)
-    tau_e = np.asarray(tau_e, dtype=float)
+    q_d, qdot_d, qddot_d, tau_e = (np.asarray(v, dtype=float)
+                                   for v in (q_d, qdot_d, qddot_d, tau_e))
     for name, arr in (("q_d", q_d), ("qdot_d", qdot_d), ("qddot_d", qddot_d), ("tau_e", tau_e)):
-        if arr.shape != (model.n,) or not np.all(np.isfinite(arr)):
+        if arr.shape != (model.n,) or not np.isfinite(arr).all():
             raise ValueError(f"{name} must be finite with length {model.n}")
 
     M, h = _rigid_body_terms(model, state.q, state.qdot, state.payload_mass)
-    tau_f_hat = _friction_estimate(model, state.thetadot, cfg.friction_scale, cfg.friction_comp_eps)
-    u_f = fast_term(state, cfg.Kv)
-    target = (
-        cfg.Cd * (qdot_d - state.qdot)
-        + cfg.Kd * (q_d - state.q)
-        + tau_e / cfg.w
-    )
-    a = qddot_d + target / cfg.Mv
-    nd = model.n - model.n_c
-    M[nd:, nd:] += model.B  # M + B_bar with B_bar = S2' B S2
-    return M @ a + h - model.S2.T @ tau_f_hat - tau_e + u_f
+    a = cfg.Cd * (qdot_d - state.qdot)  # the target, then qddot_d + target / Mv
+    a += cfg.Kd * (q_d - state.q)
+    a += tau_e / cfg.w
+    a /= cfg.Mv
+    a += qddot_d
+    M[-model.n_c:, -model.n_c:] += model.B  # M + B_bar with B_bar = S2' B S2
+    return _compensate(model, state, M @ a, h, tau_e, cfg)
 
 
 def apply_task_config(cfg_bits: tuple[int, int, int]) -> tuple[str, TaskConfig]:

@@ -228,9 +228,11 @@ def _load_event(raw: dict, duration: float) -> EventSpec:
 
 def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario file; unknown or missing fields, a scalar field out
-    of its ``SCENARIO_NUMBERS`` bound and any event that could not fire as
-    written (unknown type, missing or unknown params, a time outside
-    [0, duration], a non-finite number) raise ConfigError."""
+    of its ``SCENARIO_NUMBERS`` bound, a bad wearer value, seed or sensor
+    noise level, and any event that could not fire as written (unknown
+    type, missing or unknown params, a time outside [0, duration], a
+    non-finite number) raise ConfigError. The per-joint values are checked
+    against the plant by ``run_scenario``."""
     raw = json.loads(Path(path).read_text())
     raw_events = raw.pop("events", [])
     wearer = raw.pop("wearer", {})
@@ -248,21 +250,57 @@ def load_scenario(path: str | Path) -> Scenario:
         value = ctl._number(getattr(scenario, name), f"scenario {name}", positive=bound == "> 0")
         if bound == ">= 0" and value < 0:
             raise dyn.ConfigError(f"scenario {name} must be a number >= 0")
+    wearer = scenario.wearer
+    for name in ("K_h", "C_h"):
+        if np.any(ctl._finite_values(getattr(wearer, name), f"wearer {name}") < 0):
+            raise dyn.ConfigError(f"wearer {name} must be >= 0")
+    ctl._number(wearer.saturation, "wearer saturation")
+    if not isinstance(wearer.name, str):
+        raise dyn.ConfigError("wearer name must be a string")
+    if isinstance(scenario.seed, bool) or not isinstance(scenario.seed, int) \
+            or scenario.seed < 0:
+        raise dyn.ConfigError("scenario seed must be a non-negative integer")
+    noise = scenario.sensor_noise  # replaces DEFAULT_SENSOR_NOISE: a missing key is no noise
+    if not isinstance(noise, dict) or not set(noise) <= set(DEFAULT_SENSOR_NOISE):
+        raise dyn.ConfigError(f"scenario sensor_noise must be an object with keys among "
+                              f"{list(DEFAULT_SENSOR_NOISE)}")
+    for key, sd in noise.items():
+        if ctl._number(sd, f"sensor_noise {key}", positive=False) < 0:
+            raise dyn.ConfigError(f"sensor_noise {key} must be a number >= 0")
     scenario.events = [_load_event(e, scenario.duration) for e in raw_events]
     return scenario
 
 
-def _check_joint_params(events: list[EventSpec], n: int) -> None:
-    """ConfigError unless each event's per-joint param fits an n-joint
-    plant: drop joints are indices below n, the others have n values."""
-    for e in events:
+def _joint_indices(value, n: int) -> bool:
+    """Whether ``value`` is a list of integer joint indices below n."""
+    try:
+        joints = np.asarray(value)
+    except ValueError:  # ragged nesting
+        return False
+    return bool(joints.ndim == 1 and joints.dtype.kind in "iu"
+                and np.all((joints >= 0) & (joints < n)))
+
+
+def _check_joint_params(scenario: Scenario, n: int) -> None:
+    """ConfigError unless the scenario's per-joint values fit an n-joint
+    plant: both poses are n finite numbers, the wearer's K_h and C_h one
+    number or n, assist_joints and drop joints indices below n, and every
+    other per-joint event param has n values."""
+    for name in ("start_pose_deg", "grasp_pose_deg"):
+        if ctl._finite_values(getattr(scenario, name), f"scenario {name}").shape != (n,):
+            raise dyn.ConfigError(f"scenario {name} must be a list of {n} numbers")
+    for name in ("K_h", "C_h"):
+        if ctl._finite_values(getattr(scenario.wearer, name),
+                              f"wearer {name}").shape not in ((), (n,)):
+            raise dyn.ConfigError(f"wearer {name} must be one number or a list of {n}")
+    if not _joint_indices(scenario.assist_joints, n):
+        raise dyn.ConfigError(f"scenario assist_joints must be a list of joint indices below {n}")
+    for e in scenario.events:
         key = JOINT_PARAMS.get(e.type)
         if key is None:
             continue
         if key == "joints":
-            joints = np.asarray(e.params.get("joints", DROP_JOINTS))
-            ok = (joints.ndim == 1 and joints.dtype.kind in "iu"
-                  and np.all((joints >= 0) & (joints < n)))
+            ok = _joint_indices(e.params.get("joints", DROP_JOINTS), n)
             want = f"a list of joint indices below {n}"
         else:
             ok, want = np.shape(e.params[key]) == (n,), f"a list of {n} numbers"
@@ -364,11 +402,11 @@ class _Wearer:
 
 
 def _advance(model: dyn.PlantModel, state: dyn.PlantState, u: np.ndarray,
-             wearer: _Wearer, t: float):
-    """Hold ``u`` across the physics substeps of one control tick. Returns
-    the new state, the time and the last substep's interaction torque."""
-    for _ in range(CONTROL_SUBSTEPS):
-        tau = wearer.torque(t, state)
+             wearer: _Wearer, t: float, tau: np.ndarray):
+    """Hold ``u`` across one tick's physics substeps, the first under ``tau``;
+    returns the new state, the time and the last substep's interaction torque."""
+    for i in range(CONTROL_SUBSTEPS):
+        tau = wearer.torque(t, state) if i else tau
         state = dyn.step(model, state, u, tau, PHYSICS_DT)
         t += PHYSICS_DT
     return state, t, tau
@@ -521,10 +559,11 @@ class _PlanExecutor:
 
 
 def run_scenario(scenario: Scenario, stack: SimStack, seed: int | None = None):
-    """Execute the closed loop; returns (TraceRecord, metrics dict). Event
-    params are checked against the plant before the first tick."""
+    """Execute the closed loop; returns (TraceRecord, metrics dict). The
+    scenario's per-joint values are checked against the plant before the
+    first tick."""
     model = stack.model
-    _check_joint_params(scenario.events, model.n)
+    _check_joint_params(scenario, model.n)
     rng = np.random.default_rng(scenario.seed if seed is None else seed)
     noise = scenario.sensor_noise
 
@@ -609,8 +648,8 @@ def run_scenario(scenario: Scenario, stack: SimStack, seed: int | None = None):
                 loading_since = t
 
             # control
-            belief = dyn.PlantState(q=q_s, qdot=qd_s, theta=th_s, thetadot=thd_s,
-                                    payload_mass=belief_payload, tau_e=tau_s)
+            # fresh, finite arrays: step checks the state, load_scenario the noise
+            belief = dyn.PlantState._unchecked(q_s, qd_s, th_s, thd_s, belief_payload, tau_s)
             move = executor.move
             if executor.mode == "impedance" and move is not None:
                 u = ctl.impedance_control(model, belief, move.q_d, move.qd_d,
@@ -620,8 +659,8 @@ def run_scenario(scenario: Scenario, stack: SimStack, seed: int | None = None):
                 u = ctl.transparent_control(model, belief, tau_s, stack.control.transparent)
                 q_d_row, qd_d_row = q_s, qd_s
 
-            # advance
-            state, _, _ = _advance(model, state, u, wearer, t)
+            # advance; the plant sees the wearer after sense pruned its transients
+            state, _, _ = _advance(model, state, u, wearer, t, wearer.torque(t, state))
 
             # record
             row = dict(t=t, s=s_value, mode=int(executor.mode == "impedance"),
@@ -756,8 +795,9 @@ def tracking_comparison(model: dyn.PlantModel, control_cfg: ctl.ControlConfig,
                 cmd = (q_d, qd_d, seg.qddot_d[0])
                 q_d, qd_d, _ = seg.sample(CONTROL_DT)
             arm.intent = lambda _t, cmd=cmd: cmd[:2]  # the wearer follows
-            u = ctl.impedance_control(model, state, *cmd, arm.torque(t, state), icfg)
-            state, t, _ = _advance(model, state, u, arm, t)
+            tau = arm.torque(t, state)
+            u = ctl.impedance_control(model, state, *cmd, tau, icfg)
+            state, t, _ = _advance(model, state, u, arm, t, tau)
             rows_q.append(state.q.copy())
             rows_ref.append(q_r)
             rows_cmd_v.append(cmd[1])
@@ -804,8 +844,7 @@ def collect_training_data(model: dyn.PlantModel, subjects: list[WearerParams],
 
         def noisy(vec, key):
             return vec + rng.standard_normal(vec.shape) * noise[key]
-        t = 0.0
-        motion_ends = 0.0
+        t = motion_ends = 0.0
         for tick in range(ticks_per_subject):
             if t >= motion_ends:
                 target = np.array([rng.uniform(lo, hi) for lo, hi in box])
@@ -813,10 +852,10 @@ def collect_training_data(model: dyn.PlantModel, subjects: list[WearerParams],
                 wearer.reach(t, wearer.intent(t)[0].copy(), target, move_t)
                 motion_ends = t + move_t + rng.uniform(0.1, 0.3)
             tau = wearer.torque(t, state)
-            belief = dyn.PlantState(q=noisy(state.q, "q"), qdot=noisy(state.qdot, "qdot"),
-                                    theta=state.theta, thetadot=state.thetadot, tau_e=tau)
+            belief = dyn.PlantState._unchecked(noisy(state.q, "q"), noisy(state.qdot, "qdot"),
+                                               state.theta, state.thetadot, 0.0, tau)
             u = ctl.transparent_control(model, belief, noisy(tau, "tau_e"), cfg)
-            state, t, tau = _advance(model, state, u, wearer, t)
+            state, t, tau = _advance(model, state, u, wearer, t, tau)
             rows.append(layout.pack(noisy(state.q, "q"), noisy(state.qdot, "qdot"),
                                     noisy(state.theta, "theta"),
                                     noisy(state.thetadot, "thetadot"), noisy(tau, "tau_e")))

@@ -105,9 +105,27 @@ def test_run_scenario_rejects_bad_scenario_file(tmp_path, capsys):
     ("replan_refractory", -0.5, "replan_refractory"),
     ("s_bar", float("nan"), "s_bar"),
     ("score_coupling_floor", None, "score_coupling_floor"),
+    ("seed", "x", "seed"),
+    ("seed", -1, "seed"),
+    ("seed", True, "seed"),
+    ("wearer", {"K_h": "x"}, "K_h"),
+    ("wearer", {"C_h": -1.0}, "C_h"),
+    ("wearer", {"saturation": -1}, "saturation"),
+    ("wearer", {"name": 7}, "name"),
+    ("wearer", {"K_h": [20.0, 20.0]}, "K_h"),
+    ("assist_joints", [0, 9], "assist_joints"),
+    ("start_pose_deg", [0, 15], "start_pose_deg"),
+    ("grasp_pose_deg", [0, 10, "x", 30], "grasp_pose_deg"),
+    ("sensor_noise", {"q": -1}, "sensor_noise q"),
+    ("sensor_noise", {"q": float("nan")}, "sensor_noise q"),
+    ("sensor_noise", {"qq": 0.1}, "sensor_noise"),
 ], ids=["unknown-wearer-field", "wearer-list", "string-duration", "negative-mass",
         "infinite-delay", "negative-settle", "boolean-load-time", "zero-reach",
-        "string-tolerance", "negative-refractory", "nan-threshold", "null-floor"])
+        "string-tolerance", "negative-refractory", "nan-threshold", "null-floor",
+        "string-seed", "negative-seed", "boolean-seed", "string-stiffness",
+        "negative-damping", "negative-saturation", "numeric-name", "short-stiffness",
+        "joint-out-of-range", "short-start-pose", "string-grasp-pose", "negative-noise",
+        "nan-noise", "unknown-noise-key"])
 def test_run_scenario_rejects_bad_scenario_value(tmp_path, capsys, field, value, name):
     scen = tmp_path / "scen.json"
     base = json.loads(scenario_path("raise_lower.json").read_text())

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exoassist import control as ctl
 from exoassist import dynamics as dyn
-from oracles import reference_step
+from oracles import reference_impedance_control, reference_step, reference_transparent_control
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +176,55 @@ def test_closed_loop_matches_reference_step(model):
     assert np.max(np.abs(fast.q - q0)) > 0.1  # the wearer moved the arm
     assert dq < 1e-9
     assert dqd < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# both controllers against their one-expression form
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def controller_cases(draw):
+    """A plant, a state (payload 0 or not), desired motion and torque, and
+    both configs with scalar or per-joint gains, each validated or not."""
+    n = draw(st.sampled_from([1, 2, 4, 6]))
+    n_c = draw(st.integers(1, n))
+
+    def vec(size, lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi, **_FINITE), min_size=size,
+                                      max_size=size)))
+
+    def gain(size, lo, hi):
+        return vec(size, lo, hi) if draw(st.booleans()) else draw(st.floats(lo, hi))
+
+    model = dyn.PlantModel(n=n, n_c=n_c, link_lengths=vec(n, 0.05, 0.4),
+                           link_masses=vec(n, 0.2, 3.0))
+    state = dyn.PlantState(q=vec(n, -np.pi, np.pi), qdot=vec(n, -3.0, 3.0),
+                           theta=vec(n_c, -np.pi, np.pi), thetadot=vec(n_c, -3.0, 3.0),
+                           payload_mass=draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0))))
+    desired = [vec(n, -np.pi, np.pi), vec(n, -3.0, 3.0), vec(n, -10.0, 10.0)]
+    tau_e = vec(n, -15.0, 15.0)
+    friction = dict(friction_scale=draw(st.floats(0.0, 1.5)),
+                    friction_comp_eps=draw(st.floats(0.01, 0.5)))
+    tcfg = ctl.TransparentConfig(gamma0=draw(st.floats(0.1, 2.0)), Kv=gain(n_c, 0.5, 10.0),
+                                 **friction)
+    icfg = ctl.ImpedanceConfig(Cd=gain(n, 1.0, 60.0), Kd=gain(n, 1.0, 100.0),
+                               w=draw(st.floats(0.2, 3.0)), Mv=gain(n, 0.1, 2.0),
+                               Kv=gain(n_c, 0.5, 10.0), **friction)
+    if draw(st.booleans()):
+        tcfg, icfg = tcfg.validated(n_c), icfg.validated(n, n_c)
+    return model, state, desired, tau_e, tcfg, icfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(controller_cases())
+def test_controllers_match_one_expression_form_bitwise(case):
+    model, state, desired, tau_e, tcfg, icfg = case
+    assert np.array_equal(ctl.transparent_control(model, state, tau_e, tcfg),
+                          reference_transparent_control(model, state, tau_e, tcfg))
+    assert np.array_equal(ctl.impedance_control(model, state, *desired, tau_e, icfg),
+                          reference_impedance_control(model, state, *desired, tau_e, icfg))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,12 @@ parameters and the calibration scale, within a relative 1e-9. That leaves
 room for another BLAS kernel's rounding and none for a change to the
 training arithmetic.
 
+``collect_training_data.json`` records a short transparent-mode collection
+(2 subjects x 2 s, seed 7): the window array's shape, 200 evenly spaced
+entries of the raw windows and the channel mean and std, within a relative
+1e-9 (absolute 1e-12). Nothing else guards the per-tick arithmetic of the
+transparent controller and the wearer under sensor noise.
+
 Regenerate only for an intended change of behaviour:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -44,6 +50,8 @@ TRACKING_ARGS = {"q_start_deg": [0, 5, 0, 20], "q_peak_deg": [0, 95, 0, 20],
                  "t_f": 3.0, "speed_limit_deg": 30.0}
 TRAIN_RTOL = 1e-9
 TRAIN_SAMPLES = 200  # fixed, evenly spaced entries of the final flat parameters
+COLLECT_RTOL, COLLECT_ATOL = 1e-9, 1e-12
+COLLECT_SAMPLES = 200  # fixed, evenly spaced entries of the raw windows
 
 
 def golden_run(name: str) -> dict:
@@ -98,6 +106,19 @@ def training_run() -> dict:
             "n_params": int(flat.size), "cal_scale": detector.calibrate(normed[:48])}
 
 
+def collection_run() -> dict:
+    """Collect 2 subjects x 2 s of transparent-mode windows on the bundled plant."""
+    subjects = [hz.WearerParams(name="subject-a"),
+                hz.WearerParams(name="subject-b", K_h=25.0, C_h=6.0)]
+    data = hz.collect_training_data(dyn.load_plant_config(pl.data_path("plant.json")),
+                                    subjects, duration=2.0, seed=7)
+    raw = data["raw"].ravel()
+    idx = np.linspace(0, raw.size - 1, COLLECT_SAMPLES).astype(int)
+    return {"shape": list(data["raw"].shape), "raw_index": idx.tolist(),
+            "raw": raw[idx].tolist(), "mean": data["stats"].mean.tolist(),
+            "std": data["stats"].std.tolist()}
+
+
 def _assert_report_matches(got: dict, want: dict) -> None:
     assert sorted(got) == sorted(want)
     for key, ref in want.items():
@@ -143,6 +164,16 @@ def test_golden_training_run():
         np.testing.assert_allclose(got[key], want[key], rtol=TRAIN_RTOL, err_msg=key)
 
 
+def test_golden_collection_run():
+    want = json.loads((GOLDEN_DIR / "collect_training_data.json").read_text())
+    got = collection_run()
+    assert got["shape"] == want["shape"]
+    assert got["raw_index"] == want["raw_index"]
+    for key in ("raw", "mean", "std"):
+        np.testing.assert_allclose(got[key], want[key], rtol=COLLECT_RTOL,
+                                   atol=COLLECT_ATOL, err_msg=key)
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for scenario_name in SCENARIOS:
@@ -154,4 +185,7 @@ if __name__ == "__main__":
     print(f"wrote {path}")
     path = GOLDEN_DIR / "train_denoiser.json"
     path.write_text(json.dumps(training_run()) + "\n")
+    print(f"wrote {path}")
+    path = GOLDEN_DIR / "collect_training_data.json"
+    path.write_text(json.dumps(collection_run()) + "\n")
     print(f"wrote {path}")

@@ -343,6 +343,36 @@ def test_wrong_event_vector_fails_before_the_first_tick(no_physics, events, matc
         hz.run_scenario(scen, stack)
 
 
+@pytest.mark.parametrize("fields, match", [
+    ({"assist_joints": (0, 4)}, "assist_joints"),
+    ({"assist_joints": (0.0, 1.0)}, "assist_joints"),
+    ({"start_pose_deg": (0.0, 15.0, 0.0)}, "start_pose_deg"),
+    ({"grasp_pose_deg": (5.0, 30.0, float("inf"), 60.0)}, "grasp_pose_deg"),
+    ({"wearer": hz.WearerParams(C_h=[5.0, 5.0, 5.0])}, "C_h"),
+], ids=["joint-range", "joint-type", "pose-length", "pose-inf", "damping-length"])
+def test_wrong_scenario_vector_fails_before_the_first_tick(no_physics, fields, match):
+    stack = hz.SimStack(model=dyn.default_model(),
+                        control=ctl.load_control_config(pl.data_path("control.json")),
+                        planner=None)
+    scen = hz.Scenario(name="x", task="help me drink water", duration=1.0, **fields)
+    with pytest.raises(dyn.ConfigError, match=match):
+        hz.run_scenario(scen, stack)
+
+
+def test_per_joint_wearer_gains_load_and_run(tmp_path):
+    path = tmp_path / "scen.json"
+    base = json.loads(scenario_path("raise_lower.json").read_text())
+    path.write_text(json.dumps({**base, "duration": 0.5,
+                                "wearer": {"K_h": [20, 20, 20, 25], "C_h": 5}}))
+    scen = hz.load_scenario(path)
+    stack = hz.SimStack(model=dyn.load_plant_config(pl.data_path("plant.json")),
+                        control=ctl.load_control_config(pl.data_path("control.json")),
+                        planner=pl.PlannerRuntime(pl.RuleScorer(pl.load_corpus(
+                            pl.data_path("corpus.jsonl"))), pl.default_library()))
+    trace, report = hz.run_scenario(scen, stack)
+    assert report.get("fault") is None and len(trace) == 50
+
+
 # ---------------------------------------------------------------------------
 # a go_target without a paramset before it
 
