@@ -6,15 +6,12 @@ joint side). Direct-driven and cable-driven joints are split by the
 selection matrices S1 and S2. All public operations are pure functions of
 (model, state); ``step`` returns a fresh state.
 
-The rigid-body terms come from two paths. The hot path, used by ``step``
-and by both controllers, is ``_rigid_body_terms``: a single-state kernel
-on Python floats that returns M(q) and the bias torque
-h = C(q, qdot) qdot + g(q) from one forward and one backward pass. The
-reference path is batched forward kinematics in real or complex
-arithmetic; it serves the batched public helpers (``mass_matrix``,
-``gravity_vector``, ...) and, by complex-step differentiation,
-``mass_matrix_derivatives`` and ``coriolis_matrix``. The tests hold the
-kernel to the reference.
+The rigid-body terms have one implementation, ``_rigid_body_terms``: a
+single-state kernel on Python floats that returns M(q) and the bias torque
+h = C(q, qdot) qdot + g(q) from one forward and one backward pass. ``step``,
+both controllers, ``mass_matrix``, ``gravity_vector`` and
+``coriolis_matrix`` all use it. The tests hold it to an independent
+complex-step reference in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -32,7 +29,6 @@ __all__ = [
     "PlantModel",
     "PlantState",
     "mass_matrix",
-    "mass_matrix_derivatives",
     "coriolis_matrix",
     "gravity_vector",
     "friction_torque",
@@ -264,163 +260,39 @@ def default_model() -> PlantModel:
 
 
 # ---------------------------------------------------------------------------
-# forward kinematics: the reference path
-#
-# These helpers accept q of shape (n,) or batched (B, n), real or complex;
-# a complex q lets ``_plant_terms`` take dM/dq by complex-step
-# differentiation at machine precision.
+# forward kinematics
 
 
 def _check_q(model: PlantModel, q) -> np.ndarray:
-    q = np.asarray(q)
-    if q.shape[-1] != model.n:
-        raise ValueError(f"q must have length {model.n}, got shape {q.shape}")
-    if not np.all(np.isfinite(q.real)) or not np.all(np.isfinite(q.imag if np.iscomplexobj(q) else q.real)):
+    q = np.asarray(q, dtype=float)
+    if q.shape != (model.n,):
+        raise ValueError(f"q must be one configuration of length {model.n}, got shape {q.shape}")
+    if not np.all(np.isfinite(q)):
         raise ValueError("q must be finite")
     return q
 
 
-def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross product for (..., 3) arrays (faster than np.cross here)."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    return out
-
-
 def _fk(model: PlantModel, q: np.ndarray):
-    """Batched forward kinematics.
-
-    Returns world-frame joint positions ``p`` (B,n,3), link rotations ``R``
-    (B,n,3,3), COM positions ``c`` (B,n,3), joint axes ``k`` (B,n,3) and the
-    end-effector position (B,3).
-    """
-    q = np.atleast_2d(q)
-    B, n = q.shape
-    dtype = complex if np.iscomplexobj(q) else float
-
-    R_parent = np.zeros((B, 3, 3), dtype=dtype)
-    R_parent[:] = np.eye(3)
-    p_parent = np.zeros((B, 3), dtype=dtype)
-
-    p = np.empty((B, n, 3), dtype=dtype)
-    R = np.empty((B, n, 3, 3), dtype=dtype)
-    c = np.empty((B, n, 3), dtype=dtype)
-    k = np.empty((B, n, 3), dtype=dtype)
-    eye3 = np.eye(3)
-
-    for i in range(n):
-        p_i = p_parent + R_parent @ model.joint_offsets[i]
-        ang = q[:, i]
-        s, co = np.sin(ang), np.cos(ang)
-        rot = (
-            eye3
-            + s[:, None, None] * model._axis_skew[i]
-            + (1.0 - co)[:, None, None] * model._axis_skew2[i]
-        )
-        R_i = R_parent @ rot
-        p[:, i] = p_i
-        R[:, i] = R_i
-        k[:, i] = R_parent @ model.axes[i]
-        c[:, i] = p_i + R_i @ model.com_offsets[i]
-        R_parent, p_parent = R_i, p_i
-
-    ee = p_parent + R_parent @ model.ee_offset
-    return p, R, c, k, ee
-
-
-def _dynamics_terms(model: PlantModel, q: np.ndarray, payload_mass: float):
-    """Mass matrix (B,n,n) and gravity vector (B,n) in one kinematic pass."""
-    q2 = np.atleast_2d(q)
-    B, n = q2.shape
-    p, R, c, k, ee = _fk(model, q2)
-    dtype = p.dtype
-
-    M = np.zeros((B, n, n), dtype=dtype)
-    gvec = np.zeros((B, n), dtype=dtype)
-    g = model.gravity
-    # km holds the joint axes with rows beyond the current link zeroed;
-    # links are processed in descending order so the mask grows in place.
-    km = k.copy()
-
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            km[:, i + 1, :] = 0.0
-        # linear part: Jacobian rows cols[j] = k_j x (c_i - p_j) for j <= i
-        diff = c[:, i][:, None, :] - p
-        cols = _cross_rows(km, diff)  # (B,n,3)
-        m_i = model.link_masses[i]
-        M += m_i * (cols @ np.swapaxes(cols, 1, 2))
-        # angular part: Jw rows are the masked world joint axes
-        Iw = R[:, i] @ model.inertia_local[i] @ np.swapaxes(R[:, i], 1, 2)
-        M += km @ Iw @ np.swapaxes(km, 1, 2)
-        gvec += (m_i * g) * cols[:, :, 2]
-        if payload_mass > 0.0 and i == n - 1:
-            diff = ee[:, None, :] - p
-            cols = _cross_rows(km, diff)
-            M += payload_mass * (cols @ np.swapaxes(cols, 1, 2))
-            gvec += (payload_mass * g) * cols[:, :, 2]
-
-    return M, gvec
-
-
-def mass_matrix(model: PlantModel, q, payload_mass: float = 0.0) -> np.ndarray:
-    """Joint-space inertia matrix; the payload enters as an end-effector point mass."""
-    q = _check_q(model, q)
-    M, _ = _dynamics_terms(model, q, payload_mass)
-    return M[0] if q.ndim == 1 else M
-
-
-def gravity_vector(model: PlantModel, q, payload_mass: float = 0.0) -> np.ndarray:
-    """Gradient of total gravitational potential with respect to q."""
-    q = _check_q(model, q)
-    _, g = _dynamics_terms(model, q, payload_mass)
-    return g[0] if q.ndim == 1 else g
-
-
-def _plant_terms(model: PlantModel, q: np.ndarray, payload_mass: float):
-    """M(q), g(q) and the derivative stack dM/dq in one complex-step batch."""
-    h = 1e-100
-    q_batch = q[None, :] + 1j * h * np.eye(model.n)
-    M_batch, g_batch = _dynamics_terms(model, q_batch, payload_mass)
-    return M_batch[0].real, g_batch[0].real, M_batch.imag / h
-
-
-def _christoffel(D: np.ndarray, qdot: np.ndarray) -> np.ndarray:
-    """Coriolis matrix from the derivative stack D[k] = dM/dq_k."""
-    return 0.5 * (
-        np.einsum("kij,k->ij", D, qdot)
-        + np.einsum("jik,k->ij", D, qdot)
-        - np.einsum("ijk,k->ij", D, qdot)
-    )
-
-
-def mass_matrix_derivatives(model: PlantModel, q, payload_mass: float = 0.0) -> np.ndarray:
-    """Stack dM/dq_k, shape (n, n, n), via complex-step differentiation."""
-    q = np.asarray(q, dtype=float)
-    _check_q(model, q)
-    _, _, D = _plant_terms(model, q, payload_mass)
-    return D
-
-
-def coriolis_matrix(model: PlantModel, q, qdot, payload_mass: float = 0.0) -> np.ndarray:
-    """Coriolis matrix from Christoffel symbols, so Mdot - 2C is skew-symmetric."""
-    q = np.asarray(q, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
-    _check_q(model, q)
-    if qdot.shape != (model.n,) or not np.all(np.isfinite(qdot)):
-        raise ValueError(f"qdot must be finite with length {model.n}")
-    return _christoffel(mass_matrix_derivatives(model, q, payload_mass), qdot)
+    """World positions of the link centres of mass (n, 3) and of the end
+    effector (3,) for one checked configuration."""
+    R, p = np.eye(3), np.zeros(3)
+    c = np.empty((model.n, 3))
+    s, co = np.sin(q), np.cos(q)
+    for i in range(model.n):
+        p = p + R @ model.joint_offsets[i]
+        R = R @ (np.eye(3) + s[i] * model._axis_skew[i] + (1.0 - co[i]) * model._axis_skew2[i])
+        c[i] = p + R @ model.com_offsets[i]
+    return c, p + R @ model.ee_offset
 
 
 # ---------------------------------------------------------------------------
-# single-state kernel
+# the rigid-body kernel
 #
-# The 1 kHz plant and both controllers need M(q) and the bias torque
-# h = C(q, qdot) qdot + g(q) for one state at a time. On 3-vectors numpy's
-# per-call overhead costs more than the arithmetic, so this kernel works on
-# Python floats (Featherstone, Rigid Body Dynamics Algorithms, 2008):
+# M(q) and the bias torque h = C(q, qdot) qdot + g(q) for one state: the
+# plant, both controllers and the public helpers below all take them from
+# here. On 3-vectors numpy's per-call overhead costs more than the
+# arithmetic, so the kernel works on Python floats (Featherstone, Rigid
+# Body Dynamics Algorithms, 2008):
 #
 # - a forward pass for the link frames, velocities and accelerations;
 # - a backward recursive Newton-Euler pass for h, with qddot = 0 and gravity
@@ -431,8 +303,8 @@ def coriolis_matrix(model: PlantModel, q, qdot, payload_mass: float = 0.0) -> np
 #
 # It relies on what PlantModel builds: every joint axis is a principal axis
 # of the parent link's frame, and every link, COM offset and inertia tensor
-# is symmetric about the link's local z axis. The complex-step path above
-# (``_plant_terms``, ``_christoffel``) is its reference.
+# is symmetric about the link's local z axis. The tests hold it to an
+# independent complex-step reference in ``tests/oracles.py``.
 
 
 def _cross(a, b):
@@ -535,6 +407,38 @@ def _rigid_body_terms(model: PlantModel, q: np.ndarray, qdot: np.ndarray,
     return (None if M is None else np.array(M)), np.array(h)
 
 
+def mass_matrix(model: PlantModel, q, payload_mass: float = 0.0) -> np.ndarray:
+    """Joint-space inertia matrix; the payload enters as an end-effector point mass."""
+    q = _check_q(model, q)
+    return _rigid_body_terms(model, q, np.zeros(model.n), payload_mass)[0]
+
+
+def gravity_vector(model: PlantModel, q, payload_mass: float = 0.0) -> np.ndarray:
+    """Gradient of total gravitational potential with respect to q."""
+    q = _check_q(model, q)
+    return _rigid_body_terms(model, q, np.zeros(model.n), payload_mass, with_mass=False)[1]
+
+
+def coriolis_matrix(model: PlantModel, q, qdot, payload_mass: float = 0.0) -> np.ndarray:
+    """Coriolis matrix from Christoffel symbols, so Mdot - 2C is skew-symmetric.
+
+    G(v) = h(q, v) - g(q) is the quadratic form of the symmetric bilinear
+    map B with B(qdot, e_j) = C e_j, so by polarization column j of C is
+    [G(qdot + e_j) - G(qdot) - G(e_j)] / 2.
+    """
+    q = _check_q(model, q)
+    qdot = np.asarray(qdot, dtype=float)
+    if qdot.shape != (model.n,) or not np.all(np.isfinite(qdot)):
+        raise ValueError(f"qdot must be finite with length {model.n}")
+
+    def bias(v):
+        return _rigid_body_terms(model, q, v, payload_mass, with_mass=False)[1]
+
+    # G(qdot + e_j) - G(e_j) = h(qdot + e_j) - h(e_j): their g's cancel
+    G_qdot = bias(qdot) - bias(np.zeros(model.n))
+    return 0.5 * np.column_stack([bias(qdot + e) - bias(e) - G_qdot for e in np.eye(model.n)])
+
+
 # ---------------------------------------------------------------------------
 # friction, energy and the integrator
 
@@ -557,26 +461,19 @@ def _friction(model: PlantModel, thetadot: np.ndarray) -> np.ndarray:
 
 def link_com_positions(model: PlantModel, q) -> np.ndarray:
     """World positions of all link centres of mass, shape (n, 3)."""
-    q = _check_q(model, q)
-    _, _, c, _, _ = _fk(model, q)
-    return c[0].real if q.ndim == 1 else c.real
+    return _fk(model, _check_q(model, q))[0]
 
 
 def end_effector_position(model: PlantModel, q) -> np.ndarray:
-    q = _check_q(model, q)
-    _, _, _, _, ee = _fk(model, q)
-    return ee[0].real if q.ndim == 1 else ee.real
+    return _fk(model, _check_q(model, q))[1]
 
 
 def potential_energy(model: PlantModel, q, payload_mass: float = 0.0) -> float:
     """Total gravitational potential, zero datum at the shoulder."""
-    q = _check_q(model, np.asarray(q, dtype=float))
-    if q.ndim != 1:
-        raise ValueError(f"q must be one configuration of length {model.n}")
-    _, _, c, _, ee = _fk(model, q)
-    u = float(np.sum(model.link_masses * c[0, :, 2].real) * model.gravity)
+    c, ee = _fk(model, _check_q(model, q))
+    u = float(np.sum(model.link_masses * c[:, 2]) * model.gravity)
     if payload_mass > 0.0:
-        u += payload_mass * model.gravity * float(ee[0, 2].real)
+        u += payload_mass * model.gravity * float(ee[2])
     return u
 
 

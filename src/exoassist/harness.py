@@ -226,6 +226,18 @@ def _load_event(raw: dict, duration: float) -> EventSpec:
     return EventSpec(type=kind, t=t, params=params)
 
 
+def _check_sensor_noise(noise) -> None:
+    """ConfigError unless ``noise`` maps keys of DEFAULT_SENSOR_NOISE to
+    standard deviations >= 0. It replaces DEFAULT_SENSOR_NOISE as a whole:
+    a missing key is no noise."""
+    if not isinstance(noise, dict) or not set(noise) <= set(DEFAULT_SENSOR_NOISE):
+        raise dyn.ConfigError(f"sensor_noise must be an object with keys among "
+                              f"{list(DEFAULT_SENSOR_NOISE)}")
+    for key, sd in noise.items():
+        if ctl._number(sd, f"sensor_noise {key}", positive=False) < 0:
+            raise dyn.ConfigError(f"sensor_noise {key} must be a number >= 0")
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario file; unknown or missing fields, a scalar field out
     of its ``SCENARIO_NUMBERS`` bound, a bad wearer value, seed or sensor
@@ -260,13 +272,7 @@ def load_scenario(path: str | Path) -> Scenario:
     if isinstance(scenario.seed, bool) or not isinstance(scenario.seed, int) \
             or scenario.seed < 0:
         raise dyn.ConfigError("scenario seed must be a non-negative integer")
-    noise = scenario.sensor_noise  # replaces DEFAULT_SENSOR_NOISE: a missing key is no noise
-    if not isinstance(noise, dict) or not set(noise) <= set(DEFAULT_SENSOR_NOISE):
-        raise dyn.ConfigError(f"scenario sensor_noise must be an object with keys among "
-                              f"{list(DEFAULT_SENSOR_NOISE)}")
-    for key, sd in noise.items():
-        if ctl._number(sd, f"sensor_noise {key}", positive=False) < 0:
-            raise dyn.ConfigError(f"sensor_noise {key} must be a number >= 0")
+    _check_sensor_noise(scenario.sensor_noise)
     scenario.events = [_load_event(e, scenario.duration) for e in raw_events]
     return scenario
 
@@ -320,8 +326,8 @@ class EventOutcome:
 
 
 def inject_event(state: dyn.PlantState, event: EventSpec,
-                 model: dyn.PlantModel | None = None) -> EventOutcome:
-    """Apply one scripted event to the plant state.
+                 model: dyn.PlantModel) -> EventOutcome:
+    """Apply one scripted event to the plant state of ``model``.
 
     ``drop`` zeroes the payload and returns a decaying torque transient
     whose signs follow the payload's former gravity load on the cable-side
@@ -332,7 +338,6 @@ def inject_event(state: dyn.PlantState, event: EventSpec,
         if state.payload_mass > 0.0:
             amp = float(event.params.get("amplitude", 2.0))
             decay = float(event.params.get("decay", 0.1))
-            model = model or dyn.default_model()
             g_load = dyn.gravity_vector(model, state.q, state.payload_mass) \
                 - dyn.gravity_vector(model, state.q, 0.0)
             signs = np.sign(g_load)
@@ -823,7 +828,9 @@ def collect_training_data(model: dyn.PlantModel, subjects: list[WearerParams],
 
     Returns a dict with raw windows (M, L_s, per_tick), per-window subject
     tags, a contiguous 80/20 train/validation split, and the channel stats
-    computed on the training part only.
+    computed on the training part only. ``sensor_noise`` follows a
+    scenario's rule (a missing key is no noise; a bad one raises
+    ConfigError).
     """
     layout = ChannelLayout(n=model.n, n_c=model.n_c)
     ticks_per_subject = int(round(duration / CONTROL_DT))
@@ -831,6 +838,7 @@ def collect_training_data(model: dyn.PlantModel, subjects: list[WearerParams],
         raise ValueError("duration too short for a single sensory window")
     cfg = (cfg or ctl.TransparentConfig()).validated(model.n_c)
     noise = DEFAULT_SENSOR_NOISE if sensor_noise is None else sensor_noise
+    _check_sensor_noise(noise)
     box = [np.radians(np.array(b, dtype=float)) for b in motion_box_deg]
 
     all_windows = []
@@ -843,7 +851,7 @@ def collect_training_data(model: dyn.PlantModel, subjects: list[WearerParams],
         rows = []
 
         def noisy(vec, key):
-            return vec + rng.standard_normal(vec.shape) * noise[key]
+            return vec + rng.standard_normal(vec.shape) * noise.get(key, 0.0)
         t = motion_ends = 0.0
         for tick in range(ticks_per_subject):
             if t >= motion_ends:

@@ -1,7 +1,15 @@
-"""Shared oracles: brute-force QP for the QP and trajectory tests, the
-complex-step plant step for the dynamics and control tests, and the
-controllers as first written (one expression each, S2' as a matrix
-product) for the control tests."""
+"""Shared oracles for the tests.
+
+- ``brute_force_qp``: the QP by enumeration of active sets.
+- The plant's rigid-body terms by a route independent of the package's
+  Newton-Euler kernel, which is held to them: batched forward kinematics
+  in real or complex arithmetic (``fk``), M(q) and g(q) from Jacobians
+  (``dynamics_terms``), dM/dq by complex-step differentiation
+  (``plant_terms``) and C from Christoffel symbols (``christoffel``).
+  ``reference_step`` is the plant step on them.
+- The controllers as first written (one expression each, S2' as a matrix
+  product).
+"""
 import itertools
 
 import numpy as np
@@ -47,13 +55,115 @@ def brute_force_qp(H, f, A_in, b_in, tol=1e-9):
     return best, best_obj
 
 
+def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product for (..., 3) arrays (faster than np.cross here)."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
+
+
+def fk(model: dyn.PlantModel, q: np.ndarray):
+    """Batched forward kinematics.
+
+    Returns world-frame joint positions ``p`` (B,n,3), link rotations ``R``
+    (B,n,3,3), COM positions ``c`` (B,n,3), joint axes ``k`` (B,n,3) and the
+    end-effector position (B,3).
+    """
+    q = np.atleast_2d(q)
+    B, n = q.shape
+    dtype = complex if np.iscomplexobj(q) else float
+
+    R_parent = np.zeros((B, 3, 3), dtype=dtype)
+    R_parent[:] = np.eye(3)
+    p_parent = np.zeros((B, 3), dtype=dtype)
+
+    p = np.empty((B, n, 3), dtype=dtype)
+    R = np.empty((B, n, 3, 3), dtype=dtype)
+    c = np.empty((B, n, 3), dtype=dtype)
+    k = np.empty((B, n, 3), dtype=dtype)
+    eye3 = np.eye(3)
+
+    for i in range(n):
+        p_i = p_parent + R_parent @ model.joint_offsets[i]
+        ang = q[:, i]
+        s, co = np.sin(ang), np.cos(ang)
+        rot = (
+            eye3
+            + s[:, None, None] * model._axis_skew[i]
+            + (1.0 - co)[:, None, None] * model._axis_skew2[i]
+        )
+        R_i = R_parent @ rot
+        p[:, i] = p_i
+        R[:, i] = R_i
+        k[:, i] = R_parent @ model.axes[i]
+        c[:, i] = p_i + R_i @ model.com_offsets[i]
+        R_parent, p_parent = R_i, p_i
+
+    ee = p_parent + R_parent @ model.ee_offset
+    return p, R, c, k, ee
+
+
+def dynamics_terms(model: dyn.PlantModel, q: np.ndarray, payload_mass: float):
+    """Mass matrix (B,n,n) and gravity vector (B,n) in one kinematic pass."""
+    q2 = np.atleast_2d(q)
+    B, n = q2.shape
+    p, R, c, k, ee = fk(model, q2)
+    dtype = p.dtype
+
+    M = np.zeros((B, n, n), dtype=dtype)
+    gvec = np.zeros((B, n), dtype=dtype)
+    g = model.gravity
+    # km holds the joint axes with rows beyond the current link zeroed;
+    # links are processed in descending order so the mask grows in place.
+    km = k.copy()
+
+    for i in range(n - 1, -1, -1):
+        if i + 1 < n:
+            km[:, i + 1, :] = 0.0
+        # linear part: Jacobian rows cols[j] = k_j x (c_i - p_j) for j <= i
+        diff = c[:, i][:, None, :] - p
+        cols = cross_rows(km, diff)  # (B,n,3)
+        m_i = model.link_masses[i]
+        M += m_i * (cols @ np.swapaxes(cols, 1, 2))
+        # angular part: Jw rows are the masked world joint axes
+        Iw = R[:, i] @ model.inertia_local[i] @ np.swapaxes(R[:, i], 1, 2)
+        M += km @ Iw @ np.swapaxes(km, 1, 2)
+        gvec += (m_i * g) * cols[:, :, 2]
+        if payload_mass > 0.0 and i == n - 1:
+            diff = ee[:, None, :] - p
+            cols = cross_rows(km, diff)
+            M += payload_mass * (cols @ np.swapaxes(cols, 1, 2))
+            gvec += (payload_mass * g) * cols[:, :, 2]
+
+    return M, gvec
+
+
+def plant_terms(model: dyn.PlantModel, q: np.ndarray, payload_mass: float):
+    """M(q), g(q) and the derivative stack dM/dq in one complex-step batch."""
+    h = 1e-100
+    q_batch = q[None, :] + 1j * h * np.eye(model.n)
+    M_batch, g_batch = dynamics_terms(model, q_batch, payload_mass)
+    return M_batch[0].real, g_batch[0].real, M_batch.imag / h
+
+
+def christoffel(D: np.ndarray, qdot: np.ndarray) -> np.ndarray:
+    """Coriolis matrix from the derivative stack D[k] = dM/dq_k."""
+    return 0.5 * (
+        np.einsum("kij,k->ij", D, qdot)
+        + np.einsum("jik,k->ij", D, qdot)
+        - np.einsum("ijk,k->ij", D, qdot)
+    )
+
+
 def reference_step(model, state, u, tau_e, dt):
     """Semi-implicit Euler plant step on the complex-step reference terms:
-    M, g and dM/dq from ``_plant_terms``, C from ``_christoffel``."""
+    M, g and dM/dq from ``plant_terms``, C from ``christoffel``."""
     q, qd = state.q, state.qdot
     th, thd = state.theta, state.thetadot
-    M, g, D = dyn._plant_terms(model, q, state.payload_mass)
-    C = dyn._christoffel(D, qd)
+    M, g, D = plant_terms(model, q, state.payload_mass)
+    C = christoffel(D, qd)
     tau_f = dyn.friction_torque(model, thd)
     spring = model.K @ (th - model.S2 @ q)
 

@@ -127,6 +127,7 @@ def test_training_is_seed_deterministic(small_setup):
     assert h1["train"] == h2["train"]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diverges on purpose
 def test_training_nan_aborts_with_diagnostics(small_setup):
     normed = small_setup["normed"][:64]
     sch = ano.NoiseSchedule.linear(T=10, nu=3)

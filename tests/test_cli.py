@@ -37,6 +37,7 @@ def test_train_detector_writes_checkpoint(small_checkpoint):
     assert det.cal_scale > 0.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diverges on purpose
 def test_train_detector_nonzero_exit_on_divergence(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from exoassist import control as ctl
 from exoassist import dynamics as dyn
-from oracles import reference_impedance_control, reference_step, reference_transparent_control
+from oracles import (christoffel, plant_terms, reference_impedance_control, reference_step,
+                     reference_transparent_control)
 
 
 @pytest.fixture(scope="module")
@@ -149,8 +150,8 @@ def test_transparent_matches_reference_terms(model):
     cfg = ctl.TransparentConfig()
     tau_e = np.array([0.2, -0.1, 0.05, 0.3])
     u = ctl.transparent_control(model, state, tau_e, cfg)
-    M, g, D = dyn._plant_terms(model, q, 0.4)
-    C = dyn._christoffel(D, qd)
+    M, g, D = plant_terms(model, q, 0.4)
+    C = christoffel(D, qd)
     tau_hat = ctl._friction_estimate(model, state.thetadot, 1.0, cfg.friction_comp_eps)
     expected = (tau_e / cfg.gamma0 + C @ qd + g - model.S2.T @ tau_hat - tau_e
                 + ctl.fast_term(state, cfg.Kv))
@@ -237,8 +238,8 @@ def test_impedance_zero_error_is_feedforward(model):
     state = dyn.PlantState(q=q, qdot=qd, theta=model.S2 @ q, thetadot=model.S2 @ qd)
     cfg = ctl.ImpedanceConfig(w=2.0)
     u = ctl.impedance_control(model, state, q, qd, np.zeros(4), np.zeros(4), cfg)
-    M, g, D = dyn._plant_terms(model, q, 0.0)
-    C = dyn._christoffel(D, qd)
+    M, g, D = plant_terms(model, q, 0.0)
+    C = christoffel(D, qd)
     tau_hat = ctl._friction_estimate(model, state.thetadot, 1.0, cfg.friction_comp_eps)
     expected = C @ qd + g - model.S2.T @ tau_hat + ctl.fast_term(state, cfg.Kv)
     assert np.allclose(u, expected, atol=1e-12)

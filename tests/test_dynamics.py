@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exoassist import dynamics as dyn
+from oracles import christoffel, fk, plant_terms
 
 
 @pytest.fixture(scope="module")
@@ -69,10 +70,10 @@ def test_kinetic_energy_matches_link_sum(model):
         for i in range(model.n):
             ke_oracle += 0.5 * model.link_masses[i] * v_com[i] @ v_com[i]
             # angular velocity from FD of the link rotation matrix
-            _, Rp, _, _, _ = dyn._fk(model, (q + h * qdot)[None, :])
-            _, Rm, _, _, _ = dyn._fk(model, (q - h * qdot)[None, :])
+            _, Rp, _, _, _ = fk(model, (q + h * qdot)[None, :])
+            _, Rm, _, _, _ = fk(model, (q - h * qdot)[None, :])
             Rdot = (Rp[0, i].real - Rm[0, i].real) / (2 * h)
-            R0 = dyn._fk(model, q[None, :])[1][0, i].real
+            R0 = fk(model, q[None, :])[1][0, i].real
             W = Rdot @ R0.T  # skew(omega)
             omega = np.array([W[2, 1], W[0, 2], W[1, 0]])
             Iw = R0 @ model.inertia_local[i] @ R0.T
@@ -100,13 +101,18 @@ def test_energies_reject_bad_q(model, q):
         dyn.total_energy(model, state)
 
 
-def test_potential_energy_rejects_batched_q(model):
+@pytest.mark.parametrize("helper", [
+    dyn.mass_matrix, dyn.gravity_vector, dyn.end_effector_position, dyn.link_com_positions,
+    dyn.potential_energy, lambda model, q: dyn.coriolis_matrix(model, q, np.zeros(model.n)),
+], ids=["mass_matrix", "gravity_vector", "end_effector_position", "link_com_positions",
+        "potential_energy", "coriolis_matrix"])
+def test_helpers_reject_batched_q(model, helper):
     with pytest.raises(ValueError, match="q must"):
-        dyn.potential_energy(model, np.zeros((2, model.n)))
+        helper(model, np.zeros((2, model.n)))
 
 
 # ---------------------------------------------------------------------------
-# single-state kernel against the complex-step reference
+# the kernel and the public helpers against the complex-step reference
 
 _FINITE = dict(allow_nan=False, allow_infinity=False)
 
@@ -129,13 +135,21 @@ def chain_states(draw):
 @given(chain_states())
 def test_rigid_body_kernel_matches_complex_step(case):
     model, q, qdot, payload = case
-    M_ref, g, D = dyn._plant_terms(model, q, payload)
-    h_ref = dyn._christoffel(D, qdot) @ qdot + g
+    M_ref, g_ref, D = plant_terms(model, q, payload)
+    C_ref = christoffel(D, qdot)
+    h_ref = C_ref @ qdot + g_ref
+
+    def assert_close(value, ref):
+        assert np.max(np.abs(value - ref)) <= 1e-12 * max(1.0, np.linalg.norm(ref))
+
     M, h = dyn._rigid_body_terms(model, q, qdot, payload)
-    assert np.max(np.abs(M - M_ref)) <= 1e-12 * max(1.0, np.linalg.norm(M_ref))
-    assert np.max(np.abs(h - h_ref)) <= 1e-12 * max(1.0, np.linalg.norm(h_ref))
+    assert_close(M, M_ref)
+    assert_close(h, h_ref)
     M_none, h_only = dyn._rigid_body_terms(model, q, qdot, payload, with_mass=False)
     assert M_none is None and np.array_equal(h_only, h)
+    assert_close(dyn.mass_matrix(model, q, payload), M_ref)
+    assert_close(dyn.gravity_vector(model, q, payload), g_ref)
+    assert_close(dyn.coriolis_matrix(model, q, qdot, payload), C_ref)
 
 
 # ---------------------------------------------------------------------------

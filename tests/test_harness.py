@@ -44,19 +44,21 @@ def test_drop_gravity_step_matches_moment_arm(trained):
 
 
 def test_payload_step_and_torque_pulse(trained):
-    state = dyn.settled_state(trained["model"], np.zeros(4))
+    model = trained["model"]
+    state = dyn.settled_state(model, np.zeros(4))
     out = hz.inject_event(state, hz.EventSpec(type="payload_step", t=0.0,
-                                              params={"mass": 1.2}))
+                                              params={"mass": 1.2}), model)
     assert out.state.payload_mass == 1.2
     out = hz.inject_event(state, hz.EventSpec(type="torque_pulse", t=0.0,
-                                              params={"amplitude": [0, 1, 0, 0]}))
+                                              params={"amplitude": [0, 1, 0, 0]}), model)
     assert out.transient["amplitude"][1] == 1.0
 
 
 def test_unknown_event_rejected(trained):
-    state = dyn.settled_state(trained["model"], np.zeros(4))
+    model = trained["model"]
+    state = dyn.settled_state(model, np.zeros(4))
     with pytest.raises(ValueError, match="unknown event"):
-        hz.inject_event(state, hz.EventSpec(type="teleport", t=0.0))
+        hz.inject_event(state, hz.EventSpec(type="teleport", t=0.0), model)
 
 
 def test_intent_conflict_raises_score(trained, stack):
@@ -99,6 +101,22 @@ def test_degenerate_motion_rejected(trained):
             trained["model"], [hz.WearerParams()], duration=4.0, seed=0,
             sensor_noise={k: 0.0 for k in hz.DEFAULT_SENSOR_NOISE},
             motion_box_deg=((10, 10), (30, 30), (0, 0), (40, 40)))
+
+
+def test_collection_noise_missing_key_is_no_noise(trained):
+    """A sensor_noise dict replaces the default as a whole, as in a
+    scenario file: the missing channels are read without noise."""
+    quiet = {k: 0.0 for k in hz.DEFAULT_SENSOR_NOISE}
+    runs = [hz.collect_training_data(trained["model"], [hz.WearerParams()], duration=1.0,
+                                     seed=3, sensor_noise=noise)["raw"]
+            for noise in ({"q": 0.1}, {**quiet, "q": 0.1})]
+    assert np.array_equal(runs[0], runs[1])
+
+
+def test_collection_rejects_negative_noise(no_physics):
+    with pytest.raises(dyn.ConfigError, match="sensor_noise q"):
+        hz.collect_training_data(dyn.default_model(), [hz.WearerParams()], duration=1.0,
+                                 sensor_noise={**hz.DEFAULT_SENSOR_NOISE, "q": -1.0})
 
 
 def test_too_short_duration_rejected(trained):
