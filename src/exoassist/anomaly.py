@@ -129,9 +129,6 @@ class ChannelLayout:
         start = 2 * self.n + 2 * self.n_c
         return slice(start, start + self.n)
 
-    def pack(self, q, qdot, theta, thetadot, tau_e) -> np.ndarray:
-        return np.concatenate([q, qdot, theta, thetadot, tau_e])
-
 
 @dataclass(frozen=True)
 class NormStats:

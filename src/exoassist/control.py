@@ -165,14 +165,24 @@ def _friction_estimate(model: PlantModel, thetadot: np.ndarray,
     return -scale * (poly + coulomb)
 
 
-def _compensate(model: PlantModel, state: PlantState, u, h, tau_e, cfg) -> np.ndarray:
-    """u + h - S2' tau_f_hat - tau_e + fast term, in place in ``u``, in that order."""
-    u += h
-    u[-model.n_c:] -= _friction_estimate(  # S2' selects the cable joints
-        model, state.thetadot, cfg.friction_scale, cfg.friction_comp_eps)
-    u -= tau_e
-    u += fast_term(state, cfg.Kv)
-    return u
+def _floats(value, size: int) -> list[float]:
+    """A scalar or per-joint value as ``size`` Python floats (not checked)."""
+    arr = np.asarray(value, dtype=float)
+    return arr.tolist() if arr.ndim else [float(arr)] * size
+
+
+def _compensate(model: PlantModel, state: PlantState, u: list, h: np.ndarray,
+                tau_e: list, cfg) -> np.ndarray:
+    """u + h - S2' tau_f_hat - tau_e + fast term on Python floats, in that
+    order, as a fresh array; ``u`` and ``tau_e`` are lists of n floats."""
+    nd = model.n - model.n_c
+    pad = [0.0] * nd  # S2' leaves the direct joints' rows zero
+    tau_f_hat = pad + _friction_estimate(
+        model, state.thetadot, cfg.friction_scale, cfg.friction_comp_eps).tolist()
+    fast = pad + [-(kv * (thd - qd)) for kv, thd, qd in zip(  # fast_term on floats
+        _floats(cfg.Kv, model.n_c), state.thetadot.tolist(), state.qdot.tolist()[nd:])]
+    return np.array([u_i + h_i - f_i - e_i + k_i for u_i, h_i, f_i, e_i, k_i in zip(
+        u, h.tolist(), tau_f_hat, tau_e, fast)])
 
 
 def transparent_control(
@@ -188,11 +198,13 @@ def transparent_control(
     qdd0 = (1/gamma0) (M + B_bar)^-1 tau_e.
     """
     tau_e = np.asarray(tau_e, dtype=float)
-    if tau_e.shape != (model.n,) or not np.isfinite(tau_e).all():
+    tau = tau_e.tolist()
+    if tau_e.shape != (model.n,) or not all(map(math.isfinite, tau)):
         raise ValueError(f"tau_e must be finite with length {model.n}")
 
     _, h = _rigid_body_terms(model, state.q, state.qdot, state.payload_mass, with_mass=False)
-    return _compensate(model, state, tau_e / cfg.gamma0, h, tau_e, cfg)  # (M + B_bar) qdd0
+    gamma0 = cfg.gamma0
+    return _compensate(model, state, [x / gamma0 for x in tau], h, tau, cfg)  # (M + B_bar) qdd0
 
 
 def impedance_control(
@@ -223,7 +235,7 @@ def impedance_control(
     a /= cfg.Mv
     a += qddot_d
     M[-model.n_c:, -model.n_c:] += model.B  # M + B_bar with B_bar = S2' B S2
-    return _compensate(model, state, M @ a, h, tau_e, cfg)
+    return _compensate(model, state, (M @ a).tolist(), h, tau_e.tolist(), cfg)
 
 
 def apply_task_config(cfg_bits: tuple[int, int, int]) -> tuple[str, TaskConfig]:

@@ -53,6 +53,7 @@ PHYSICS_DT = 1e-3
 CONTROL_SUBSTEPS = 10
 CONTROL_DT = PHYSICS_DT * CONTROL_SUBSTEPS
 
+# standard deviation per sensor channel, in ChannelLayout order
 DEFAULT_SENSOR_NOISE = {
     "q": 1e-4, "qdot": 1e-3, "theta": 1e-4, "thetadot": 1e-3, "tau_e": 0.01,
 }
@@ -125,10 +126,15 @@ class Scenario:
     score_coupling_floor: float = 0.35
 
 
+# the plant layout TRACE_COLUMNS records: joints, of which cable-driven
+TRACE_N, TRACE_N_C = 4, 2
+
+
 @dataclass
 class SimStack:
-    """Everything a scenario needs besides the scenario itself. The gains
-    are checked against the plant here, once: the controllers do not."""
+    """Everything a scenario needs besides the scenario itself. The plant
+    must have the layout the trace records, and the gains are checked
+    against it here, once: the controllers do not."""
 
     model: dyn.PlantModel
     control: ctl.ControlConfig
@@ -137,6 +143,10 @@ class SimStack:
     targets: dict | None = None
 
     def __post_init__(self):
+        if (self.model.n, self.model.n_c) != (TRACE_N, TRACE_N_C):
+            raise dyn.ConfigError(
+                f"a scenario runs a plant of {TRACE_N} joints, {TRACE_N_C} cable-driven "
+                f"(the trace layout); got n = {self.model.n}, n_c = {self.model.n_c}")
         self.control.transparent.validated(self.model.n_c)
         self.control.impedance.validated(self.model.n, self.model.n_c)
         self.control.qp.check_lengths(self.model.n)
@@ -146,14 +156,14 @@ class SimStack:
 
 TRACE_COLUMNS = (
     ["t"]
-    + [f"q{i}" for i in range(4)]
-    + [f"qdot{i}" for i in range(4)]
-    + [f"theta{i}" for i in range(2)]
-    + [f"thetadot{i}" for i in range(2)]
-    + [f"tau_e{i}" for i in range(4)]
-    + [f"u{i}" for i in range(4)]
-    + [f"q_d{i}" for i in range(4)]
-    + [f"qdot_d{i}" for i in range(4)]
+    + [f"q{i}" for i in range(TRACE_N)]
+    + [f"qdot{i}" for i in range(TRACE_N)]
+    + [f"theta{i}" for i in range(TRACE_N_C)]
+    + [f"thetadot{i}" for i in range(TRACE_N_C)]
+    + [f"tau_e{i}" for i in range(TRACE_N)]
+    + [f"u{i}" for i in range(TRACE_N)]
+    + [f"q_d{i}" for i in range(TRACE_N)]
+    + [f"qdot_d{i}" for i in range(TRACE_N)]
     + ["s", "mode", "subtask", "replan", "mode_cmd"]
 )
 
@@ -369,32 +379,50 @@ class _Wearer:
     """The scripted wearer: a saturated spring-damper pulling the arm toward
     its intent (or toward an intent-conflict pose while one is active), plus
     the decaying torque transients that events inject. ``intent`` maps t to
-    the wearer's desired (q, qdot)."""
+    the wearer's desired (q, qdot). ``torque`` works on Python floats."""
 
     def __init__(self, params: WearerParams, pose: np.ndarray):
         self.params = params
+        # K_h and C_h as n floats each
+        self.gains = [ctl._floats(g, pose.size) for g in (params.K_h, params.C_h)]
         self.override: dict | None = None  # {"pose": (n,), "until": s}
         self.transients: list[dict] = []   # [{"amplitude": (n,), "decay": s, "t0": s}]
         self.hold(pose)
 
     def hold(self, pose: np.ndarray):
-        pose = pose.copy()
-        self.intent = lambda t: (pose, np.zeros_like(pose))
+        pose, rest = pose.copy(), np.zeros(pose.size)
+        self.intent = lambda t: (pose, rest)
 
     def reach(self, t0: float, start: np.ndarray, goal: np.ndarray, duration: float):
+        """Follow a rest-to-rest quintic: ``ReferenceSpline.sample`` without
+        the acceleration, which the wearer never reads."""
         spline = traj.quintic_reference(start, goal, duration)
-        self.intent = lambda t: spline.sample(t - t0)[:2]
+        coeffs, rest = spline.coeffs, np.zeros(spline.q0.size)
+
+        def intent(t):
+            s = t - t0
+            if s <= 0.0:
+                return spline.q0, rest
+            if s >= spline.t_f:
+                return spline.qf, rest
+            return (coeffs @ np.array([1.0, s, s**2, s**3, s**4, s**5]),
+                    coeffs @ np.array([0.0, 1.0, 2 * s, 3 * s**2, 4 * s**3, 5 * s**4]))
+        self.intent = intent
 
     def torque(self, t: float, state: dyn.PlantState) -> np.ndarray:
-        """Interaction torque on the arm at time t."""
-        q_h, qd_h = self.intent(t)
+        """Interaction torque on the arm at time t: K_h (q_h - q) + C_h
+        (qdot_h - qdot) clipped to the saturation, plus each transient."""
         if self.override is not None and t <= self.override["until"]:
-            q_h, qd_h = self.override["pose"], np.zeros(state.q.size)
-        tau = self.params.K_h * (q_h - state.q) + self.params.C_h * (qd_h - state.qdot)
-        tau = np.clip(tau, -self.params.saturation, self.params.saturation)
+            q_h, qd_h = self.override["pose"].tolist(), [0.0] * state.q.size
+        else:
+            q_h, qd_h = (v.tolist() for v in self.intent(t))
+        sat = self.params.saturation
+        tau = [min(max(k * (a - q) + c * (b - qd), -sat), sat) for k, c, a, q, b, qd in zip(
+            *self.gains, q_h, state.q.tolist(), qd_h, state.qdot.tolist())]
         for tr in self.transients:
-            tau = tau + tr["amplitude"] * math.exp(-(t - tr["t0"]) / tr["decay"])
-        return tau
+            decay = math.exp(-(t - tr["t0"]) / tr["decay"])
+            tau = [x + a * decay for x, a in zip(tau, tr["amplitude"].tolist())]
+        return np.array(tau)
 
     def sense(self, t: float, state: dyn.PlantState) -> np.ndarray:
         """The torque at a control tick. An expired override is cleared
@@ -404,6 +432,34 @@ class _Wearer:
         tau = self.torque(t, state)
         self.transients = [tr for tr in self.transients if t - tr["t0"] < 6 * tr["decay"]]
         return tau
+
+
+class _ReadOut:
+    """Noisy read-out of some of a plant's sensor channels (``keys`` of
+    DEFAULT_SENSOR_NOISE, given in its order), packed into one vector. One
+    standard-normal draw covers the entries whose noise level is nonzero, in
+    channel order; a zero or missing level draws nothing. ``split`` gives
+    the channels back as views."""
+
+    def __init__(self, noise: dict, model: dyn.PlantModel,
+                 keys: tuple[str, ...] = tuple(DEFAULT_SENSOR_NOISE)):
+        sizes = [model.n_c if key.startswith("theta") else model.n for key in keys]
+        sd = np.concatenate([np.full(size, float(noise.get(key, 0.0)))
+                             for key, size in zip(keys, sizes)])
+        noisy = np.flatnonzero(sd)
+        self.at = slice(None) if noisy.size == sd.size else noisy
+        self.sd = sd[noisy]
+        ends = np.cumsum(sizes).tolist()
+        self.slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
+
+    def __call__(self, rng: np.random.Generator, *vecs: np.ndarray) -> np.ndarray:
+        out = np.concatenate(vecs)
+        if self.sd.size:
+            out[self.at] += rng.standard_normal(self.sd.size) * self.sd
+        return out
+
+    def split(self, packed: np.ndarray) -> list[np.ndarray]:
+        return [packed[s] for s in self.slices]
 
 
 def _advance(model: dyn.PlantModel, state: dyn.PlantState, u: np.ndarray,
@@ -570,12 +626,11 @@ def run_scenario(scenario: Scenario, stack: SimStack, seed: int | None = None):
     model = stack.model
     _check_joint_params(scenario, model.n)
     rng = np.random.default_rng(scenario.seed if seed is None else seed)
-    noise = scenario.sensor_noise
 
     q0 = np.radians(np.asarray(scenario.start_pose_deg, dtype=float))
     state = dyn.settled_state(model, q0)
 
-    layout = ChannelLayout(n=model.n, n_c=model.n_c)
+    read_out = _ReadOut(scenario.sensor_noise, model)
     detector = stack.detector
     window = deque(maxlen=detector.L_s if detector else 25)
 
@@ -589,10 +644,6 @@ def run_scenario(scenario: Scenario, stack: SimStack, seed: int | None = None):
     replan_count = 0
     last_trigger_t = -1e9
     detection_latency = None
-
-    def sense(vec, key):
-        sd = noise.get(key, 0.0)
-        return vec + (rng.standard_normal(vec.shape) * sd if sd > 0 else 0.0)
 
     stack.planner.request_plan(scenario.task)
     try:
@@ -620,15 +671,12 @@ def run_scenario(scenario: Scenario, stack: SimStack, seed: int | None = None):
                     loading_since = None
 
             # sense
-            q_s = sense(state.q, "q")
-            qd_s = sense(state.qdot, "qdot")
-            th_s = sense(state.theta, "theta")
-            thd_s = sense(state.thetadot, "thetadot")
             tau_true = wearer.sense(t, state)
-            tau_s = sense(tau_true, "tau_e")
+            sensed = read_out(rng, state.q, state.qdot, state.theta, state.thetadot, tau_true)
+            q_s, qd_s, th_s, thd_s, tau_s = read_out.split(sensed)
 
             # detect
-            window.append(layout.pack(q_s, qd_s, th_s, thd_s, tau_s))
+            window.append(sensed)
             s_value, grad = 0.0, np.zeros(model.n)
             if detector is not None and len(window) == window.maxlen:
                 s_value, _, grad = detector.score_gradient(np.stack(window))
@@ -706,7 +754,7 @@ def metrics(trace: TraceRecord, scenario: Scenario | None = None) -> dict:
     """Aggregate per-run quantities from a trace."""
     if not len(trace):
         return {"n_ticks": 0}
-    n = 4
+    n = TRACE_N
     q = trace.vector("q", n)
     q_d = trace.vector("q_d", n)
     qd_d = trace.vector("qdot_d", n)
@@ -830,15 +878,17 @@ def collect_training_data(model: dyn.PlantModel, subjects: list[WearerParams],
     tags, a contiguous 80/20 train/validation split, and the channel stats
     computed on the training part only. ``sensor_noise`` follows a
     scenario's rule (a missing key is no noise; a bad one raises
-    ConfigError).
+    ConfigError) and is read out as ``run_scenario`` reads it: one draw per
+    read-out over the channels with a nonzero level.
     """
-    layout = ChannelLayout(n=model.n, n_c=model.n_c)
     ticks_per_subject = int(round(duration / CONTROL_DT))
     if ticks_per_subject < L_s:
         raise ValueError("duration too short for a single sensory window")
     cfg = (cfg or ctl.TransparentConfig()).validated(model.n_c)
     noise = DEFAULT_SENSOR_NOISE if sensor_noise is None else sensor_noise
     _check_sensor_noise(noise)
+    read_row = _ReadOut(noise, model)  # the window's channels
+    read_belief = _ReadOut(noise, model, ("q", "qdot", "tau_e"))  # the controller's
     box = [np.radians(np.array(b, dtype=float)) for b in motion_box_deg]
 
     all_windows = []
@@ -849,9 +899,6 @@ def collect_training_data(model: dyn.PlantModel, subjects: list[WearerParams],
         state = dyn.settled_state(model, q0)
         wearer = _Wearer(subject, q0)
         rows = []
-
-        def noisy(vec, key):
-            return vec + rng.standard_normal(vec.shape) * noise.get(key, 0.0)
         t = motion_ends = 0.0
         for tick in range(ticks_per_subject):
             if t >= motion_ends:
@@ -860,13 +907,11 @@ def collect_training_data(model: dyn.PlantModel, subjects: list[WearerParams],
                 wearer.reach(t, wearer.intent(t)[0].copy(), target, move_t)
                 motion_ends = t + move_t + rng.uniform(0.1, 0.3)
             tau = wearer.torque(t, state)
-            belief = dyn.PlantState._unchecked(noisy(state.q, "q"), noisy(state.qdot, "qdot"),
-                                               state.theta, state.thetadot, 0.0, tau)
-            u = ctl.transparent_control(model, belief, noisy(tau, "tau_e"), cfg)
+            q_s, qd_s, tau_s = read_belief.split(read_belief(rng, state.q, state.qdot, tau))
+            belief = dyn.PlantState._unchecked(q_s, qd_s, state.theta, state.thetadot, 0.0, tau)
+            u = ctl.transparent_control(model, belief, tau_s, cfg)
             state, t, tau = _advance(model, state, u, wearer, t, tau)
-            rows.append(layout.pack(noisy(state.q, "q"), noisy(state.qdot, "qdot"),
-                                    noisy(state.theta, "theta"),
-                                    noisy(state.thetadot, "thetadot"), noisy(tau, "tau_e")))
+            rows.append(read_row(rng, state.q, state.qdot, state.theta, state.thetadot, tau))
         rows = np.stack(rows)
         n_windows = (len(rows) - L_s) // stride + 1
         windows = np.stack([rows[i * stride:i * stride + L_s] for i in range(n_windows)])
@@ -889,6 +934,6 @@ def collect_training_data(model: dyn.PlantModel, subjects: list[WearerParams],
         "train_idx": np.array(train_idx),
         "val_idx": np.array(val_idx),
         "stats": stats,
-        "layout": layout,
+        "layout": ChannelLayout(n=model.n, n_c=model.n_c),
         "L_s": L_s,
     }

@@ -86,6 +86,10 @@ class MLP:
         self.params[...] = flat
 
 
+# parameters per pass of Adam's update: its scratch stays chunk-sized and in cache
+ADAM_CHUNK = 16384
+
+
 class Adam:
     """Adaptive moment estimation over a flat parameter vector."""
 
@@ -98,29 +102,36 @@ class Adam:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
-        self._tmp, self._update = np.zeros(size), np.zeros(size)
+        chunk = min(size, ADAM_CHUNK)
+        self._tmp, self._update = np.zeros(chunk), np.zeros(chunk)
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
         """params -= lr m_hat / (sqrt(v_hat) + eps) after the moment updates
         m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2; returns params.
 
-        Computed in place in two scratch buffers, each operation in the
-        order of the formula, so the result is bit-identical to it.
+        Computed in place, ADAM_CHUNK entries at a time in two chunk-sized
+        scratch buffers, each operation in the order of the formula, so the
+        result is bit-identical to it.
         """
         self.t += 1
-        tmp, update = self._tmp, self._update
-        np.multiply(grads, 1.0 - self.beta1, out=tmp)
-        self.m *= self.beta1
-        self.m += tmp
-        np.multiply(grads, grads, out=tmp)
-        tmp *= 1.0 - self.beta2
-        self.v *= self.beta2
-        self.v += tmp
-        np.divide(self.v, 1.0 - self.beta2**self.t, out=tmp)  # v_hat
-        np.sqrt(tmp, out=tmp)
-        tmp += self.eps
-        np.divide(self.m, 1.0 - self.beta1**self.t, out=update)  # m_hat
-        update *= self.lr
-        update /= tmp
-        params -= update
+        b1, b2 = self.beta1, self.beta2
+        bias1, bias2 = 1.0 - b1**self.t, 1.0 - b2**self.t
+        for lo in range(0, params.size, ADAM_CHUNK):
+            part = slice(lo, lo + ADAM_CHUNK)
+            g, m, v, p = grads[part], self.m[part], self.v[part], params[part]
+            tmp, update = self._tmp[:g.size], self._update[:g.size]
+            np.multiply(g, 1.0 - b1, out=tmp)
+            m *= b1
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - b2
+            v *= b2
+            v += tmp
+            np.divide(v, bias2, out=tmp)  # v_hat
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            np.divide(m, bias1, out=update)  # m_hat
+            update *= self.lr
+            update /= tmp
+            p -= update
         return params

@@ -8,9 +8,10 @@
   (``plant_terms``) and C from Christoffel symbols (``christoffel``).
   ``reference_step`` is the plant step on them.
 - The controllers as first written (one expression each, S2' as a matrix
-  product).
+  product), and the wearer's interaction torque in numpy.
 """
 import itertools
+import math
 
 import numpy as np
 
@@ -213,3 +214,17 @@ def reference_impedance_control(model, state, q_d, qdot_d, qddot_d, tau_e, cfg):
     nd = model.n - model.n_c
     M[nd:, nd:] += model.B  # M + B_bar with B_bar = S2' B S2
     return M @ a + h - model.S2.T @ tau_f_hat - tau_e + u_f
+
+
+def reference_wearer_torque(params, intent, override, transients, t, state):
+    """``harness._Wearer.torque`` in numpy, one expression plus the transients:
+    ``intent`` maps t to the wearer's (q, qdot), ``override`` is None or
+    {"pose", "until"}, each transient {"amplitude", "decay", "t0"}."""
+    q_h, qd_h = intent(t)
+    if override is not None and t <= override["until"]:
+        q_h, qd_h = override["pose"], np.zeros(state.q.size)
+    tau = np.clip(params.K_h * (q_h - state.q) + params.C_h * (qd_h - state.qdot),
+                  -params.saturation, params.saturation)
+    for tr in transients:
+        tau = tau + tr["amplitude"] * math.exp(-(t - tr["t0"]) / tr["decay"])
+    return tau

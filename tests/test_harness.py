@@ -6,12 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import scenario_path
+from hypothesis import given, settings, strategies as st
+from oracles import reference_wearer_torque
 
 from exoassist import anomaly as ano
 from exoassist import control as ctl
 from exoassist import dynamics as dyn
 from exoassist import harness as hz
 from exoassist import planner as pl
+from exoassist import trajectory as traj
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +108,58 @@ def test_degenerate_motion_rejected(trained):
 
 def test_collection_noise_missing_key_is_no_noise(trained):
     """A sensor_noise dict replaces the default as a whole, as in a
-    scenario file: the missing channels are read without noise."""
+    scenario file: the missing channels are read without noise, and a zero
+    level draws nothing, so it reads like a missing key."""
     quiet = {k: 0.0 for k in hz.DEFAULT_SENSOR_NOISE}
-    runs = [hz.collect_training_data(trained["model"], [hz.WearerParams()], duration=1.0,
-                                     seed=3, sensor_noise=noise)["raw"]
-            for noise in ({"q": 0.1}, {**quiet, "q": 0.1})]
-    assert np.array_equal(runs[0], runs[1])
+    no_q = {k: v for k, v in hz.DEFAULT_SENSOR_NOISE.items() if k != "q"}
+    for pair in (({"q": 0.1}, {**quiet, "q": 0.1}), (no_q, {**no_q, "q": 0.0})):
+        runs = [hz.collect_training_data(trained["model"], [hz.WearerParams()], duration=1.0,
+                                         seed=3, sensor_noise=noise)["raw"] for noise in pair]
+        assert np.array_equal(runs[0], runs[1])
+
+
+class RecordingRng:
+    """A generator that logs every standard-normal draw it hands out."""
+
+    def __init__(self, seed, draws):
+        self.rng, self.draws = np.random.Generator(np.random.PCG64(seed)), draws
+
+    def standard_normal(self, size):
+        z = self.rng.standard_normal(size)
+        self.draws.append(z)
+        return z
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_scenario_and_collection_read_out_by_one_rule(monkeypatch):
+    """Both loops read a noise dict the same way: one draw per read-out over
+    the entries with a nonzero level, in channel order, none for a zero or
+    missing level, each draw added to the channel it belongs to."""
+    model = dyn.default_model()
+    noise = {"q": 0.0, "qdot": 1e-3, "thetadot": 0.0, "tau_e": 0.02}  # theta missing
+    draws = []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: RecordingRng(seed, draws))
+
+    stack = hz.SimStack(model=model, control=ctl.load_control_config(pl.data_path("control.json")),
+                        planner=pl.PlannerRuntime(pl.RuleScorer(pl.load_corpus(
+                            pl.data_path("corpus.jsonl"))), pl.default_library()))
+    scen = hz.load_scenario(scenario_path("water_mouth.json"))
+    scen.duration, scen.sensor_noise = 0.3, noise
+    trace, _ = hz.run_scenario(scen, stack)
+    assert [z.size for z in draws] == [2 * model.n] * len(trace)  # qdot, tau_e
+    q, qd = trace.vector("q", model.n), trace.vector("qdot", model.n)
+    q_s, qd_s = trace.vector("q_d", model.n), trace.vector("qdot_d", model.n)
+    assert not trace.column("mode").any()  # transparent: the desired row is the sensed one
+    for k in range(1, len(trace)):  # tick k senses the state that row k - 1 recorded
+        assert np.array_equal(q_s[k], q[k - 1])
+        assert np.array_equal(qd_s[k], qd[k - 1] + draws[k][:model.n] * 1e-3)
+
+    draws.clear()
+    hz.collect_training_data(model, [hz.WearerParams()], duration=0.3, seed=3,
+                             sensor_noise=noise)
+    assert [z.size for z in draws] == [2 * model.n] * 2 * 30  # controller, then window
 
 
 def test_collection_rejects_negative_noise(no_physics):
@@ -417,3 +466,94 @@ def test_default_speed_limit_binds_without_paramset():
     trace, report = hz.run_scenario(scen, stack)
     assert "paramset" not in " ".join(map(str, trace.column("subtask")))
     assert 29.0 < report["max_cmd_velocity_deg_s"] <= 30.0 + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the plant layout the trace records
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_scenario_stack_rejects_a_plant_the_trace_cannot_record(n):
+    model = dyn.PlantModel(n=n, n_c=2, link_lengths=[0.2] * n, link_masses=[1.0] * n)
+    control = ctl.ControlConfig(ctl.TransparentConfig(), ctl.ImpedanceConfig(), ctl.QPConfig())
+    with pytest.raises(dyn.ConfigError, match=f"4 joints, 2 cable-driven.*n = {n}, n_c = 2"):
+        hz.SimStack(model=model, control=control, planner=None)
+
+
+# ---------------------------------------------------------------------------
+# the wearer and the sensor read-out against their per-call numpy forms
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def wearer_cases(draw):
+    """A wearer with scalar or per-joint gains following one intent (hold,
+    reach, or a move's desired state), maybe under an override (active or
+    expired) and with live transients, at time t; returns the wearer, the
+    numpy form's inputs and the state."""
+    n = draw(st.sampled_from([1, 2, 4, 6]))
+
+    def vec(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi, **_FINITE), min_size=n, max_size=n)))
+
+    def gain(lo, hi):
+        return draw(st.one_of(st.floats(lo, hi), st.lists(st.floats(lo, hi), min_size=n,
+                                                          max_size=n)))
+
+    params = hz.WearerParams(K_h=gain(0.0, 60.0), C_h=gain(0.0, 15.0),
+                             saturation=draw(st.floats(0.5, 30.0)))
+    t = draw(st.floats(0.0, 12.0))
+    wearer = hz._Wearer(params, vec(-np.pi, np.pi))
+    kind = draw(st.sampled_from(["hold", "reach", "move"]))
+    if kind == "hold":
+        pose = vec(-np.pi, np.pi)
+        wearer.hold(pose)
+        intent = lambda _t: (pose, np.zeros(n))
+    elif kind == "reach":  # t before, during or after the reach
+        t0, start, goal = draw(st.floats(0.0, 12.0)), vec(-np.pi, np.pi), vec(-np.pi, np.pi)
+        spline = traj.quintic_reference(start, goal, draw(st.floats(0.3, 3.0)))
+        wearer.reach(t0, start, goal, spline.t_f)
+        intent = lambda _t: spline.sample(_t - t0)[:2]
+    else:  # a go_target sets the intent to the move's desired state
+        desired = (vec(-np.pi, np.pi), vec(-2.0, 2.0))
+        wearer.intent = intent = lambda _t: desired
+    if draw(st.booleans()):  # active or expired
+        wearer.override = {"pose": vec(-np.pi, np.pi), "until": t + draw(st.floats(-1.0, 1.0))}
+    wearer.transients = [{"amplitude": vec(-5.0, 5.0), "decay": draw(st.floats(0.01, 0.5)),
+                          "t0": t - draw(st.floats(0.0, 3.0))}
+                         for _ in range(draw(st.integers(0, 2)))]
+    state = dyn.PlantState(q=vec(-np.pi, np.pi), qdot=vec(-3.0, 3.0),
+                           theta=np.zeros(1), thetadot=np.zeros(1))
+    return wearer, (params, intent, wearer.override, wearer.transients, t, state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wearer_cases())
+def test_wearer_torque_matches_numpy_form_bitwise(case):
+    wearer, args = case
+    tau = wearer.torque(*args[-2:])
+    assert tau.dtype == np.float64
+    assert tau.tobytes() == reference_wearer_torque(*args).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 6), n_c=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       noise=st.dictionaries(st.sampled_from(sorted(hz.DEFAULT_SENSOR_NOISE)),
+                             st.one_of(st.just(0.0), st.floats(1e-4, 1.0))),
+       keys=st.sampled_from([tuple(hz.DEFAULT_SENSOR_NOISE), ("q", "qdot", "tau_e")]))
+def test_batched_read_out_matches_per_channel_draws(n, n_c, seed, noise, keys):
+    """One draw over the noisy entries is the per-channel draws of the same
+    generator, skipping the channels whose level is zero or missing."""
+    model = dyn.PlantModel(n=max(n, n_c), n_c=n_c, link_lengths=[0.2] * max(n, n_c),
+                           link_masses=[1.0] * max(n, n_c))
+    read_out = hz._ReadOut(noise, model, keys)
+    vecs = [np.linspace(-1.0, 1.0, model.n_c if k.startswith("theta") else model.n)
+            for k in keys]
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2):  # the stream continues across read-outs
+        packed = read_out(rng, *vecs)
+        want = [v + ref_rng.standard_normal(v.size) * noise[k] if noise.get(k, 0.0) > 0 else v
+                for k, v in zip(keys, vecs)]
+        assert packed.tobytes() == np.concatenate(want).tobytes()
+        assert [p.tobytes() for p in read_out.split(packed)] == [w.tobytes() for w in want]

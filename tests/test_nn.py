@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from exoassist import anomaly as ano
-from exoassist.nn import MLP, Adam
+from exoassist.nn import ADAM_CHUNK, MLP, Adam
 
 
 def test_backprop_matches_finite_differences():
@@ -120,3 +120,22 @@ def test_adam_matches_textbook_update_bitwise():
         v_hat = v / (1.0 - b2**t)
         ref = ref - lr * m_hat / (np.sqrt(v_hat) + eps)
         assert np.array_equal(new, ref)
+
+
+def test_chunked_adam_matches_textbook_update_bitwise():
+    # two full chunks and a partial one; the scratch never exceeds a chunk
+    size = 2 * ADAM_CHUNK + 7
+    rng = np.random.default_rng(4)
+    b1, b2, lr, eps = 0.9, 0.999, 0.01, 1e-8
+    opt = Adam(size, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    assert opt._tmp.size == opt._update.size == ADAM_CHUNK
+    params = rng.standard_normal(size)
+    ref = params.copy()
+    m = v = np.zeros(size)
+    for t in range(1, 6):
+        g = rng.standard_normal(size)
+        opt.step(params, g)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g**2
+        ref = ref - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        assert np.array_equal(params, ref)
