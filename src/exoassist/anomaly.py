@@ -22,7 +22,6 @@ __all__ = [
     "NoiseSchedule",
     "ChannelLayout",
     "NormStats",
-    "SensoryWindow",
     "Denoiser",
     "AnomalyDetector",
     "TrainConfig",
@@ -55,8 +54,7 @@ class NoiseSchedule:
     """Forward-process variance schedule and derived quantities.
 
     Index convention: arrays are 0-based with entry ``t-1`` for diffusion
-    step ``t`` in 1..T; ``alpha_bar_prev[t-1]`` is alpha_bar at t-1 with
-    alpha_bar_0 = 1, which makes beta_tilde_1 exactly zero.
+    step ``t`` in 1..T.
     """
 
     beta: np.ndarray
@@ -85,14 +83,6 @@ class NoiseSchedule:
     @property
     def alpha_bar(self) -> np.ndarray:
         return np.cumprod(self.alpha)
-
-    @property
-    def alpha_bar_prev(self) -> np.ndarray:
-        return np.concatenate([[1.0], self.alpha_bar[:-1]])
-
-    @property
-    def beta_tilde(self) -> np.ndarray:
-        return (1.0 - self.alpha_bar_prev) / (1.0 - self.alpha_bar) * self.beta
 
     @classmethod
     def linear(cls, T: int = 50, beta_start: float = 1e-4,
@@ -139,9 +129,6 @@ class NormStats:
         """raw: (..., L_s, per_tick) -> same shape, channel-normalized."""
         return (raw - self.mean) / self.std
 
-    def denormalize(self, normed: np.ndarray) -> np.ndarray:
-        return normed * self.std + self.mean
-
 
 def compute_stats(raw_windows: np.ndarray, min_std: float = 1e-8) -> NormStats:
     """Per-channel statistics over (M, L_s, per_tick) raw windows."""
@@ -151,27 +138,6 @@ def compute_stats(raw_windows: np.ndarray, min_std: float = 1e-8) -> NormStats:
         bad = np.nonzero(std < min_std)[0].tolist()
         raise DegenerateDataError(f"zero-variance channels: {bad}")
     return NormStats(mean=flat.mean(axis=0), std=std)
-
-
-@dataclass(frozen=True)
-class SensoryWindow:
-    """One flattened window, stored normalized, with its statistics."""
-
-    values: np.ndarray  # (L_s * per_tick,), normalized
-    stats: NormStats
-    L_s: int
-    layout: ChannelLayout
-
-    @classmethod
-    def from_raw(cls, raw: np.ndarray, stats: NormStats, layout: ChannelLayout) -> "SensoryWindow":
-        raw = np.asarray(raw, dtype=float)
-        if raw.ndim != 2 or raw.shape[1] != layout.per_tick:
-            raise ValueError(f"raw window must be (L_s, {layout.per_tick})")
-        return cls(values=stats.normalize(raw).reshape(-1), stats=stats,
-                   L_s=raw.shape[0], layout=layout)
-
-    def to_raw(self) -> np.ndarray:
-        return self.stats.denormalize(self.values.reshape(self.L_s, self.layout.per_tick))
 
 
 # ---------------------------------------------------------------------------
@@ -316,31 +282,25 @@ class AnomalyDetector:
         self.layout = layout
         self.cal_scale = float(cal_scale)
         self.seed = int(seed)
-        # frozen noise draw for the deterministic mode (common random numbers)
+        # frozen noise draw shared by every reconstruction (common random numbers)
         self._eps1_fixed = np.random.default_rng(seed).standard_normal(denoiser.dim)
 
     # -- reconstruction ----------------------------------------------------
 
-    def reconstruct(self, x0: np.ndarray, deterministic: bool = True,
-                    rng: np.random.Generator | None = None,
-                    with_cache: bool = False):
+    def reconstruct(self, x0: np.ndarray, with_cache: bool = False):
         """Noise to depth nu, then run the reverse chain down to x0-hat.
 
-        ``x0`` is normalized, shape (D,) or (B, D). The deterministic flag
-        freezes eps1 to the detector's seeded draw and sets eps2 = 0.
+        ``x0`` is normalized, shape (D,) or (B, D). The chain is
+        deterministic: the forward noise is the detector's seeded draw and
+        the reverse steps add none.
         """
         x0 = np.asarray(x0, dtype=float)
         single = x0.ndim == 1
         x = np.atleast_2d(x0)
-        B, D = x.shape
+        B = x.shape[0]
         sch = self.schedule
         nu = sch.nu
-        if deterministic:
-            eps1 = np.tile(self._eps1_fixed, (B, 1))
-        else:
-            if rng is None:
-                raise ValueError("stochastic reconstruction needs an rng")
-            eps1 = rng.standard_normal((B, D))
+        eps1 = np.tile(self._eps1_fixed, (B, 1))
         ab_nu = sch.alpha_bar[nu - 1]
         xt = np.sqrt(ab_nu) * x + np.sqrt(1.0 - ab_nu) * eps1
         caches = []
@@ -353,8 +313,6 @@ class AnomalyDetector:
             else:
                 pred = self.denoiser.eps(xt, np.full(B, t))
             xt = (xt - c_t * pred) / np.sqrt(a_t)
-            if not deterministic and t > 1:
-                xt = xt + sch.beta_tilde[t - 1] * rng.standard_normal((B, D))
         xhat = xt[0] if single else xt
         if with_cache:
             return xhat, caches
@@ -362,34 +320,24 @@ class AnomalyDetector:
 
     # -- scoring -----------------------------------------------------------
 
-    def score(self, window, deterministic: bool = True, K: int = 4,
-              rng: np.random.Generator | None = None) -> float:
+    def score(self, window) -> float:
         """Calibrated squared reconstruction error of one window."""
         x0 = self._as_normalized(window)
-        return float(self.score_batch(x0[None, :], deterministic, K, rng)[0])
+        return float(self.score_batch(x0[None, :])[0])
 
-    def score_batch(self, x0: np.ndarray, deterministic: bool = True,
-                    K: int = 4, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Scores for (B, D) normalized windows; K-draw average when stochastic."""
+    def score_batch(self, x0: np.ndarray) -> np.ndarray:
+        """Scores for (B, D) normalized windows."""
         x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-        if deterministic:
-            xhat = self.reconstruct(x0, deterministic=True)
-            return self.cal_scale * np.sum((x0 - xhat) ** 2, axis=1)
-        draws = []
-        for _ in range(max(1, K)):
-            xhat = self.reconstruct(x0, deterministic=False, rng=rng)
-            draws.append(np.sum((x0 - xhat) ** 2, axis=1))
-        return self.cal_scale * np.mean(draws, axis=0)
+        xhat = self.reconstruct(x0)
+        return self.cal_scale * np.sum((x0 - xhat) ** 2, axis=1)
 
-    def score_gradient(self, window, deterministic: bool = True):
+    def score_gradient(self, window):
         """Score plus its gradient w.r.t. the raw tau_e channels of the most
         recent window tick (length n), via backprop through the frozen
-        deterministic reverse chain."""
-        if not deterministic:
-            raise ValueError("score gradient requires deterministic mode")
+        reverse chain."""
         x0 = self._as_normalized(window)
         x = x0[None, :]
-        xhat, caches = self.reconstruct(x, deterministic=True, with_cache=True)
+        xhat, caches = self.reconstruct(x, with_cache=True)
         diff = x - xhat
         s = float(self.cal_scale * np.sum(diff**2))
         # backprop: ds/dxhat, through the reverse chain, to ds/dx0
@@ -409,7 +357,7 @@ class AnomalyDetector:
                   percentile: float = 99.0) -> float:
         """Rescale so the training-set score percentile maps to ``target``."""
         self.cal_scale = 1.0
-        scores = self.score_batch(train_windows, deterministic=True)
+        scores = self.score_batch(train_windows)
         q = float(np.percentile(scores, percentile))
         if q <= 0.0:
             raise ValueError("cannot calibrate on identically-zero scores")
@@ -417,8 +365,6 @@ class AnomalyDetector:
         return self.cal_scale
 
     def _as_normalized(self, window) -> np.ndarray:
-        if isinstance(window, SensoryWindow):
-            return window.values
         arr = np.asarray(window, dtype=float)
         if arr.ndim == 2:  # raw (L_s, per_tick)
             return self.stats.normalize(arr).reshape(-1)

@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from . import control as ctl
 from . import dynamics as dyn
 from . import harness as hz
 from . import planner as pl
+
+__all__ = ["main"]
 
 
 def _default(path_flag: str | None, bundled: str) -> Path:
@@ -35,36 +38,53 @@ def _load_stack(args, detector=None, scorer=None):
 # train-detector
 
 
+@contextmanager
+def _config_section(name: str):
+    """Turn a bad value's TypeError or ValueError into a ConfigError naming it."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise dyn.ConfigError(f"{name}: {exc}") from exc
+
+
 def cmd_train_detector(args) -> int:
     cfg = json.loads(Path(args.config).read_text()) if args.config else {}
     model = dyn.load_plant_config(_default(cfg.get("plant"), "plant.json"))
 
-    sched_cfg = cfg.get("schedule", {})
-    schedule = ano.NoiseSchedule.linear(
-        T=int(sched_cfg.get("T", 50)),
-        beta_start=float(sched_cfg.get("beta_start", 1e-4)),
-        beta_end=float(sched_cfg.get("beta_end", 0.05)),
-        nu=int(sched_cfg.get("nu", 10)),
-    )
-    train_cfg = ano.TrainConfig(**{k: (tuple(v) if k == "hidden" else v)
-                                   for k, v in cfg.get("train", {}).items()})
+    # every value is converted and checked before collection starts
+    with _config_section("schedule"):
+        sched_cfg = cfg.get("schedule", {})
+        schedule = ano.NoiseSchedule.linear(
+            T=int(sched_cfg.get("T", 50)),
+            beta_start=float(sched_cfg.get("beta_start", 1e-4)),
+            beta_end=float(sched_cfg.get("beta_end", 0.05)),
+            nu=int(sched_cfg.get("nu", 10)),
+        )
+    with _config_section("train"):
+        train_cfg = ano.TrainConfig(**{k: (tuple(v) if k == "hidden" else v)
+                                       for k, v in cfg.get("train", {}).items()})
+    scalars = {}
+    for key, kind, default in (("L_s", int, 25), ("seed", int, 0),
+                               ("duration", float, 45.0), ("stride", int, 5)):
+        with _config_section(key):
+            scalars[key] = kind(cfg.get(key, default))
+    L_s, seed = scalars["L_s"], scalars["seed"]
 
-    L_s = int(cfg.get("L_s", 25))
     if args.data:
         layout = ano.ChannelLayout(n=model.n, n_c=model.n_c)
-        raw = ano.load_windows_csv(args.data, L_s, layout.per_tick)
+        with _config_section(f"--data {args.data}"):
+            raw = ano.load_windows_csv(args.data, L_s, layout.per_tick)
         cut = int(0.8 * len(raw))
         stats = ano.compute_stats(raw[:cut])
         data = {"raw": raw, "stats": stats, "layout": layout, "L_s": L_s,
                 "train_idx": np.arange(cut), "val_idx": np.arange(cut, len(raw))}
     else:
-        subjects = [hz.WearerParams(**s) for s in
-                    cfg.get("subjects", [{"name": "subject-a"}, {"name": "subject-b", "K_h": 25.0}])]
+        with _config_section("subjects"):
+            subjects = [hz.WearerParams(**s) for s in cfg.get(
+                "subjects", [{"name": "subject-a"}, {"name": "subject-b", "K_h": 25.0}])]
         data = hz.collect_training_data(
-            model, subjects,
-            duration=float(cfg.get("duration", 45.0)),
-            seed=int(cfg.get("seed", 0)), L_s=L_s,
-            stride=int(cfg.get("stride", 5)))
+            model, subjects, duration=scalars["duration"], seed=seed, L_s=L_s,
+            stride=scalars["stride"])
         print(f"collected {data['raw'].shape[0]} windows "
               f"({len(subjects)} subjects)")
 
@@ -80,7 +100,7 @@ def cmd_train_detector(args) -> int:
     elapsed = time.perf_counter() - t0
 
     detector = ano.AnomalyDetector(denoiser, schedule, data["stats"], data["L_s"],
-                                   data["layout"], seed=int(cfg.get("seed", 0)) + 99)
+                                   data["layout"], seed=seed + 99)
     cal_cfg = cfg.get("calibrate", {})
     detector.calibrate(normed[data["train_idx"]],
                        target=float(cal_cfg.get("target", 0.35)),

@@ -234,7 +234,8 @@ def impedance_control(
     a += tau_e / cfg.w
     a /= cfg.Mv
     a += qddot_d
-    M[-model.n_c:, -model.n_c:] += model.B  # M + B_bar with B_bar = S2' B S2
+    # M + B_bar with B_bar = S2' B S2: the motor inertia on the cable-joint diagonal
+    M[-model.n_c:, -model.n_c:][np.diag_indices(model.n_c)] += model.motor_inertia
     return _compensate(model, state, (M @ a).tolist(), h, tau_e.tolist(), cfg)
 
 

@@ -2,9 +2,10 @@
 
 The plant is an n-joint revolute chain whose last n_c joints are driven
 through torsional springs by motor-side inertias (already projected to the
-joint side). Direct-driven and cable-driven joints are split by the
-selection matrices S1 and S2. All public operations are pure functions of
-(model, state); ``step`` returns a fresh state.
+joint side). The cable-driven joints are the last n_c, so the code picks
+them by slicing (``q[n - n_c:]``) and keeps no selection matrices; S1 and
+S2 appear only in the comments' equations. All public operations are pure
+functions of (model, state); ``step`` returns a fresh state.
 
 The rigid-body terms have one implementation, ``_rigid_body_terms``: a
 single-state kernel on Python floats that returns M(q) and the bias torque
@@ -126,10 +127,6 @@ class PlantModel:
     joint_offsets: np.ndarray = field(init=False, repr=False)
     com_offsets: np.ndarray = field(init=False, repr=False)
     inertia_local: np.ndarray = field(init=False, repr=False)
-    S1: np.ndarray = field(init=False, repr=False)
-    S2: np.ndarray = field(init=False, repr=False)
-    K: np.ndarray = field(init=False, repr=False)
-    B: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
@@ -149,12 +146,8 @@ class PlantModel:
             self.link_inertias = self.link_masses * self.link_lengths**2 / 12.0
         self.link_inertias = _as_positive_array(self.link_inertias, n, "link_inertias")
 
-        k_diag = _as_positive_array(self.spring_stiffness, self.n_c, "spring_stiffness")
-        b_diag = _as_positive_array(self.motor_inertia, self.n_c, "motor_inertia")
-        self.spring_stiffness = k_diag
-        self.motor_inertia = b_diag
-        self.K = np.diag(k_diag)
-        self.B = np.diag(b_diag)
+        self.spring_stiffness = _as_positive_array(self.spring_stiffness, self.n_c, "spring_stiffness")
+        self.motor_inertia = _as_positive_array(self.motor_inertia, self.n_c, "motor_inertia")
 
         self.friction_c0 = _as_positive_array(self.friction_c0, self.n_c, "friction_c0", strict=False)
         self.friction_c1 = _as_positive_array(self.friction_c1, self.n_c, "friction_c1", strict=False)
@@ -186,13 +179,6 @@ class PlantModel:
         for i in range(n):
             it = self.link_inertias[i]
             self.inertia_local[i] = np.diag([it, it, AXIAL_INERTIA_RATIO * it])
-
-        self.S1 = np.diag(
-            np.concatenate([np.ones(n - self.n_c), np.zeros(self.n_c)])
-        )
-        self.S2 = np.hstack(
-            [np.zeros((self.n_c, n - self.n_c)), np.eye(self.n_c)]
-        )
 
         # scalar copies for the single-state kernel: per link the joint-axis
         # index and the two column indices its rotation mixes, link length,
@@ -480,10 +466,10 @@ def potential_energy(model: PlantModel, q, payload_mass: float = 0.0) -> float:
 def total_energy(model: PlantModel, state: PlantState) -> float:
     """Link kinetic + motor kinetic + spring potential + gravitational potential."""
     M = mass_matrix(model, state.q, state.payload_mass)  # checks q
-    defl = state.theta - model.S2 @ state.q
+    defl = state.theta - state.q[model.n - model.n_c:]
     e = 0.5 * state.qdot @ M @ state.qdot
-    e += 0.5 * state.thetadot @ model.B @ state.thetadot
-    e += 0.5 * defl @ model.K @ defl
+    e += 0.5 * (state.thetadot * model.motor_inertia) @ state.thetadot
+    e += 0.5 * (defl * model.spring_stiffness) @ defl
     e += potential_energy(model, state.q, state.payload_mass)
     return float(e)
 
@@ -492,8 +478,8 @@ def settled_state(model: PlantModel, q, payload_mass: float = 0.0) -> PlantState
     """Rest state with the spring preloaded to carry the cable-joint gravity share."""
     q = np.asarray(q, dtype=float)
     g = gravity_vector(model, q, payload_mass)
-    k_diag = np.diag(model.K)
-    theta = model.S2 @ q + (model.S2 @ g) / k_diag
+    nd = model.n - model.n_c
+    theta = q[nd:] + g[nd:] / model.spring_stiffness
     return PlantState(
         q=q,
         qdot=np.zeros(model.n),

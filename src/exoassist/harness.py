@@ -693,7 +693,6 @@ def run_scenario(scenario: Scenario, stack: SimStack, seed: int | None = None):
                 last_trigger_t = t
                 executor.abort(t, state)
                 belief_payload = 0.0
-                stack.planner.record({"type": "replan", "t": t, "score": s_value})
                 stack.planner.request_plan(scenario.task)
 
             # execute

@@ -3,9 +3,9 @@
 The planner scores candidate subtasks with a pluggable scorer (a
 deterministic rule scorer for tests and offline use, or a remote language
 model client), takes the argmax, then scores the chosen subtask's
-parameter bindings the same way. A live anomaly feed can clear the plan
-mid-generation; the harness additionally clears it during execution when
-the score crosses the threshold.
+parameter bindings the same way. Replanning happens in the harness: when
+the anomaly score crosses the threshold during execution, it aborts the
+running plan and requests a new one.
 """
 from __future__ import annotations
 
@@ -176,7 +176,6 @@ class PlanResult:
     plan: Plan | None
     needs_clarification: bool = False
     trace: list = field(default_factory=list)
-    replans_during_planning: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -381,21 +380,14 @@ def _argmax(labels: list[str], scores: list[float]) -> int:
 
 
 def plan(task: str, scorer, library: SubtaskLibrary,
-         anomaly_feed=None, s_bar: float = DEFAULT_THRESHOLD,
          prompt: str = "", max_steps: int = 16) -> PlanResult:
     """Generate a plan stepwise: score subtasks, argmax, score configurations,
-    argmax, append; clear and restart if the anomaly feed crosses s_bar."""
+    argmax, append, until the chosen subtask is ``done``. Raises
+    ``PlanError`` past ``max_steps`` steps or on an unbound parameter."""
     steps: list[PlanStep] = []
     trace: list[dict] = []
-    replans = 0
-    iterations = 0
 
     while True:
-        iterations += 1
-        if iterations > 4 * max_steps:
-            raise PlanError(f"planning did not terminate within {4 * max_steps} iterations")
-
-        s = float(anomaly_feed()) if anomaly_feed is not None else 0.0
         history = tuple(step.label for step in steps)
 
         scores1 = []
@@ -437,12 +429,6 @@ def plan(task: str, scorer, library: SubtaskLibrary,
         else:
             steps.append(PlanStep(name=pick.name, args={}, label=pick.name))
 
-        if replan_check(s, s_bar):
-            trace.append({"type": "replan", "score": s})
-            steps = []
-            replans += 1
-            continue
-
         if pick.name == "done":
             break
         if len(steps) > max_steps:
@@ -450,7 +436,7 @@ def plan(task: str, scorer, library: SubtaskLibrary,
 
     result = Plan(steps=steps)
     result.require_bound(library)
-    return PlanResult(plan=result, trace=trace, replans_during_planning=replans)
+    return PlanResult(plan=result, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -460,30 +446,27 @@ def plan(task: str, scorer, library: SubtaskLibrary,
 class PlannerRuntime:
     """Owns planning off the control tick; the loop polls for results.
 
-    ``background=True`` runs each planning request on a worker thread; the
+    ``request_plan`` plans ``task`` from scratch; a replan is just another
+    request. ``background=True`` runs each request on a worker thread; the
     handoff is a slot guarded by a lock that ``poll`` clears on read.
     """
 
     def __init__(self, scorer, library: SubtaskLibrary, prompt: str = "",
-                 s_bar: float = DEFAULT_THRESHOLD, background: bool = False):
+                 background: bool = False):
         self.scorer = scorer
         self.library = library
         self.prompt = prompt
-        self.s_bar = s_bar
         self.background = background
         self._lock = threading.Lock()
         self._slot: PlanResult | None = None
-        self.events: list[dict] = []
 
-    def request_plan(self, task: str, anomaly_feed=None) -> None:
+    def request_plan(self, task: str) -> None:
         with self._lock:
             self._slot = None
 
         def work():
             try:
-                result = plan(task, self.scorer, self.library,
-                              anomaly_feed=anomaly_feed, s_bar=self.s_bar,
-                              prompt=self.prompt)
+                result = plan(task, self.scorer, self.library, prompt=self.prompt)
             except PlanError as exc:
                 result = PlanResult(plan=Plan(valid=False, invalid_reason=str(exc)))
             with self._lock:
@@ -498,9 +481,6 @@ class PlannerRuntime:
         with self._lock:
             result, self._slot = self._slot, None
             return result
-
-    def record(self, event: dict) -> None:
-        self.events.append(event)
 
 
 # ---------------------------------------------------------------------------

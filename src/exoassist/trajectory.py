@@ -49,10 +49,6 @@ class ReferenceSpline:
         ddpowers = np.array([0.0, 0.0, 2.0, 6 * t, 12 * t**2, 20 * t**3])
         return self.coeffs @ powers, self.coeffs @ dpowers, self.coeffs @ ddpowers
 
-    def peak_velocity(self) -> np.ndarray:
-        """Closed form: the quintic peaks at 15/8 * |qf - q0| / t_f (midpoint)."""
-        return 15.0 / 8.0 * np.abs(self.qf - self.q0) / self.t_f
-
 
 def quintic_reference(q0, qf, t_f: float) -> ReferenceSpline:
     """Rest-to-rest quintic between two joint poses."""

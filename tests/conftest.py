@@ -5,12 +5,9 @@ the harness tests and the acceptance suite; the acceptance criterion on
 training runtime reads the elapsed time recorded here.
 """
 import time
-import warnings
 
 import numpy as np
 import pytest
-
-warnings.filterwarnings("ignore", category=RuntimeWarning)
 
 from exoassist import anomaly as ano
 from exoassist import control as ctl

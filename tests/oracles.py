@@ -7,6 +7,9 @@
   (``dynamics_terms``), dM/dq by complex-step differentiation
   (``plant_terms``) and C from Christoffel symbols (``christoffel``).
   ``reference_step`` is the plant step on them.
+- ``plant_matrices``: the selection matrices S1, S2 and the diagonal
+  matrices K, B of the equations, which the package keeps as slices and
+  diagonals only.
 - The controllers as first written (one expression each, S2' as a matrix
   product), and the wearer's interaction torque in numpy.
 """
@@ -158,19 +161,30 @@ def christoffel(D: np.ndarray, qdot: np.ndarray) -> np.ndarray:
     )
 
 
+def plant_matrices(model):
+    """(S1, S2, K, B): S1 picks the n - n_c direct-driven joints, S2 the
+    last n_c cable-driven ones; K and B hold the spring stiffness and the
+    motor inertia on their diagonals."""
+    n, n_c = model.n, model.n_c
+    S1 = np.diag(np.concatenate([np.ones(n - n_c), np.zeros(n_c)]))
+    S2 = np.hstack([np.zeros((n_c, n - n_c)), np.eye(n_c)])
+    return S1, S2, np.diag(model.spring_stiffness), np.diag(model.motor_inertia)
+
+
 def reference_step(model, state, u, tau_e, dt):
     """Semi-implicit Euler plant step on the complex-step reference terms:
     M, g and dM/dq from ``plant_terms``, C from ``christoffel``."""
+    S1, S2, K, B = plant_matrices(model)
     q, qd = state.q, state.qdot
     th, thd = state.theta, state.thetadot
     M, g, D = plant_terms(model, q, state.payload_mass)
     C = christoffel(D, qd)
     tau_f = dyn.friction_torque(model, thd)
-    spring = model.K @ (th - model.S2 @ q)
+    spring = K @ (th - S2 @ q)
 
-    rhs_link = model.S1 @ u + model.S2.T @ (spring + tau_f) + tau_e - C @ qd - g
+    rhs_link = S1 @ u + S2.T @ (spring + tau_f) + tau_e - C @ qd - g
     qdd = np.linalg.solve(M, rhs_link)
-    thdd = (model.S2 @ u - spring) / np.diag(model.B)
+    thdd = (S2 @ u - spring) / np.diag(B)
 
     qd_new = qd + dt * qdd
     thd_new = thd + dt * thdd
@@ -189,7 +203,8 @@ def reference_transparent_control(model, state, tau_e, cfg):
     u_f = fast_term(state, cfg.Kv)
     # (M + B_bar) qdd0 with qdd0 = (1/gamma0)(M + B_bar)^-1 tau_e
     amplified = tau_e / cfg.gamma0
-    return amplified + h - model.S2.T @ tau_f_hat - tau_e + u_f
+    _, S2, _, _ = plant_matrices(model)
+    return amplified + h - S2.T @ tau_f_hat - tau_e + u_f
 
 
 def reference_impedance_control(model, state, q_d, qdot_d, qddot_d, tau_e, cfg):
@@ -211,9 +226,10 @@ def reference_impedance_control(model, state, q_d, qdot_d, qddot_d, tau_e, cfg):
         + tau_e / cfg.w
     )
     a = qddot_d + target / cfg.Mv
+    _, S2, _, B = plant_matrices(model)
     nd = model.n - model.n_c
-    M[nd:, nd:] += model.B  # M + B_bar with B_bar = S2' B S2
-    return M @ a + h - model.S2.T @ tau_f_hat - tau_e + u_f
+    M[nd:, nd:] += B  # M + B_bar with B_bar = S2' B S2
+    return M @ a + h - S2.T @ tau_f_hat - tau_e + u_f
 
 
 def reference_wearer_torque(params, intent, override, transients, t, state):

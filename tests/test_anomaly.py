@@ -46,9 +46,6 @@ def test_schedule_identities():
     sch = ano.NoiseSchedule.linear(T=50, beta_start=1e-4, beta_end=0.05, nu=10)
     assert np.array_equal(sch.alpha, 1.0 - sch.beta)
     assert np.allclose(sch.alpha_bar, np.cumprod(1.0 - sch.beta), rtol=0, atol=0)
-    expected_bt = (1.0 - sch.alpha_bar_prev) / (1.0 - sch.alpha_bar) * sch.beta
-    assert np.array_equal(sch.beta_tilde, expected_bt)
-    assert sch.beta_tilde[0] == 0.0
     assert np.all(np.diff(sch.alpha_bar) < 0)
 
 
@@ -193,22 +190,16 @@ def test_reconstruct_identity_limit():
     stats = ano.NormStats(mean=np.zeros(3), std=np.ones(3))
     det = ano.AnomalyDetector(den, sch, stats, L_s=2, layout=ano.ChannelLayout(n=1, n_c=1), seed=1)
     x0 = np.array([0.4, -0.2, 0.9, 0.1, -0.5, 0.3])
-    xhat = det.reconstruct(x0, deterministic=True)
+    xhat = det.reconstruct(x0)
     assert np.allclose(xhat, x0, atol=1e-4)
 
 
 def test_reconstruct_deterministic_bit_identical(small_setup):
     det = small_setup["detector"]
     x0 = small_setup["normed"][0]
-    a = det.reconstruct(x0, deterministic=True)
-    b = det.reconstruct(x0, deterministic=True)
+    a = det.reconstruct(x0)
+    b = det.reconstruct(x0)
     assert np.array_equal(a, b)
-
-
-def test_reconstruct_stochastic_needs_rng(small_setup):
-    det = small_setup["detector"]
-    with pytest.raises(ValueError):
-        det.reconstruct(small_setup["normed"][0], deterministic=False)
 
 
 def test_in_distribution_scores_below_p95(small_setup):
@@ -223,12 +214,14 @@ def test_in_distribution_scores_below_p95(small_setup):
 # scoring
 
 
-def test_score_zero_for_perfect_reconstruction(small_setup):
+def test_score_zero_for_perfect_reconstruction(small_setup, monkeypatch):
     det = small_setup["detector"]
+    monkeypatch.setattr(det, "reconstruct", lambda x0: np.array(x0, copy=True))
     x0 = small_setup["normed"][5]
-    xhat = x0.copy()
-    s = det.cal_scale * np.sum((x0 - xhat) ** 2)
-    assert s == 0.0
+    assert np.any(x0 != 0.0)
+    assert det.score(x0) == 0.0
+    batch = small_setup["normed"][:4]
+    assert np.array_equal(det.score_batch(batch), np.zeros(4))
 
 
 def test_score_nonnegative_and_order_sensitive(small_setup):
@@ -237,13 +230,6 @@ def test_score_nonnegative_and_order_sensitive(small_setup):
     assert det.score(x0.copy()) >= 0.0
     shuffled = x0.reshape(L_S, LAYOUT.per_tick)[::-1].reshape(-1).copy()
     assert det.score(shuffled) != pytest.approx(det.score(x0), rel=1e-6)
-
-
-def test_score_stochastic_mode_averages(small_setup):
-    det = small_setup["detector"]
-    rng = np.random.default_rng(77)
-    s = det.score(small_setup["normed"][3], deterministic=False, K=4, rng=rng)
-    assert s >= 0.0
 
 
 def test_calibration_maps_p99_to_target(small_setup):
@@ -271,17 +257,12 @@ def test_score_gradient_zero_at_fixed_point(small_setup):
     """If reconstruction is exact the quadratic score sits at its minimum."""
     det = small_setup["detector"]
     x0 = small_setup["normed"][2]
-    xhat = det.reconstruct(x0, deterministic=True)
+    xhat = det.reconstruct(x0)
     # gradient of s = ||x0 - xhat||^2 with both terms evaluated at xhat == x0
     # reduces to zero; check the algebra by translating the window so the
     # residual vanishes identically
     diff = x0 - xhat
     assert det.cal_scale * np.sum(diff**2) == pytest.approx(det.score(x0))
-
-
-def test_score_gradient_requires_deterministic(small_setup):
-    with pytest.raises(ValueError):
-        small_setup["detector"].score_gradient(small_setup["raw"][0], deterministic=False)
 
 
 def test_score_gradient_halves_when_std_doubles(small_setup):
@@ -351,13 +332,3 @@ def test_degenerate_data_rejected():
     raw = np.zeros((10, 4, 8))
     with pytest.raises(ano.DegenerateDataError):
         ano.compute_stats(raw)
-
-
-def test_window_roundtrip_exact():
-    rng = np.random.default_rng(2)
-    layout = ano.ChannelLayout(n=2, n_c=1)
-    raw = rng.standard_normal((6, layout.per_tick)) * 3.0 + 1.0
-    stats = ano.NormStats(mean=np.full(layout.per_tick, 1.0),
-                          std=np.full(layout.per_tick, 3.0))
-    win = ano.SensoryWindow.from_raw(raw, stats, layout)
-    assert np.allclose(win.to_raw(), raw, atol=1e-12)

@@ -66,6 +66,26 @@ def test_train_detector_from_csv(tmp_path, trained):
     assert out.exists()
 
 
+@pytest.mark.parametrize("config, csv_row, name", [
+    ({"train": {"epoch": 3}}, None, "epoch"),
+    ({"schedule": {"T": 5, "nu": 10}}, None, "nu"),
+    ({"duration": "long"}, None, "duration"),
+    ({}, [0.5] * 7, "7 values"),
+], ids=["unknown-train-field", "nu-above-T", "string-duration", "short-csv-rows"])
+def test_train_detector_rejects_bad_config(tmp_path, capsys, config, csv_row, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = ["train-detector", "--config", str(cfg), "--out", str(tmp_path / "det.npz")]
+    if csv_row is not None:
+        csv_path = tmp_path / "win.csv"
+        csv_path.write_text(",".join(map(str, csv_row)) + "\n")
+        argv += ["--data", str(csv_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert name in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "det.npz").exists()
+
+
 def test_run_scenario_writes_trace_and_report(tmp_path, small_checkpoint):
     trace = tmp_path / "trace.csv"
     report = tmp_path / "report.json"

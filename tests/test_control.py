@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from exoassist import control as ctl
 from exoassist import dynamics as dyn
-from oracles import (christoffel, plant_terms, reference_impedance_control, reference_step,
-                     reference_transparent_control)
+from oracles import (christoffel, plant_matrices, plant_terms, reference_impedance_control,
+                     reference_step, reference_transparent_control)
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +36,9 @@ def closed_loop(model, controller, ticks, state, tau_e_fn, substeps=10, dt=1e-3)
 
 
 def test_fast_term_zero_when_synchronized(model):
+    _, S2, _, _ = plant_matrices(model)
     qdot = np.array([0.3, -0.2, 0.5, 0.1])
-    state = dyn.PlantState(q=np.zeros(4), qdot=qdot, theta=np.zeros(2), thetadot=model.S2 @ qdot)
+    state = dyn.PlantState(q=np.zeros(4), qdot=qdot, theta=np.zeros(2), thetadot=S2 @ qdot)
     assert np.allclose(ctl.fast_term(state, 2.0), 0.0)
 
 
@@ -86,7 +87,8 @@ def test_transparent_amplification_map():
     m = dyn.PlantModel(spring_stiffness=2000.0, motor_inertia=0.005,
                        friction_c0=0.0, friction_c1=0.0, friction_c3=0.0)
     q0 = np.array([0.0, 0.25, 0.0, 0.0])
-    Bbar = m.S2.T @ m.B @ m.S2
+    _, S2, _, B = plant_matrices(m)
+    Bbar = S2.T @ B @ S2
     cfg = ctl.TransparentConfig(Kv=3.0)
     dt = 2e-4
     for joint in (1, 3):
@@ -143,17 +145,18 @@ def test_transparent_backdrivability(model):
 
 
 def test_transparent_matches_reference_terms(model):
+    _, S2, _, _ = plant_matrices(model)
     q = np.array([0.1, 0.3, -0.2, 0.4])
     qd = np.array([0.1, 0.2, -0.1, 0.15])
-    state = dyn.PlantState(q=q, qdot=qd, theta=model.S2 @ q + 0.01,
-                           thetadot=model.S2 @ qd + 0.05, payload_mass=0.4)
+    state = dyn.PlantState(q=q, qdot=qd, theta=S2 @ q + 0.01,
+                           thetadot=S2 @ qd + 0.05, payload_mass=0.4)
     cfg = ctl.TransparentConfig()
     tau_e = np.array([0.2, -0.1, 0.05, 0.3])
     u = ctl.transparent_control(model, state, tau_e, cfg)
     M, g, D = plant_terms(model, q, 0.4)
     C = christoffel(D, qd)
     tau_hat = ctl._friction_estimate(model, state.thetadot, 1.0, cfg.friction_comp_eps)
-    expected = (tau_e / cfg.gamma0 + C @ qd + g - model.S2.T @ tau_hat - tau_e
+    expected = (tau_e / cfg.gamma0 + C @ qd + g - S2.T @ tau_hat - tau_e
                 + ctl.fast_term(state, cfg.Kv))
     assert np.allclose(u, expected, atol=1e-12)
 
@@ -233,24 +236,26 @@ def test_controllers_match_one_expression_form_bitwise(case):
 
 
 def test_impedance_zero_error_is_feedforward(model):
+    _, S2, _, _ = plant_matrices(model)
     q = np.array([0.0, 0.3, 0.0, 0.4])
     qd = np.array([0.1, 0.2, -0.1, 0.15])
-    state = dyn.PlantState(q=q, qdot=qd, theta=model.S2 @ q, thetadot=model.S2 @ qd)
+    state = dyn.PlantState(q=q, qdot=qd, theta=S2 @ q, thetadot=S2 @ qd)
     cfg = ctl.ImpedanceConfig(w=2.0)
     u = ctl.impedance_control(model, state, q, qd, np.zeros(4), np.zeros(4), cfg)
     M, g, D = plant_terms(model, q, 0.0)
     C = christoffel(D, qd)
     tau_hat = ctl._friction_estimate(model, state.thetadot, 1.0, cfg.friction_comp_eps)
-    expected = C @ qd + g - model.S2.T @ tau_hat + ctl.fast_term(state, cfg.Kv)
+    expected = C @ qd + g - S2.T @ tau_hat + ctl.fast_term(state, cfg.Kv)
     assert np.allclose(u, expected, atol=1e-12)
 
 
 def test_impedance_exact_static_solution(model):
     """tau_e = w Kd (q - q_d) solves the target model; error term vanishes."""
+    _, S2, _, _ = plant_matrices(model)
     cfg = ctl.ImpedanceConfig(w=0.5)
     q_d = np.array([0.0, 0.4, 0.0, 0.5])
     q = q_d + np.array([0.02, -0.03, 0.01, 0.015])
-    state = dyn.PlantState(q=q, qdot=np.zeros(4), theta=model.S2 @ q, thetadot=np.zeros(2))
+    state = dyn.PlantState(q=q, qdot=np.zeros(4), theta=S2 @ q, thetadot=np.zeros(2))
     vcfg = cfg.validated(model.n, model.n_c)
     tau_e = cfg.w * vcfg.Kd * (q - q_d)
     u = ctl.impedance_control(model, state, q_d, np.zeros(4), np.zeros(4), tau_e, cfg)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exoassist import dynamics as dyn
-from oracles import christoffel, fk, plant_terms
+from oracles import christoffel, fk, plant_matrices, plant_terms
 
 
 @pytest.fixture(scope="module")
@@ -243,7 +243,8 @@ def test_friction_passivity(thd):
 def test_step_equilibrium_relaxed_spring(model):
     # hanging posture: g(q) = 0, so u = g(q) with theta = S2 q is a rest point
     q = np.zeros(model.n)
-    state = dyn.PlantState(q=q, qdot=np.zeros(4), theta=model.S2 @ q, thetadot=np.zeros(2))
+    _, S2, _, _ = plant_matrices(model)
+    state = dyn.PlantState(q=q, qdot=np.zeros(4), theta=S2 @ q, thetadot=np.zeros(2))
     u = dyn.gravity_vector(model, q)
     for _ in range(200):
         state = dyn.step(model, state, u, np.zeros(model.n), 1e-3)
@@ -334,13 +335,6 @@ def test_step_stores_tau_e(model):
 # types / config
 
 
-def test_selection_matrices_structure(model):
-    diag = np.diag(model.S1)
-    assert np.array_equal(diag, [1, 1, 0, 0])
-    assert np.allclose(model.S2 @ model.S2.T, np.eye(model.n_c))
-    assert np.allclose(model.S1 + model.S2.T @ model.S2, np.eye(model.n))
-
-
 def test_plant_state_validation():
     with pytest.raises(ValueError):
         dyn.PlantState(q=[np.nan, 0, 0, 0], qdot=np.zeros(4), theta=np.zeros(2), thetadot=np.zeros(2))
@@ -373,7 +367,7 @@ def test_plant_config_roundtrip(tmp_path):
     path.write_text(json.dumps(cfg))
     model = dyn.load_plant_config(path)
     assert model.n == 4
-    assert np.allclose(np.diag(model.K), 100.0)
+    assert np.allclose(model.spring_stiffness, 100.0)
 
 
 def test_plant_config_rejects_unknown_fields(tmp_path):

@@ -130,16 +130,6 @@ def test_replan_check_boundary():
     assert pl.replan_check(0.51, 0.5) is True
 
 
-def test_plan_clears_on_anomaly_during_planning(scorer, library):
-    feed = iter([0.0, 0.9] + [0.0] * 20)
-    res = pl.plan("hand me the apple", scorer, library,
-                  anomaly_feed=lambda: next(feed))
-    assert res.replans_during_planning == 1
-    assert any(ev["type"] == "replan" for ev in res.trace)
-    # the final plan is intact despite the mid-planning clear
-    assert pl.plan_semantics(res.plan) == {"spd": 1, "imp": 1, "end_impedance": False}
-
-
 def test_unbound_parameters_never_execute(library):
     broken = pl.Plan(steps=[pl.PlanStep(name="paramset", args={"spd": 1}, label="paramset(?)")])
     with pytest.raises(pl.PlanError, match="unbound"):
