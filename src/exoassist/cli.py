@@ -7,6 +7,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -40,16 +41,41 @@ def _load_stack(args, detector=None, scorer=None):
 
 @contextmanager
 def _config_section(name: str):
-    """Turn a bad value's TypeError or ValueError into a ConfigError naming it."""
+    """Turn a bad value's TypeError or ValueError, or an unreadable file,
+    into a ConfigError naming it."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OSError) as exc:
         raise dyn.ConfigError(f"{name}: {exc}") from exc
 
 
+def _converted(cls, values: dict):
+    """``cls(**values)`` with each field converted to its default's type: a
+    tuple to a tuple of ints, a float to a float or (a per-joint list) a
+    float array. TypeError or ValueError on a value that does not convert."""
+    obj = cls(**values)
+    for f in fields(cls):
+        value = getattr(obj, f.name)
+        if isinstance(f.default, tuple):
+            value = tuple(int(v) for v in value)
+        elif isinstance(f.default, float) and np.ndim(value):
+            value = np.asarray(value, dtype=float)
+        else:
+            value = type(f.default)(value)
+        setattr(obj, f.name, value)
+    return obj
+
+
 def cmd_train_detector(args) -> int:
-    cfg = json.loads(Path(args.config).read_text()) if args.config else {}
-    model = dyn.load_plant_config(_default(cfg.get("plant"), "plant.json"))
+    with _config_section(f"--config {args.config}"):
+        cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+        if not isinstance(cfg, dict):
+            raise TypeError("the config must be a JSON object")
+        for key in ("schedule", "train", "calibrate"):
+            if not isinstance(cfg.get(key, {}), dict):
+                raise TypeError(f"{key} must be a JSON object")
+    with _config_section("plant"):
+        model = dyn.load_plant_config(_default(cfg.get("plant"), "plant.json"))
 
     # every value is converted and checked before collection starts
     with _config_section("schedule"):
@@ -61,8 +87,11 @@ def cmd_train_detector(args) -> int:
             nu=int(sched_cfg.get("nu", 10)),
         )
     with _config_section("train"):
-        train_cfg = ano.TrainConfig(**{k: (tuple(v) if k == "hidden" else v)
-                                       for k, v in cfg.get("train", {}).items()})
+        train_cfg = _converted(ano.TrainConfig, cfg.get("train", {}))
+    with _config_section("calibrate"):
+        cal_cfg = cfg.get("calibrate", {})
+        calibration = {"target": float(cal_cfg.get("target", 0.35)),
+                       "percentile": float(cal_cfg.get("percentile", 99.0))}
     scalars = {}
     for key, kind, default in (("L_s", int, 25), ("seed", int, 0),
                                ("duration", float, 45.0), ("stride", int, 5)):
@@ -80,7 +109,7 @@ def cmd_train_detector(args) -> int:
                 "train_idx": np.arange(cut), "val_idx": np.arange(cut, len(raw))}
     else:
         with _config_section("subjects"):
-            subjects = [hz.WearerParams(**s) for s in cfg.get(
+            subjects = [_converted(hz.WearerParams, s) for s in cfg.get(
                 "subjects", [{"name": "subject-a"}, {"name": "subject-b", "K_h": 25.0}])]
         data = hz.collect_training_data(
             model, subjects, duration=scalars["duration"], seed=seed, L_s=L_s,
@@ -101,10 +130,7 @@ def cmd_train_detector(args) -> int:
 
     detector = ano.AnomalyDetector(denoiser, schedule, data["stats"], data["L_s"],
                                    data["layout"], seed=seed + 99)
-    cal_cfg = cfg.get("calibrate", {})
-    detector.calibrate(normed[data["train_idx"]],
-                       target=float(cal_cfg.get("target", 0.35)),
-                       percentile=float(cal_cfg.get("percentile", 99.0)))
+    detector.calibrate(normed[data["train_idx"]], **calibration)
     ano.save_checkpoint(args.out, detector)
     val = history["val"][-1] if history["val"] else float("nan")
     print(f"trained {train_cfg.epochs} epochs in {elapsed:.1f} s; "

@@ -837,7 +837,7 @@ def tracking_comparison(model: dyn.PlantModel, control_cfg: ctl.ControlConfig,
         rows_q, rows_ref, rows_cmd_v = [], [], []
         for _ in range(ticks):
             ref, t_ref = (up, t) if t <= t_f else (down, t - t_f)
-            q_r = ref.sample(t_ref)[0]
+            q_r = ref.position(t_ref)
             if variant == "clamped":  # causal rate limiter on the reference
                 delta = np.clip(q_r - q_d, -step_lim, step_lim)
                 q_d = q_d + delta

@@ -6,6 +6,10 @@ Goldfarb-Idnani style dual active set (the working set grows from the
 unconstrained optimum, so no feasible starting point is needed and
 infeasibility is detected directly).
 
+A Cholesky factorization of H - 2e-12 max|H_ij| I proves H positive
+definite; only when it fails does ``eigh`` look for null directions
+(unbounded if f pushes along one, otherwise regularised).
+
 Problems here are small and dense (at most a few hundred variables), so
 every iteration re-solves against H instead of maintaining factorization
 updates.
@@ -173,14 +177,17 @@ def qp_solve(H, f, A_in=None, b_in=None, lb=None, ub=None) -> QPResult:
     A, b = _merge_inequalities(n, A_in, b_in, lb, ub)
 
     # unbounded directions: null curvature with a nonzero linear term
-    evals, evecs = np.linalg.eigh(H)
     scale = max(1.0, float(np.max(np.abs(H))))
-    null_mask = evals < 1e-12 * scale
     G = H
-    if np.any(null_mask):
-        if np.max(np.abs(evecs[:, null_mask].T @ f)) > 1e-10 * (1.0 + np.max(np.abs(f))):
-            return QPResult(status="unbounded")
-        G = H + (1e-12 * scale) * np.eye(n)
+    try:  # every eigenvalue well above the null threshold: no null directions
+        np.linalg.cholesky(H - (2e-12 * scale) * np.eye(n))
+    except np.linalg.LinAlgError:
+        evals, evecs = np.linalg.eigh(H)
+        null_mask = evals < 1e-12 * scale
+        if np.any(null_mask):
+            if np.max(np.abs(evecs[:, null_mask].T @ f)) > 1e-10 * (1.0 + np.max(np.abs(f))):
+                return QPResult(status="unbounded")
+            G = H + (1e-12 * scale) * np.eye(n)
     status, x, mu, iters = _dual_active_set(G, f, A, b)
     if status != "optimal":
         return QPResult(status=status, iterations=iters)

@@ -8,7 +8,7 @@ input gradient of the detector, so the program stays a convex QP.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,16 +38,21 @@ class ReferenceSpline:
     q0: np.ndarray
     qf: np.ndarray
 
+    def position(self, t: float) -> np.ndarray:
+        """Position at time t; clamped beyond [0, t_f]."""
+        if t <= 0.0:
+            return self.q0.copy()
+        if t >= self.t_f:
+            return self.qf.copy()
+        return self.coeffs @ np.array([1.0, t, t**2, t**3, t**4, t**5])
+
     def sample(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Position, velocity, acceleration at time t; clamped beyond [0, t_f]."""
-        if t <= 0.0:
-            return self.q0.copy(), np.zeros_like(self.q0), np.zeros_like(self.q0)
-        if t >= self.t_f:
-            return self.qf.copy(), np.zeros_like(self.qf), np.zeros_like(self.qf)
-        powers = np.array([1.0, t, t**2, t**3, t**4, t**5])
+        if t <= 0.0 or t >= self.t_f:
+            return self.position(t), np.zeros_like(self.q0), np.zeros_like(self.q0)
         dpowers = np.array([0.0, 1.0, 2 * t, 3 * t**2, 4 * t**3, 5 * t**4])
         ddpowers = np.array([0.0, 0.0, 2.0, 6 * t, 12 * t**2, 20 * t**3])
-        return self.coeffs @ powers, self.coeffs @ dpowers, self.coeffs @ ddpowers
+        return self.position(t), self.coeffs @ dpowers, self.coeffs @ ddpowers
 
 
 def quintic_reference(q0, qf, t_f: float) -> ReferenceSpline:
@@ -73,7 +78,13 @@ class QPSetup:
     """The refinement problem of one move: horizon, step, weights, limits and
     the impedance gains of the score chain, each per-joint value an array.
     Build it once per move with ``from_config``; ``refine`` takes the
-    per-tick inputs (time, anomaly gradient, initial score) as arguments."""
+    per-tick inputs (time, anomaly gradient, initial score) as arguments.
+
+    It also holds, read-only, what the QP of every tick shares: the maps
+    ``Lp``, ``Lv`` from stacked accelerations to stacked positions and
+    velocities, the tiled weights ``Qw``, ``Rw``, ``H0 = Lp'(Qw Lp) +
+    diag(Rw)``, and the rows ``A_in = [Lv; -Lv; Lp; -Lp; I; -I]`` on steps
+    1..N with their limits ``b_lim`` (box rows for finite bounds only)."""
 
     N: int
     dt: float
@@ -86,6 +97,30 @@ class QPSetup:
     Kd: np.ndarray
     Cd: np.ndarray
     w: float
+    Lp: np.ndarray = field(init=False, repr=False, compare=False)
+    Lv: np.ndarray = field(init=False, repr=False, compare=False)
+    Qw: np.ndarray = field(init=False, repr=False, compare=False)
+    Rw: np.ndarray = field(init=False, repr=False, compare=False)
+    H0: np.ndarray = field(init=False, repr=False, compare=False)
+    A_in: np.ndarray = field(init=False, repr=False, compare=False)
+    b_lim: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        N, n = self.N, self.Q.size
+        Lp, Lv = _prediction_matrices(N, self.dt)
+        # kron expansion over joints: U is (N*n,), samples stacked step-major
+        Lp, Lv = np.kron(Lp, np.eye(n)), np.kron(Lv, np.eye(n))
+        Qw, Rw = np.tile(self.Q, N + 1), np.tile(self.R, N)
+        vlim, alim = np.tile(self.speed_limit, N), np.tile(self.accel_limit, N)
+        box, alim = np.eye(N * n)[np.isfinite(alim)], alim[np.isfinite(alim)]
+        consts = dict(
+            Lp=Lp, Lv=Lv, Qw=Qw, Rw=Rw, H0=Lp.T @ (Qw[:, None] * Lp) + np.diag(Rw),
+            A_in=np.vstack([Lv[n:], -Lv[n:], Lp[n:], -Lp[n:], box, -box]),
+            b_lim=np.concatenate([vlim, vlim, np.tile(self.q_max, N),
+                                  -np.tile(self.q_min, N), alim, alim]))
+        for name, arr in consts.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_config(cls, qp: QPConfig, n: int, speed_limit, Kd, Cd, w: float) -> QPSetup:
@@ -132,13 +167,8 @@ def _prediction_matrices(N: int, dt: float):
     """Affine maps from stacked accelerations U to stacked q and qdot."""
     # qdot_i = qdot_0 + dt * sum_{j<i} u_j ; q_i = q_0 + i dt qdot_0
     #          + dt^2 * sum_{j<=i-2} (i-1-j) u_j
-    Lv = np.zeros((N + 1, N))
-    Lp = np.zeros((N + 1, N))
-    for i in range(1, N + 1):
-        Lv[i, :i] = dt
-        for j in range(i - 1):
-            Lp[i, j] = dt * dt * (i - 1 - j)
-    return Lp, Lv
+    i, j = np.indices((N + 1, N))
+    return np.where(j < i - 1, dt * dt * (i - 1 - j), 0.0), np.where(j < i, dt, 0.0)
 
 
 def refine(reference: ReferenceSpline, current_state, setup: QPSetup, t_now: float,
@@ -153,16 +183,11 @@ def refine(reference: ReferenceSpline, current_state, setup: QPSetup, t_now: flo
     """
     q0, qd0 = (np.asarray(v, dtype=float) for v in current_state)
     n = q0.size
-    N, dt = setup.N, setup.dt
+    N, dt, Lp, Lv = setup.N, setup.dt, setup.Lp, setup.Lv
 
-    refs = np.stack([reference.sample(t_now + i * dt)[0] for i in range(N + 1)])
+    refs = np.stack([reference.position(t_now + i * dt) for i in range(N + 1)])
 
-    Lp, Lv = _prediction_matrices(N, dt)
-    # kron expansion over joints: U is (N*n,), samples stacked step-major
-    Lp_full = np.kron(Lp, np.eye(n))
-    Lv_full = np.kron(Lv, np.eye(n))
-    steps = np.arange(N + 1)
-    q_base = q0[None, :] + steps[:, None] * dt * qd0[None, :]
+    q_base = q0[None, :] + np.arange(N + 1)[:, None] * dt * qd0[None, :]
     v_base = np.tile(qd0, (N + 1, 1))
 
     # score chain: s_{i+1} = s_i - w dt g'(Kd qdot_i + Cd u_i)
@@ -172,41 +197,23 @@ def refine(reference: ReferenceSpline, current_state, setup: QPSetup, t_now: flo
     Ls = np.zeros((N + 1, N * n))
     s_base = np.full(N + 1, float(score_init))
     for i in range(1, N + 1):
-        Ls[i] = Ls[i - 1] - setup.w * dt * (gKd @ Lv_full[(i - 1) * n:i * n, :])
+        Ls[i] = Ls[i - 1] - setup.w * dt * (gKd @ Lv[(i - 1) * n:i * n, :])
         Ls[i, (i - 1) * n:i * n] += -setup.w * dt * gCd
         s_base[i] = s_base[i - 1] - setup.w * dt * float(gKd @ v_base[i - 1])
 
-    # objective: sum_i ||q_i - r_i||_Q^2 + ||u_i||_R^2 + s_i^2  (i=0 terms constant)
-    Qw = np.tile(setup.Q, N + 1)
-    Rw = np.tile(setup.R, N)
+    # objective: sum_i ||q_i - r_i||_Q^2 + ||u_i||_R^2 + s_i^2  (i=0 terms constant),
+    # halved for qp_solve's 0.5 x'Hx + f'x
     dev_base = (q_base - refs).reshape(-1)
-    H = 2.0 * (
-        Lp_full.T @ (Qw[:, None] * Lp_full)
-        + np.diag(Rw)
-        + Ls.T @ Ls
-    )
-    f = 2.0 * (Lp_full.T @ (Qw * dev_base) + Ls.T @ s_base)
+    H = setup.H0 + Ls.T @ Ls
+    f = Lp.T @ (setup.Qw * dev_base) + Ls.T @ s_base
 
-    # constraints on samples i = 1..N (step 0 is the fixed initial state)
-    sel = np.arange(n, (N + 1) * n)
-    A_rows = []
-    b_rows = []
-    vlim = np.tile(setup.speed_limit, N)
-    A_rows.append(Lv_full[sel])
-    b_rows.append(vlim - v_base.reshape(-1)[sel])
-    A_rows.append(-Lv_full[sel])
-    b_rows.append(vlim + v_base.reshape(-1)[sel])
-    qmax = np.tile(setup.q_max, N)
-    qmin = np.tile(setup.q_min, N)
-    A_rows.append(Lp_full[sel])
-    b_rows.append(qmax - q_base.reshape(-1)[sel])
-    A_rows.append(-Lp_full[sel])
-    b_rows.append(q_base.reshape(-1)[sel] - qmin)
-    A_in = np.vstack(A_rows)
-    b_in = np.concatenate(b_rows)
-    alim = np.tile(setup.accel_limit, N)
+    # constraints on samples i = 1..N (step 0 is the fixed initial state):
+    # the limits less the response to the initial state, row by row of A_in
+    v_sel, q_sel = v_base.reshape(-1)[n:], q_base.reshape(-1)[n:]
+    free = np.concatenate([v_sel, -v_sel, q_sel, -q_sel])
+    b_in = setup.b_lim - np.concatenate([free, np.zeros(setup.b_lim.size - free.size)])
 
-    result = qp_solve(H / 2.0, f / 2.0, A_in=A_in, b_in=b_in, lb=-alim, ub=alim)
+    result = qp_solve(H, f, A_in=setup.A_in, b_in=b_in)
     if result.status == "infeasible":
         raise RefinementError(
             f"refinement constraints infeasible: N={N}, dt={dt}, "
@@ -218,8 +225,8 @@ def refine(reference: ReferenceSpline, current_state, setup: QPSetup, t_now: flo
         raise RefinementError(f"KKT certification failed: {result.residuals}")
 
     U = result.x.reshape(N, n)
-    q_d = q_base + (Lp_full @ result.x).reshape(N + 1, n)
-    qdot_d = v_base + (Lv_full @ result.x).reshape(N + 1, n)
+    q_d = q_base + (Lp @ result.x).reshape(N + 1, n)
+    qdot_d = v_base + (Lv @ result.x).reshape(N + 1, n)
     score_pred = s_base + Ls @ result.x
 
     # contract: refined velocity never exceeds the limit beyond tolerance
@@ -228,8 +235,8 @@ def refine(reference: ReferenceSpline, current_state, setup: QPSetup, t_now: flo
         raise RefinementError(f"velocity bound violated by {overrun:.2e}")
 
     # objective evaluated directly (includes the constant i=0 stage terms)
-    track = np.sum(Qw * ((q_d - refs).reshape(-1)) ** 2)
-    effort = np.sum(Rw * (U.reshape(-1)) ** 2)
+    track = np.sum(setup.Qw * ((q_d - refs).reshape(-1)) ** 2)
+    effort = np.sum(setup.Rw * (U.reshape(-1)) ** 2)
     objective = track + effort + float(score_pred @ score_pred)
 
     return RefinedSegment(

@@ -12,6 +12,11 @@
   diagonals only.
 - The controllers as first written (one expression each, S2' as a matrix
   product), and the wearer's interaction torque in numpy.
+- ``reference_refine``: the refinement QP rebuilt from scratch on every
+  call, as first written (prediction matrices entry by entry in
+  ``reference_prediction_matrices``), solved by ``reference_qp_solve``
+  (the QP solver with an ``eigh`` positive-definiteness test on every
+  call).
 """
 import itertools
 import math
@@ -21,6 +26,8 @@ import numpy as np
 from exoassist import dynamics as dyn
 from exoassist.control import _friction_estimate, fast_term
 from exoassist.dynamics import _rigid_body_terms
+from exoassist.qp import QPResult, _dual_active_set, _merge_inequalities, _residuals
+from exoassist.trajectory import QPSetup, RefinedSegment, RefinementError, ReferenceSpline
 
 
 def brute_force_qp(H, f, A_in, b_in, tol=1e-9):
@@ -244,3 +251,155 @@ def reference_wearer_torque(params, intent, override, transients, t, state):
     for tr in transients:
         tau = tau + tr["amplitude"] * math.exp(-(t - tr["t0"]) / tr["decay"])
     return tau
+
+
+def reference_qp_solve(H, f, A_in=None, b_in=None, lb=None, ub=None) -> QPResult:
+    """``qp.qp_solve`` with its first positive-definiteness test: an ``eigh``
+    on every call."""
+    H = np.atleast_2d(np.asarray(H, dtype=float))
+    f = np.atleast_1d(np.asarray(f, dtype=float))
+    n = f.size
+    if H.shape != (n, n):
+        raise ValueError("H and f are dimensionally inconsistent")
+    if np.max(np.abs(H - H.T)) > 1e-9 * (1.0 + np.max(np.abs(H))):
+        raise ValueError("H must be symmetric")
+    H = 0.5 * (H + H.T)
+
+    A, b = _merge_inequalities(n, A_in, b_in, lb, ub)
+
+    # unbounded directions: null curvature with a nonzero linear term
+    evals, evecs = np.linalg.eigh(H)
+    scale = max(1.0, float(np.max(np.abs(H))))
+    null_mask = evals < 1e-12 * scale
+    G = H
+    if np.any(null_mask):
+        if np.max(np.abs(evecs[:, null_mask].T @ f)) > 1e-10 * (1.0 + np.max(np.abs(f))):
+            return QPResult(status="unbounded")
+        G = H + (1e-12 * scale) * np.eye(n)
+    status, x, mu, iters = _dual_active_set(G, f, A, b)
+    if status != "optimal":
+        return QPResult(status=status, iterations=iters)
+
+    return QPResult(
+        status="optimal",
+        x=x,
+        objective=float(0.5 * x @ H @ x + f @ x),
+        iterations=iters,
+        ineq_multipliers=mu,
+        residuals=_residuals(H, f, A, b, x, mu),
+    )
+
+
+def reference_prediction_matrices(N: int, dt: float):
+    """``trajectory._prediction_matrices`` as first written, entry by entry."""
+    Lv = np.zeros((N + 1, N))
+    Lp = np.zeros((N + 1, N))
+    for i in range(1, N + 1):
+        Lv[i, :i] = dt
+        for j in range(i - 1):
+            Lp[i, j] = dt * dt * (i - 1 - j)
+    return Lp, Lv
+
+
+def reference_refine(reference: ReferenceSpline, current_state, setup: QPSetup, t_now: float,
+                     anomaly_gradient=None, score_init: float = 0.0) -> RefinedSegment:
+    """``trajectory.refine`` as first written: the prediction matrices, the
+    kron expansions, the constraint stack and the Hessian rebuilt on every
+    call, solved by ``reference_qp_solve``.
+
+    ``current_state`` is the initial (q, qdot) pair and ``t_now`` the time
+    on ``reference`` it starts at. ``anomaly_gradient`` (df/dtau_e, frozen
+    for the solve; zero when None) and ``score_init`` drive the score
+    chain. Raises RefinementError on infeasibility or an uncertified
+    solution — constraints are never silently clamped.
+    """
+    q0, qd0 = (np.asarray(v, dtype=float) for v in current_state)
+    n = q0.size
+    N, dt = setup.N, setup.dt
+
+    refs = np.stack([reference.sample(t_now + i * dt)[0] for i in range(N + 1)])
+
+    Lp, Lv = reference_prediction_matrices(N, dt)
+    # kron expansion over joints: U is (N*n,), samples stacked step-major
+    Lp_full = np.kron(Lp, np.eye(n))
+    Lv_full = np.kron(Lv, np.eye(n))
+    steps = np.arange(N + 1)
+    q_base = q0[None, :] + steps[:, None] * dt * qd0[None, :]
+    v_base = np.tile(qd0, (N + 1, 1))
+
+    # score chain: s_{i+1} = s_i - w dt g'(Kd qdot_i + Cd u_i)
+    g = np.zeros(n) if anomaly_gradient is None else np.asarray(anomaly_gradient, dtype=float)
+    gKd = g * setup.Kd
+    gCd = g * setup.Cd
+    Ls = np.zeros((N + 1, N * n))
+    s_base = np.full(N + 1, float(score_init))
+    for i in range(1, N + 1):
+        Ls[i] = Ls[i - 1] - setup.w * dt * (gKd @ Lv_full[(i - 1) * n:i * n, :])
+        Ls[i, (i - 1) * n:i * n] += -setup.w * dt * gCd
+        s_base[i] = s_base[i - 1] - setup.w * dt * float(gKd @ v_base[i - 1])
+
+    # objective: sum_i ||q_i - r_i||_Q^2 + ||u_i||_R^2 + s_i^2  (i=0 terms constant)
+    Qw = np.tile(setup.Q, N + 1)
+    Rw = np.tile(setup.R, N)
+    dev_base = (q_base - refs).reshape(-1)
+    H = 2.0 * (
+        Lp_full.T @ (Qw[:, None] * Lp_full)
+        + np.diag(Rw)
+        + Ls.T @ Ls
+    )
+    f = 2.0 * (Lp_full.T @ (Qw * dev_base) + Ls.T @ s_base)
+
+    # constraints on samples i = 1..N (step 0 is the fixed initial state)
+    sel = np.arange(n, (N + 1) * n)
+    A_rows = []
+    b_rows = []
+    vlim = np.tile(setup.speed_limit, N)
+    A_rows.append(Lv_full[sel])
+    b_rows.append(vlim - v_base.reshape(-1)[sel])
+    A_rows.append(-Lv_full[sel])
+    b_rows.append(vlim + v_base.reshape(-1)[sel])
+    qmax = np.tile(setup.q_max, N)
+    qmin = np.tile(setup.q_min, N)
+    A_rows.append(Lp_full[sel])
+    b_rows.append(qmax - q_base.reshape(-1)[sel])
+    A_rows.append(-Lp_full[sel])
+    b_rows.append(q_base.reshape(-1)[sel] - qmin)
+    A_in = np.vstack(A_rows)
+    b_in = np.concatenate(b_rows)
+    alim = np.tile(setup.accel_limit, N)
+
+    result = reference_qp_solve(H / 2.0, f / 2.0, A_in=A_in, b_in=b_in, lb=-alim, ub=alim)
+    if result.status == "infeasible":
+        raise RefinementError(
+            f"refinement constraints infeasible: N={N}, dt={dt}, "
+            f"speed_limit={setup.speed_limit}, initial qdot={qd0}"
+        )
+    if result.status != "optimal":
+        raise RefinementError(f"QP solver failed: {result.status} after {result.iterations} iterations")
+    if not result.certified:
+        raise RefinementError(f"KKT certification failed: {result.residuals}")
+
+    U = result.x.reshape(N, n)
+    q_d = q_base + (Lp_full @ result.x).reshape(N + 1, n)
+    qdot_d = v_base + (Lv_full @ result.x).reshape(N + 1, n)
+    score_pred = s_base + Ls @ result.x
+
+    # contract: refined velocity never exceeds the limit beyond tolerance
+    overrun = np.max(np.abs(qdot_d[1:]) - setup.speed_limit[None, :])
+    if overrun > 1e-9:
+        raise RefinementError(f"velocity bound violated by {overrun:.2e}")
+
+    # objective evaluated directly (includes the constant i=0 stage terms)
+    track = np.sum(Qw * ((q_d - refs).reshape(-1)) ** 2)
+    effort = np.sum(Rw * (U.reshape(-1)) ** 2)
+    objective = track + effort + float(score_pred @ score_pred)
+
+    return RefinedSegment(
+        t0=t_now,
+        dt=dt,
+        q_d=q_d,
+        qdot_d=qdot_d,
+        qddot_d=U,
+        score_pred=score_pred,
+        objective=objective,
+    )

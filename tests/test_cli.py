@@ -71,10 +71,19 @@ def test_train_detector_from_csv(tmp_path, trained):
     ({"schedule": {"T": 5, "nu": 10}}, None, "nu"),
     ({"duration": "long"}, None, "duration"),
     ({}, [0.5] * 7, "7 values"),
-], ids=["unknown-train-field", "nu-above-T", "string-duration", "short-csv-rows"])
+    ([], None, "--config"),
+    ('{"train": ', None, "--config"),
+    ({"train": {"epochs": "x"}}, None, "train"),
+    ({"subjects": [{"name": "a", "K_h": "x"}]}, None, "subjects"),
+    ({"schedule": []}, None, "schedule"),
+    ({"calibrate": {"target": "x"}}, None, "calibrate"),
+    ({"plant": 5}, None, "plant"),
+], ids=["unknown-train-field", "nu-above-T", "string-duration", "short-csv-rows",
+        "not-an-object", "malformed-json", "string-epochs", "string-subject-gain",
+        "schedule-not-an-object", "string-calibrate-target", "numeric-plant-path"])
 def test_train_detector_rejects_bad_config(tmp_path, capsys, config, csv_row, name):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config))
     argv = ["train-detector", "--config", str(cfg), "--out", str(tmp_path / "det.npz")]
     if csv_row is not None:
         csv_path = tmp_path / "win.csv"
@@ -84,6 +93,14 @@ def test_train_detector_rejects_bad_config(tmp_path, capsys, config, csv_row, na
     err = capsys.readouterr().err
     assert name in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "det.npz").exists()
+
+
+def test_train_detector_rejects_missing_config_file(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["train-detector", "--config", str(missing),
+                 "--out", str(tmp_path / "det.npz")]) == 2
+    err = capsys.readouterr().err
+    assert str(missing) in err and len(err.strip().splitlines()) == 1
 
 
 def test_run_scenario_writes_trace_and_report(tmp_path, small_checkpoint):

@@ -81,3 +81,27 @@ def test_degenerate_psd_with_consistent_linear_term():
 def test_rejects_asymmetric_h():
     with pytest.raises(ValueError):
         qp_solve(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2))
+
+
+def test_near_null_curvature_with_push_is_unbounded():
+    # an eigenvalue of 1e-14 is below the null threshold (1e-12 x scale)
+    res = qp_solve(np.diag([1.0, 1e-14]), np.array([0.0, -1.0]))
+    assert res.status == "unbounded"
+
+
+def test_near_null_curvature_without_push_is_regularised():
+    H, f = np.diag([1.0, 1e-14]), np.array([-2.0, 0.0])
+    res = qp_solve(H, f)
+    assert res.status == "optimal"
+    assert res.x.tobytes() == (-np.linalg.solve(H + 1e-12 * np.eye(2), f)).tobytes()
+
+
+def test_positive_definite_h_skips_eigendecomposition(monkeypatch):
+    def no_eigh(_):
+        raise AssertionError("eigh ran on a positive definite H")
+
+    rng = np.random.default_rng(5)
+    H = random_spd(rng, 6)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    res = qp_solve(H, rng.normal(size=6), lb=-np.ones(6), ub=np.ones(6))
+    assert res.status == "optimal" and res.certified

@@ -1,9 +1,13 @@
 """Trajectory tests: quintic boundary behavior, refinement against the
 brute-force oracle, speed-limit enforcement, cost monotonicity, horizon
-consistency, and the anomaly-score coupling direction."""
+consistency, the anomaly-score coupling direction, and bit-for-bit
+agreement with the refinement as first written."""
+import re
+
 import numpy as np
 import pytest
-from oracles import brute_force_qp
+from hypothesis import example, given, settings, strategies as st
+from oracles import brute_force_qp, reference_refine
 
 from exoassist import control as ctl
 from exoassist import trajectory as traj
@@ -225,6 +229,15 @@ def test_setup_from_config_gives_per_joint_arrays():
     assert list(setup.q_max) == [2.0, 2.0, 2.0]
 
 
+def test_setup_constants_are_read_only():
+    setup = make_setup(n=2, horizon=5)
+    for name in ("Lp", "Lv", "Qw", "Rw", "H0", "A_in", "b_lim"):
+        arr = getattr(setup, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    assert setup.A_in.shape == (6 * 5 * 2, 5 * 2)  # velocity, position and box rows, both signs
+
+
 def test_refined_segment_sampling_consistency():
     ref = traj.quintic_reference([0.0, 0.0], [0.6, 0.9], 2.0)
     setup = make_setup(n=2, horizon=10, dt=0.05, speed_limit=1.0)
@@ -236,3 +249,47 @@ def test_refined_segment_sampling_consistency():
         assert np.allclose(qd, seg.qdot_d[i], atol=1e-12)
         assert np.allclose(seg.q_d[i + 1], seg.q_d[i] + 0.05 * seg.qdot_d[i], atol=1e-10)
         assert np.allclose(seg.qdot_d[i + 1], seg.qdot_d[i] + 0.05 * seg.qddot_d[i], atol=1e-10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 4), horizon=st.integers(2, 20),
+       gradient_scale=st.sampled_from([None, 0.0, 1e-3, 0.5, 50.0]),
+       speed_factor=st.sampled_from([0.3, 0.6, 3.0]), R=st.sampled_from([0.0, 0.01, 0.2]),
+       position_margin=st.sampled_from([0.02, np.pi]), seed=st.integers(0, 2**32 - 1))
+@example(n=4, horizon=20, gradient_scale=0.5, speed_factor=0.3, R=0.01, position_margin=np.pi,
+         seed=1)
+def test_refine_matches_reference_bit_for_bit(n, horizon, gradient_scale, speed_factor, R,
+                                              position_margin, seed):
+    """Per-move constants change no byte of a refinement: zero, small and
+    large score gradients, speed limits that bind (the active set iterates)
+    and limits that do not, tight position limits, and R = 0 (null
+    curvature, regularised)."""
+    rng = np.random.default_rng(seed)
+    q0 = rng.uniform(-0.5, 0.5, n)
+    qf = q0 + rng.uniform(-1.5, 1.5, n)
+    t_f = rng.uniform(0.5, 3.0)
+    ref = traj.quintic_reference(q0, qf, t_f)
+    peak = 1.875 * np.max(np.abs(qf - q0)) / t_f  # quintic peak speed
+    setup = make_setup(n, speed_limit=max(speed_factor * peak, 1e-3),
+                       Kd=rng.uniform(20.0, 80.0, n), Cd=rng.uniform(10.0, 40.0, n),
+                       w=rng.uniform(0.5, 3.0), horizon=horizon,
+                       dt=float(rng.choice([0.01, 0.05])), Q=list(rng.uniform(0.5, 2.0, n)),
+                       R=R, accel_limit=rng.uniform(2.0, 8.0),
+                       position_min=list(np.minimum(q0, qf) - position_margin),
+                       position_max=list(np.maximum(q0, qf) + position_margin))
+    t_now = rng.uniform(0.0, t_f)
+    q, qd, _ = ref.sample(t_now)
+    state = (q + rng.normal(0.0, 0.01, n), np.clip(qd, -setup.speed_limit, setup.speed_limit))
+    gradient = None if gradient_scale is None else gradient_scale * rng.normal(size=n)
+    args = (ref, state, setup, t_now, gradient, rng.uniform(0.0, 1.0))
+    try:
+        want = reference_refine(*args)
+    except traj.RefinementError as exc:
+        with pytest.raises(traj.RefinementError, match=re.escape(str(exc))):
+            traj.refine(*args)
+        return
+    got = traj.refine(*args)
+    for name in ("q_d", "qdot_d", "qddot_d", "score_pred"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.objective == want.objective
+    assert (got.t0, got.dt) == (want.t0, want.dt)
