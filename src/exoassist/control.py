@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ConfigError, PlantModel, PlantState, _rigid_body_terms
+from .dynamics import ConfigError, Field, PlantModel, PlantState, _rigid_body_terms, check_fields
 
 __all__ = [
     "TransparentConfig",
@@ -35,38 +35,27 @@ W_BY_IMP_BIT = {0: 2.0, 1: 0.5}
 SPEED_BY_SPD_BIT = {0: (5.0, 30.0), 1: (2.0, 70.0)}  # (t_f seconds, deg/s)
 
 
-def _finite_values(value, name: str) -> np.ndarray:
-    """A finite number or list of numbers as an array; ConfigError otherwise
-    (strings and booleans are not numbers)."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged nesting
-        raise ConfigError(f"{name} must be numeric") from None
-    if arr.dtype.kind not in "iuf":
-        raise ConfigError(f"{name} must be numeric")
-    arr = arr.astype(float)
-    if arr.ndim > 1 or not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{name} must be a finite number or list of numbers")
-    return arr
-
-
-def _diag_array(values, size: int, name: str) -> np.ndarray:
-    arr = np.atleast_1d(_finite_values(values, name))
-    if arr.size == 1 and size > 1:
-        arr = np.full(size, float(arr[0]))
-    if arr.shape != (size,):
-        raise ConfigError(f"{name} must have length {size}")
-    if np.any(arr <= 0):
-        raise ConfigError(f"{name} must be strictly positive")
-    return arr
-
-
-def _number(value, name: str, positive: bool = True) -> float:
-    """A finite number, positive unless ``positive`` is False; ConfigError otherwise."""
-    arr = _finite_values(value, name)
-    if arr.ndim or (positive and arr <= 0):
-        raise ConfigError(f"{name} must be a {'positive ' if positive else ''}number")
-    return float(arr)
+# control.json's sections: transparent, impedance and qp. Angles are degrees
+# in the file (the _deg keys) and radians in QPConfig.
+_FRICTION_COMP = {"friction_scale": Field(bound=">= 0"), "friction_comp_eps": Field(bound="> 0")}
+TRANSPARENT_FIELDS = {"gamma0": Field(bound="> 0"), "Kv": Field("joints", "> 0", "n_c"),
+                      **_FRICTION_COMP}
+IMPEDANCE_FIELDS = {**dict.fromkeys(("Cd", "Kd", "Mv"), Field("joints", "> 0", "n")),
+                    "Kv": Field("joints", "> 0", "n_c"), **_FRICTION_COMP}
+QP_FIELDS = {
+    "horizon": Field("integer", ">= 2"),
+    "dt": Field(bound="> 0"),
+    **dict.fromkeys(("Q", "R"), Field("joints", "> 0", "n")),
+    "accel_limit_deg": Field(bound="> 0"),
+    **dict.fromkeys(("position_min_deg", "position_max_deg"), Field("joints", size="n")),
+}
+CONTROL_FIELDS = {"transparent": Field("object", table=TRANSPARENT_FIELDS),
+                  "impedance": Field("object", table=IMPEDANCE_FIELDS),
+                  "qp": Field("object", table=QP_FIELDS)}
+# the dataclasses' own fields: ImpedanceConfig also holds the task's w, and
+# QPConfig the angles in radians under their names without _deg
+_IMPEDANCE_CONFIG_FIELDS = {**IMPEDANCE_FIELDS, "w": Field(bound="> 0")}
+_QP_CONFIG_FIELDS = {k.removesuffix("_deg"): spec for k, spec in QP_FIELDS.items()}
 
 
 @dataclass
@@ -86,15 +75,13 @@ class TransparentConfig:
     friction_comp_eps: float = 0.2  # rad/s
 
     def __post_init__(self):
-        _number(self.gamma0, "gamma0")
-        _number(self.friction_scale, "friction_scale", positive=False)
-        _number(self.friction_comp_eps, "friction_comp_eps")
-        _diag_array(self.Kv, np.size(self.Kv), "Kv")
+        check_fields(self, TRANSPARENT_FIELDS, "transparent")
 
     def validated(self, n_c: int) -> "TransparentConfig":
         """Gains as per-joint arrays (a scalar repeated); raises ConfigError on a wrong
         length. Call once at loop entry: the controller does not check."""
-        return replace(self, Kv=_diag_array(self.Kv, n_c, "Kv"))
+        return replace(self, **check_fields(self, TRANSPARENT_FIELDS, "transparent",
+                                            {"n_c": n_c}))
 
 
 @dataclass
@@ -115,23 +102,13 @@ class ImpedanceConfig:
     friction_comp_eps: float = 0.2
 
     def __post_init__(self):
-        _number(self.w, "w")
-        _number(self.friction_scale, "friction_scale", positive=False)
-        _number(self.friction_comp_eps, "friction_comp_eps")
-        for name in ("Cd", "Kd", "Mv", "Kv"):
-            value = getattr(self, name)
-            _diag_array(value, np.size(value), name)
+        check_fields(self, _IMPEDANCE_CONFIG_FIELDS, "impedance")
 
     def validated(self, n: int, n_c: int) -> "ImpedanceConfig":
         """Gains as per-joint arrays (a scalar repeated); raises ConfigError on a wrong
         length. Call once at loop entry: the controller does not check."""
-        return replace(
-            self,
-            Cd=_diag_array(self.Cd, n, "Cd"),
-            Kd=_diag_array(self.Kd, n, "Kd"),
-            Mv=_diag_array(self.Mv, n, "Mv"),
-            Kv=_diag_array(self.Kv, n_c, "Kv"),
-        )
+        return replace(self, **check_fields(self, _IMPEDANCE_CONFIG_FIELDS, "impedance",
+                                            {"n": n, "n_c": n_c}))
 
 
 @dataclass(frozen=True)
@@ -267,8 +244,8 @@ def apply_task_config(cfg_bits: tuple[int, int, int]) -> tuple[str, TaskConfig]:
 
 @dataclass
 class QPConfig:
-    """Refinement QP settings. Values are checked at construction (so at
-    load), per-joint lengths by ``check_lengths`` once at loop entry."""
+    """Refinement QP settings, checked against ``QP_FIELDS`` at construction
+    (so at load), per-joint lengths by ``validated`` once at loop entry."""
 
     horizon: int = 20
     dt: float = 0.05
@@ -279,28 +256,17 @@ class QPConfig:
     position_max: np.ndarray | float = math.pi
 
     def __post_init__(self):
-        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int) or self.horizon < 2:
-            raise ConfigError("horizon must be an integer of at least 2")
-        dt, Q, R, accel, lo, hi = (_finite_values(getattr(self, name), name) for name in (
-            "dt", "Q", "R", "accel_limit", "position_min", "position_max"))
-        if dt.ndim or dt <= 0:
-            raise ConfigError("dt must be a positive number")
-        if accel.ndim or accel <= 0:
-            raise ConfigError("accel_limit must be a positive number")
-        if np.any(Q <= 0):
-            raise ConfigError("Q must be positive")
-        if np.any(R < 0):
-            raise ConfigError("R must be non-negative")
+        check_fields(self, _QP_CONFIG_FIELDS, "qp")
+        lo, hi = np.asarray(self.position_min), np.asarray(self.position_max)
         if lo.size > 1 and hi.size > 1 and lo.shape != hi.shape:
-            raise ConfigError("position_min and position_max differ in length")
+            raise ConfigError("qp position_min and qp position_max differ in length")
         if np.any(lo >= hi):
-            raise ConfigError("position_min must be below position_max")
+            raise ConfigError("qp position_min must be below position_max")
 
-    def check_lengths(self, n: int) -> None:
-        """Raise ConfigError unless each per-joint value is a scalar or has length n."""
-        for name in ("Q", "R", "position_min", "position_max"):
-            if np.size(getattr(self, name)) not in (1, n):
-                raise ConfigError(f"qp {name} must have length {n}")
+    def validated(self, n: int) -> "QPConfig":
+        """Per-joint values as arrays of length n (a scalar repeated); raises
+        ConfigError on a wrong length."""
+        return replace(self, **check_fields(self, _QP_CONFIG_FIELDS, "qp", {"n": n}))
 
 
 @dataclass
@@ -310,50 +276,15 @@ class ControlConfig:
     qp: QPConfig
 
 
-_CONTROL_FIELDS = {"transparent", "impedance", "qp"}
-_TRANSPARENT_FIELDS = {"gamma0", "Kv", "friction_scale", "friction_comp_eps"}
-_IMPEDANCE_FIELDS = {"Cd", "Kd", "Mv", "Kv", "friction_scale", "friction_comp_eps"}
-_QP_FIELDS = {"horizon", "dt", "Q", "R", "accel_limit_deg",
-              "position_min_deg", "position_max_deg"}
-
-
 def load_control_config(path: str | Path) -> ControlConfig:
-    """Load controller and QP settings; angles are degrees in the file."""
+    """Load controller and QP settings from ``control.json``, whose fields
+    ``CONTROL_FIELDS`` lists; angles are degrees in the file."""
     raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, dict):
-        raise ConfigError("control config must be a JSON object")
-    unknown = set(raw) - _CONTROL_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown control config sections: {sorted(unknown)}")
-
-    def _section(name, allowed):
-        section = raw.get(name, {})
-        if not isinstance(section, dict):
-            raise ConfigError(f"{name} section must be an object")
-        bad = set(section) - allowed
-        if bad:
-            raise ConfigError(f"unknown {name} fields: {sorted(bad)}")
-        return section
-
-    tr = _section("transparent", _TRANSPARENT_FIELDS)
-    im = _section("impedance", _IMPEDANCE_FIELDS)
-    qp = _section("qp", _QP_FIELDS)
-
-    qp_kwargs: dict = {}
-    for key in ("horizon", "dt", "Q", "R"):
-        if key in qp:
-            qp_kwargs[key] = qp[key]
-    if "accel_limit_deg" in qp:
-        qp_kwargs["accel_limit"] = math.radians(_number(qp["accel_limit_deg"], "accel_limit_deg"))
-    if "position_min_deg" in qp:
-        qp_kwargs["position_min"] = np.radians(_finite_values(qp["position_min_deg"],
-                                                              "position_min_deg"))
-    if "position_max_deg" in qp:
-        qp_kwargs["position_max"] = np.radians(_finite_values(qp["position_max_deg"],
-                                                              "position_max_deg"))
-
+    check_fields(raw, CONTROL_FIELDS, "control")
+    qp = {k.removesuffix("_deg"): np.radians(np.asarray(v, dtype=float)) if k.endswith("_deg")
+          else v for k, v in raw.get("qp", {}).items()}
     return ControlConfig(
-        transparent=TransparentConfig(**tr),
-        impedance=ImpedanceConfig(**im),
-        qp=QPConfig(**qp_kwargs),
+        transparent=TransparentConfig(**raw.get("transparent", {})),
+        impedance=ImpedanceConfig(**raw.get("impedance", {})),
+        qp=QPConfig(**qp),
     )

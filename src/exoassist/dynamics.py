@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -27,6 +28,9 @@ import numpy as np
 __all__ = [
     "ConfigError",
     "SimulationFault",
+    "Field",
+    "check_fields",
+    "PLANT_FIELDS",
     "PlantModel",
     "PlantState",
     "mass_matrix",
@@ -64,19 +68,6 @@ _AXIS_VECTORS = {
 # mode around it cannot be stabilized at the 1 kHz physics rate.
 AXIAL_INERTIA_RATIO = 0.3
 
-_PLANT_CONFIG_FIELDS = {
-    "n",
-    "n_c",
-    "link_lengths",
-    "link_masses",
-    "link_com",
-    "link_inertias",
-    "spring_stiffness",
-    "motor_inertia",
-    "friction_coeffs",
-    "gravity",
-}
-
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent configuration input."""
@@ -86,19 +77,131 @@ class SimulationFault(RuntimeError):
     """Raised when integration produces a non-finite quantity."""
 
 
-def _as_positive_array(values, size: int, name: str, strict: bool = True) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(values, dtype=float))
-    if arr.size == 1 and size > 1:
-        arr = np.full(size, float(arr[0]))
-    if arr.shape != (size,):
-        raise ConfigError(f"{name} must have length {size}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{name} entries must be finite")
-    if strict and np.any(arr <= 0.0):
-        raise ConfigError(f"{name} entries must be strictly positive")
-    if not strict and np.any(arr < 0.0):
-        raise ConfigError(f"{name} entries must be non-negative")
+# ---------------------------------------------------------------------------
+# configuration tables
+#
+# Each input file (plant.json, control.json, a scenario) declares its fields
+# once, in a table of Fields, and ``check_fields`` walks it: at load, and
+# again at loop entry with the plant's n and n_c for the per-joint lengths.
+# A number is an int or a float: a boolean or a string is never one.
+
+
+@dataclass(frozen=True)
+class Field:
+    """One field of a config table.
+
+    ``kind`` is ``number``, ``integer``, ``string``, ``joints`` (per-joint
+    numbers; one number stands for all joints unless ``scalar`` is False),
+    ``indices`` (a list of joint indices), ``object`` (keys from ``table``;
+    with no table, its owner checks it) or ``objects`` (a list of
+    such objects). ``bound`` is ``"> x"``, ``">= x"`` or empty (finite
+    only). ``size`` (``"n"`` or ``"n_c"``) is the plant size a joints
+    field's length or an indices field's range is checked against."""
+
+    kind: str = "number"
+    bound: str = ""
+    size: str = ""
+    scalar: bool = True
+    required: bool = False
+    table: dict | None = None
+
+
+_KIND_TEXT = {"number": "a single number", "integer": "an integer", "pose": "a list of numbers",
+              "joints": "a number or a list of numbers", "indices": "a list of joint indices"}
+_BOUND_TEST = {">": np.greater, ">=": np.greater_equal}
+
+
+def _check_numbers(value, spec: Field, name: str, sizes: dict | None) -> np.ndarray:
+    """A number field's value as a float array, sized to the plant when
+    ``sizes`` is given; ConfigError unless it has the field's kind and bound."""
+    items = value.tolist() if isinstance(value, np.ndarray) else value
+    single = not isinstance(items, (list, tuple))
+    if spec.kind in ("number", "integer"):
+        shape_ok = single
+    elif single:
+        shape_ok = spec.kind == "joints" and spec.scalar
+    else:
+        shape_ok = len(items) > 0
+    want = numbers.Integral if spec.kind in ("integer", "indices") else numbers.Real
+    seq = [items] if single else items
+    text = _KIND_TEXT["pose" if spec.kind == "joints" and not spec.scalar else spec.kind]
+    must = f"{name} must be {text}{' ' + spec.bound if spec.bound else ''}"
+    if not shape_ok or not all(isinstance(x, want) and not isinstance(x, bool) for x in seq):
+        raise ConfigError(must)
+    try:
+        arr = np.array(seq, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        arr = np.array([np.inf])
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{name} has a non-finite value")
+    if spec.bound:
+        op, limit = spec.bound.split()
+        if not _BOUND_TEST[op](arr, float(limit)).all():
+            raise ConfigError(must)
+    if sizes is None or not spec.size:
+        return arr
+    size = sizes[spec.size]
+    if spec.kind == "indices":
+        if (arr >= size).any():
+            raise ConfigError(f"{name} must be joint indices below {size}")
+    elif single:
+        arr = np.full(size, arr[0])
+    elif arr.size != size:
+        raise ConfigError(f"{name} must have length {size}")
     return arr
+
+
+def check_fields(values, table: dict, name: str, sizes: dict | None = None) -> dict:
+    """Check a config object (a dict from a file, or a config dataclass)
+    against its table of Fields, in table order; ``name`` labels it in
+    messages, a field as ``f"{name} {key}"``. With ``sizes`` ({"n": ...,
+    "n_c": ...}) the per-joint lengths and joint indices are checked against
+    the plant. Returns each joints field as a float array (a single number
+    repeated once sized) and each object field's own such dict.
+    ConfigError names the first field that breaks its entry."""
+    values = vars(values) if is_dataclass(values) else values
+    if not isinstance(values, dict):
+        raise ConfigError(f"{name} must be an object")
+    unknown = set(values) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
+    out = {}
+    for key, spec in table.items():
+        if key not in values:
+            if spec.required:
+                raise ConfigError(f"{name} needs field {key!r}")
+            continue
+        value, label = values[key], f"{name} {key}"
+        if spec.kind == "string":
+            if not isinstance(value, str):
+                raise ConfigError(f"{label} must be a string")
+        elif spec.kind == "object":
+            if spec.table is not None:
+                out[key] = check_fields(value, spec.table, label, sizes)
+        elif spec.kind == "objects":
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{label} must be a list of objects")
+            for i, item in enumerate(value):
+                check_fields(item, spec.table, f"{label}[{i}]", sizes)
+        else:
+            arr = _check_numbers(value, spec, label, sizes)
+            if spec.kind == "joints":
+                out[key] = arr
+    return out
+
+
+FRICTION_FIELDS = {**dict.fromkeys(("c0", "c1", "c3"), Field("joints", ">= 0", "n_c")),
+                   "eps_v": Field(bound="> 0")}
+# plant.json; n and n_c come first, as the per-joint fields are sized by them
+PLANT_FIELDS = {
+    "n": Field("integer", "> 0"),
+    "n_c": Field("integer", "> 0"),
+    **dict.fromkeys(("link_lengths", "link_masses", "link_com", "link_inertias"),
+                    Field("joints", "> 0", "n")),
+    **dict.fromkeys(("spring_stiffness", "motor_inertia"), Field("joints", "> 0", "n_c")),
+    "friction_coeffs": Field("object", table=FRICTION_FIELDS),
+    "gravity": Field(bound=">= 0"),
+}
 
 
 @dataclass
@@ -129,33 +232,21 @@ class PlantModel:
     inertia_local: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ConfigError("n must be a positive integer")
-        if not isinstance(self.n_c, int) or not 1 <= self.n_c <= self.n:
-            raise ConfigError("n_c must satisfy 1 <= n_c <= n")
-
+        # the file's fields; an unset link_com or link_inertias is left out
+        values = {k: v for k in PLANT_FIELDS if (v := getattr(self, k, None)) is not None}
+        values["friction_coeffs"] = {k: getattr(self, f"friction_{k}") for k in FRICTION_FIELDS}
+        arrays = check_fields(values, PLANT_FIELDS, "plant", {"n": self.n, "n_c": self.n_c})
+        if self.n_c > self.n:
+            raise ConfigError("plant n_c must not exceed n")
+        friction = arrays.pop("friction_coeffs")
+        vars(self).update(arrays, **{f"friction_{k}": arr for k, arr in friction.items()})
         n = self.n
-        self.link_lengths = _as_positive_array(self.link_lengths, n, "link_lengths")
-        self.link_masses = _as_positive_array(self.link_masses, n, "link_masses")
         if self.link_com is None:
             self.link_com = 0.5 * self.link_lengths
-        self.link_com = _as_positive_array(self.link_com, n, "link_com")
         if np.any(self.link_com > self.link_lengths):
-            raise ConfigError("link_com must not exceed link_lengths")
+            raise ConfigError("plant link_com must not exceed link_lengths")
         if self.link_inertias is None:
             self.link_inertias = self.link_masses * self.link_lengths**2 / 12.0
-        self.link_inertias = _as_positive_array(self.link_inertias, n, "link_inertias")
-
-        self.spring_stiffness = _as_positive_array(self.spring_stiffness, self.n_c, "spring_stiffness")
-        self.motor_inertia = _as_positive_array(self.motor_inertia, self.n_c, "motor_inertia")
-
-        self.friction_c0 = _as_positive_array(self.friction_c0, self.n_c, "friction_c0", strict=False)
-        self.friction_c1 = _as_positive_array(self.friction_c1, self.n_c, "friction_c1", strict=False)
-        self.friction_c3 = _as_positive_array(self.friction_c3, self.n_c, "friction_c3", strict=False)
-        if not np.isfinite(self.friction_eps_v) or self.friction_eps_v <= 0:
-            raise ConfigError("friction_eps_v must be finite and positive")
-        if not np.isfinite(self.gravity) or self.gravity < 0:
-            raise ConfigError("gravity must be finite and non-negative")
 
         axes = [_DEFAULT_AXES[i] if i < len(_DEFAULT_AXES) else "xyz"[i % 3] for i in range(n)]
         self.axes = np.stack([_AXIS_VECTORS[a] for a in axes])
@@ -539,34 +630,9 @@ def step(model: PlantModel, state: PlantState, u, tau_e, dt: float) -> PlantStat
 
 
 def load_plant_config(path: str | Path) -> PlantModel:
-    """Build a PlantModel from ``plant.json``; unknown fields are rejected."""
+    """Build a PlantModel from ``plant.json``, whose fields ``PLANT_FIELDS``
+    lists; the file's ``friction_coeffs`` become the model's ``friction_*``."""
     raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, dict):
-        raise ConfigError("plant config must be a JSON object")
-    unknown = set(raw) - _PLANT_CONFIG_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown plant config fields: {sorted(unknown)}")
-
-    kwargs: dict = {}
-    for key in ("n", "n_c", "link_lengths", "link_masses", "link_com",
-                "link_inertias", "spring_stiffness", "motor_inertia", "gravity"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    if "friction_coeffs" in raw:
-        fc = raw["friction_coeffs"]
-        if not isinstance(fc, dict) or set(fc) - {"c0", "c1", "c3", "eps_v"}:
-            raise ConfigError("friction_coeffs must be an object with keys c0, c1, c3, eps_v")
-        if "c0" in fc:
-            kwargs["friction_c0"] = fc["c0"]
-        if "c1" in fc:
-            kwargs["friction_c1"] = fc["c1"]
-        if "c3" in fc:
-            kwargs["friction_c3"] = fc["c3"]
-        if "eps_v" in fc:
-            kwargs["friction_eps_v"] = fc["eps_v"]
-    try:
-        return PlantModel(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    check_fields(raw, PLANT_FIELDS, "plant")
+    friction = raw.pop("friction_coeffs", {})
+    return PlantModel(**raw, **{f"friction_{k}": v for k, v in friction.items()})

@@ -27,6 +27,7 @@ from . import control as ctl
 from . import dynamics as dyn
 from . import trajectory as traj
 from .anomaly import AnomalyDetector, ChannelLayout, compute_stats
+from .dynamics import Field, check_fields
 from .planner import (
     DEFAULT_THRESHOLD,
     PlannerRuntime,
@@ -79,24 +80,35 @@ class EventSpec:
     params: dict = field(default_factory=dict)
 
 
-# event type -> (required params, optional params)
+# a scenario file's fields; each event's params follow the table of its type
+WEARER_FIELDS = {**dict.fromkeys(("K_h", "C_h"), Field("joints", ">= 0", "n")),
+                 "saturation": Field(bound="> 0"), "name": Field("string")}
+EVENT_FIELDS = {"type": Field("string", required=True),
+                "t": Field(bound=">= 0", required=True), "params": Field("object")}
+_POSE = Field("joints", size="n", scalar=False)
 EVENT_PARAMS = {
-    "drop": ((), ("amplitude", "decay", "joints")),
-    "payload_step": (("mass",), ()),
-    "torque_pulse": (("amplitude",), ("decay",)),
-    "intent_conflict": (("pose_deg",), ("duration",)),
+    "drop": {"amplitude": Field(), "decay": Field(bound="> 0"),
+             "joints": Field("indices", ">= 0", "n")},
+    "payload_step": {"mass": Field(bound=">= 0", required=True)},
+    "torque_pulse": {"amplitude": replace(_POSE, required=True), "decay": Field(bound="> 0")},
+    "intent_conflict": {"pose_deg": replace(_POSE, required=True), "duration": Field()},
 }
-# the one per-joint param of an event type; every other param is one number.
-# Its length is checked against the plant before the first tick.
-JOINT_PARAMS = {"drop": "joints", "torque_pulse": "amplitude", "intent_conflict": "pose_deg"}
 DROP_JOINTS = (1, 3)  # the joints a drop's transient acts on unless given
-# the scalar scenario fields checked at load, each with its bound, if any
-SCENARIO_NUMBERS = {
+SCENARIO_FIELDS = {
+    **dict.fromkeys(("name", "task"), Field("string", required=True)),
     **dict.fromkeys(("duration", "reach_duration", "target_tolerance_deg",
-                     "replan_refractory"), "> 0"),
-    **dict.fromkeys(("item_mass", "grasp_confirm_delay", "settle_time",
-                     "grasp_load_time"), ">= 0"),
-    **dict.fromkeys(("s_bar", "score_coupling_floor"), ""),
+                     "replan_refractory"), Field(bound="> 0")),
+    **dict.fromkeys(("item_mass", "grasp_confirm_delay", "settle_time", "grasp_load_time"),
+                    Field(bound=">= 0")),
+    **dict.fromkeys(("s_bar", "score_coupling_floor"), Field()),
+    **dict.fromkeys(("start_pose_deg", "grasp_pose_deg"), _POSE),
+    "assist_joints": Field("indices", ">= 0", "n"),
+    "seed": Field("integer", ">= 0"),
+    "wearer": Field("object", table=WEARER_FIELDS),
+    # replaces DEFAULT_SENSOR_NOISE as a whole: a key it leaves out has no noise
+    "sensor_noise": Field("object", table=dict.fromkeys(DEFAULT_SENSOR_NOISE,
+                                                        Field(bound=">= 0"))),
+    "events": Field("objects", table=EVENT_FIELDS),
 }
 
 
@@ -149,7 +161,7 @@ class SimStack:
                 f"(the trace layout); got n = {self.model.n}, n_c = {self.model.n_c}")
         self.control.transparent.validated(self.model.n_c)
         self.control.impedance.validated(self.model.n, self.model.n_c)
-        self.control.qp.check_lengths(self.model.n)
+        self.control.qp.validated(self.model.n)
         if self.targets is None:
             self.targets = load_targets()
 
@@ -210,118 +222,29 @@ def save_trace_csv(path: str | Path, trace: TraceRecord) -> None:
         writer.writerows(zip(*trace.columns.values()))
 
 
-def _load_event(raw: dict, duration: float) -> EventSpec:
-    """One scripted event; ConfigError unless it can fire as written."""
-    kind, params = raw.get("type"), raw.get("params", {})
-    if kind not in EVENT_PARAMS:
-        raise dyn.ConfigError(f"unknown event type {kind!r}")
-    required, optional = EVENT_PARAMS[kind]
-    if not set(required) <= set(params) <= set(required + optional):
-        raise dyn.ConfigError(f"{kind} event needs params {list(required)} and may have "
-                              f"{list(optional)}, got {sorted(params)}")
-    try:
-        t = float(raw["t"])
-        values = {k: np.asarray(v, dtype=float) for k, v in params.items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise dyn.ConfigError(f"{kind} event needs a time and numeric params") from exc
-    if not (math.isfinite(t) and all(np.all(np.isfinite(v)) for v in values.values())):
-        raise dyn.ConfigError(f"{kind} event has a non-finite number")
-    if not 0.0 <= t <= duration:
-        raise dyn.ConfigError(f"{kind} event at t = {t} s is outside [0, {duration}] s")
-    if np.any(values.get("mass", 0.0) < 0.0) or np.any(values.get("decay", 1.0) <= 0.0):
-        raise dyn.ConfigError(f"{kind} event needs mass >= 0 and decay > 0")
-    for k, v in values.items():
-        if v.ndim and k != JOINT_PARAMS.get(kind):
-            raise dyn.ConfigError(f"{kind} event: {k} must be a single number")
-    return EventSpec(type=kind, t=t, params=params)
-
-
-def _check_sensor_noise(noise) -> None:
-    """ConfigError unless ``noise`` maps keys of DEFAULT_SENSOR_NOISE to
-    standard deviations >= 0. It replaces DEFAULT_SENSOR_NOISE as a whole:
-    a missing key is no noise."""
-    if not isinstance(noise, dict) or not set(noise) <= set(DEFAULT_SENSOR_NOISE):
-        raise dyn.ConfigError(f"sensor_noise must be an object with keys among "
-                              f"{list(DEFAULT_SENSOR_NOISE)}")
-    for key, sd in noise.items():
-        if ctl._number(sd, f"sensor_noise {key}", positive=False) < 0:
-            raise dyn.ConfigError(f"sensor_noise {key} must be a number >= 0")
+def _check_scenario(values: dict, sizes: dict | None = None) -> None:
+    """ConfigError unless a scenario (a file's object, or a Scenario's
+    fields) matches SCENARIO_FIELDS, and each event's params the
+    EVENT_PARAMS table of its type, with its time within the run."""
+    check_fields(values, SCENARIO_FIELDS, "scenario", sizes)
+    duration = values.get("duration", Scenario.duration)
+    for i, event in enumerate(values.get("events", [])):
+        event = vars(event) if isinstance(event, EventSpec) else event
+        name, kind = f"scenario events[{i}]", event["type"]
+        if kind not in EVENT_PARAMS:
+            raise dyn.ConfigError(f"{name}: unknown event type {kind!r}")
+        check_fields(event.get("params", {}), EVENT_PARAMS[kind], f"{name} params", sizes)
+        if event["t"] > duration:
+            raise dyn.ConfigError(f"{name} at t = {event['t']} s is outside [0, {duration}] s")
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Load a scenario file; unknown or missing fields, a scalar field out
-    of its ``SCENARIO_NUMBERS`` bound, a bad wearer value, seed or sensor
-    noise level, and any event that could not fire as written (unknown
-    type, missing or unknown params, a time outside [0, duration], a
-    non-finite number) raise ConfigError. The per-joint values are checked
-    against the plant by ``run_scenario``."""
+    """Load a scenario file, checked against SCENARIO_FIELDS and
+    EVENT_PARAMS; ``run_scenario`` checks it again against the plant."""
     raw = json.loads(Path(path).read_text())
-    raw_events = raw.pop("events", [])
-    wearer = raw.pop("wearer", {})
-    if not isinstance(wearer, dict):
-        raise dyn.ConfigError("scenario wearer must be an object of wearer fields")
-    unknown = sorted(set(raw) - set(Scenario.__dataclass_fields__)) \
-        + [f"wearer.{k}" for k in sorted(set(wearer) - set(WearerParams.__dataclass_fields__))]
-    if unknown:
-        raise dyn.ConfigError(f"unknown scenario fields: {unknown}")
-    missing = {"name", "task"} - set(raw)
-    if missing:
-        raise dyn.ConfigError(f"scenario needs fields {sorted(missing)}")
-    scenario = Scenario(wearer=WearerParams(**wearer), **raw)
-    for name, bound in SCENARIO_NUMBERS.items():
-        value = ctl._number(getattr(scenario, name), f"scenario {name}", positive=bound == "> 0")
-        if bound == ">= 0" and value < 0:
-            raise dyn.ConfigError(f"scenario {name} must be a number >= 0")
-    wearer = scenario.wearer
-    for name in ("K_h", "C_h"):
-        if np.any(ctl._finite_values(getattr(wearer, name), f"wearer {name}") < 0):
-            raise dyn.ConfigError(f"wearer {name} must be >= 0")
-    ctl._number(wearer.saturation, "wearer saturation")
-    if not isinstance(wearer.name, str):
-        raise dyn.ConfigError("wearer name must be a string")
-    if isinstance(scenario.seed, bool) or not isinstance(scenario.seed, int) \
-            or scenario.seed < 0:
-        raise dyn.ConfigError("scenario seed must be a non-negative integer")
-    _check_sensor_noise(scenario.sensor_noise)
-    scenario.events = [_load_event(e, scenario.duration) for e in raw_events]
-    return scenario
-
-
-def _joint_indices(value, n: int) -> bool:
-    """Whether ``value`` is a list of integer joint indices below n."""
-    try:
-        joints = np.asarray(value)
-    except ValueError:  # ragged nesting
-        return False
-    return bool(joints.ndim == 1 and joints.dtype.kind in "iu"
-                and np.all((joints >= 0) & (joints < n)))
-
-
-def _check_joint_params(scenario: Scenario, n: int) -> None:
-    """ConfigError unless the scenario's per-joint values fit an n-joint
-    plant: both poses are n finite numbers, the wearer's K_h and C_h one
-    number or n, assist_joints and drop joints indices below n, and every
-    other per-joint event param has n values."""
-    for name in ("start_pose_deg", "grasp_pose_deg"):
-        if ctl._finite_values(getattr(scenario, name), f"scenario {name}").shape != (n,):
-            raise dyn.ConfigError(f"scenario {name} must be a list of {n} numbers")
-    for name in ("K_h", "C_h"):
-        if ctl._finite_values(getattr(scenario.wearer, name),
-                              f"wearer {name}").shape not in ((), (n,)):
-            raise dyn.ConfigError(f"wearer {name} must be one number or a list of {n}")
-    if not _joint_indices(scenario.assist_joints, n):
-        raise dyn.ConfigError(f"scenario assist_joints must be a list of joint indices below {n}")
-    for e in scenario.events:
-        key = JOINT_PARAMS.get(e.type)
-        if key is None:
-            continue
-        if key == "joints":
-            ok = _joint_indices(e.params.get("joints", DROP_JOINTS), n)
-            want = f"a list of joint indices below {n}"
-        else:
-            ok, want = np.shape(e.params[key]) == (n,), f"a list of {n} numbers"
-        if not ok:
-            raise dyn.ConfigError(f"{e.type} event at t = {e.t} s: {key} must be {want}")
+    _check_scenario(raw)
+    events = [EventSpec(**{**e, "t": float(e["t"])}) for e in raw.get("events", [])]
+    return Scenario(**{**raw, "wearer": WearerParams(**raw.get("wearer", {})), "events": events})
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +547,7 @@ def run_scenario(scenario: Scenario, stack: SimStack, seed: int | None = None):
     scenario's per-joint values are checked against the plant before the
     first tick."""
     model = stack.model
-    _check_joint_params(scenario, model.n)
+    _check_scenario(vars(scenario), {"n": model.n})
     rng = np.random.default_rng(scenario.seed if seed is None else seed)
 
     q0 = np.radians(np.asarray(scenario.start_pose_deg, dtype=float))
@@ -824,7 +747,7 @@ def tracking_comparison(model: dyn.PlantModel, control_cfg: ctl.ControlConfig,
     step_lim = limit * CONTROL_DT
     wearer = wearer or WearerParams()
     icfg = control_cfg.impedance.validated(model.n, model.n_c)
-    control_cfg.qp.check_lengths(model.n)
+    control_cfg.qp.validated(model.n)
     setup = traj.QPSetup.from_config(control_cfg.qp, n, limit, icfg.Kd, icfg.Cd, icfg.w)
     up = traj.quintic_reference(q0, q_peak, t_f)
     down = traj.quintic_reference(q_peak, q0, t_f)
@@ -885,7 +808,7 @@ def collect_training_data(model: dyn.PlantModel, subjects: list[WearerParams],
         raise ValueError("duration too short for a single sensory window")
     cfg = (cfg or ctl.TransparentConfig()).validated(model.n_c)
     noise = DEFAULT_SENSOR_NOISE if sensor_noise is None else sensor_noise
-    _check_sensor_noise(noise)
+    check_fields(noise, SCENARIO_FIELDS["sensor_noise"].table, "sensor_noise")
     read_row = _ReadOut(noise, model)  # the window's channels
     read_belief = _ReadOut(noise, model, ("q", "qdot", "tau_e"))  # the controller's
     box = [np.radians(np.array(b, dtype=float)) for b in motion_box_deg]

@@ -20,8 +20,9 @@ TRAIN_EPOCHS = 150
 TRAIN_DURATION = 30.0  # seconds of transparent-mode motion per subject
 
 
-@pytest.fixture(scope="session")
-def trained():
+def train_session_detector() -> dict:
+    """The bundled plant and gains, training data, and a detector trained
+    and calibrated on it; the ``trained`` fixture holds one per session."""
     model = dyn.load_plant_config(pl.data_path("plant.json"))
     control_cfg = ctl.load_control_config(pl.data_path("control.json"))
     subjects = [hz.WearerParams(name="subject-a"),
@@ -56,6 +57,11 @@ def trained():
         "corpus": corpus,
         "library": library,
     }
+
+
+@pytest.fixture(scope="session")
+def trained():
+    return train_session_detector()
 
 
 @pytest.fixture()

@@ -221,3 +221,28 @@ def test_eval_planner_replay_requires_file(tmp_path):
 
 def test_gradcheck_passes():
     assert main(["gradcheck"]) == 0
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"events": {"type": "drop", "t": 1.0}}, "scenario events"),
+    ({"events": ["drop"]}, "scenario events[0]"),
+    ({"events": [{"type": "drop", "t": 1.0, "params": []}]}, "scenario events[0] params"),
+    ({"task": 5}, "scenario task"),
+    ({"duration": 10**400}, "scenario duration"),
+], ids=["events-object", "event-string", "params-list", "numeric-task", "huge-integer"])
+def test_run_scenario_rejects_malformed_scenario_structure(tmp_path, capsys, fields, name):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({**json.loads(scenario_path("water_mouth.json").read_text()),
+                                **fields}))
+    assert main(["run-scenario", "--scenario", str(scen)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and len(err.strip().splitlines()) == 1
+
+
+def test_run_scenario_rejects_zero_control_weight(tmp_path, capsys):
+    control = tmp_path / "control.json"
+    control.write_text(json.dumps({"qp": {"R": 0.0}}))
+    assert main(["run-scenario", "--scenario", str(scenario_path("raise_lower.json")),
+                 "--control", str(control)]) == 2
+    err = capsys.readouterr().err
+    assert "qp R" in err and len(err.strip().splitlines()) == 1

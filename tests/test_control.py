@@ -392,3 +392,11 @@ def test_bad_qp_setting_rejected_at_construction(field, value, match):
     with pytest.raises(dyn.ConfigError, match=match):
         ctl.QPConfig(**kwargs)
 
+
+
+@pytest.mark.parametrize("R", [0.0, [0.01, 0.0, 0.01, 0.01]], ids=["scalar", "per-joint"])
+def test_zero_control_weight_rejected(R):
+    """R = 0 leaves the last step's accelerations without curvature, and the
+    dual active set then fails to settle on moves with a binding speed limit."""
+    with pytest.raises(dyn.ConfigError, match="qp R"):
+        ctl.QPConfig(R=R)

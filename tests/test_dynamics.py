@@ -1,12 +1,14 @@
 """Plant dynamics tests: SPD inertia, Christoffel skew-symmetry, gravity
 gradients, friction passivity, integrator energy bookkeeping."""
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from exoassist import dynamics as dyn
+from exoassist import planner as pl
 from oracles import christoffel, fk, plant_matrices, plant_terms
 
 
@@ -374,4 +376,21 @@ def test_plant_config_rejects_unknown_fields(tmp_path):
     path = tmp_path / "plant.json"
     path.write_text(json.dumps({"n": 4, "wing_span": 2.0}))
     with pytest.raises(dyn.ConfigError, match="wing_span"):
+        dyn.load_plant_config(path)
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"gravity": True}, "plant gravity"),
+    ({"gravity": "9.81"}, "plant gravity"),
+    ({"motor_inertia": "0.05"}, "plant motor_inertia"),
+    ({"link_lengths": [0.05, 0.28, True, 0.25]}, "plant link_lengths"),
+    ({"friction_coeffs": {"eps_v": "0.1"}}, "plant friction_coeffs eps_v"),
+    ({"friction_coeffs": {"c0": "x"}}, "plant friction_coeffs c0"),
+    ({"n_c": True}, "plant n_c"),
+], ids=["boolean-gravity", "string-gravity", "string-motor-inertia", "boolean-link-length",
+        "string-eps-v", "string-c0", "boolean-n-c"])
+def test_plant_config_takes_only_numbers_as_numbers(tmp_path, fields, name):
+    path = tmp_path / "plant.json"
+    path.write_text(json.dumps({**json.loads(pl.data_path("plant.json").read_text()), **fields}))
+    with pytest.raises(dyn.ConfigError, match=re.escape(name)):
         dyn.load_plant_config(path)

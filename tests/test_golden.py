@@ -25,6 +25,14 @@ entries of the raw windows and the channel mean and std, within a relative
 1e-9 (absolute 1e-12). Nothing else guards the per-tick arithmetic of the
 transparent controller and the wearer under sensor noise.
 
+``detector_events.json`` records ``water_mouth`` and ``drop_replan`` run at
+their own seeds with the session detector of ``conftest.py``, compared at
+event level: the replan ticks within one tick, task completion and the
+replan count exactly, the detection latency within 10 ms and the fraction
+of scores below the threshold within 0.005. The scenario goldens run
+without a detector and cannot see a change in the detector's arithmetic;
+this one can, and leaves room for rounding that moves no event.
+
 Regenerate only for an intended change of behaviour:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -35,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import train_session_detector
 
 from exoassist import anomaly as ano
 from exoassist import control as ctl
@@ -52,6 +61,8 @@ TRAIN_RTOL = 1e-9
 TRAIN_SAMPLES = 200  # fixed, evenly spaced entries of the final flat parameters
 COLLECT_RTOL, COLLECT_ATOL = 1e-9, 1e-12
 COLLECT_SAMPLES = 200  # fixed, evenly spaced entries of the raw windows
+DETECTOR_SCENARIOS = ("water_mouth", "drop_replan")
+REPLAN_TICK_TOL, LATENCY_TOL_MS, FRACTION_TOL = 1, 10.0, 0.005
 
 
 def golden_run(name: str) -> dict:
@@ -119,6 +130,22 @@ def collection_run() -> dict:
             "std": data["stats"].std.tolist()}
 
 
+def detector_run(trained: dict) -> dict:
+    """Run the detector scenarios with the session detector; keep the events."""
+    out = {}
+    for name in DETECTOR_SCENARIOS:
+        runtime = pl.PlannerRuntime(pl.RuleScorer(trained["corpus"]), trained["library"])
+        stack = hz.SimStack(model=trained["model"], control=trained["control"],
+                            planner=runtime, detector=trained["detector"])
+        trace, report = hz.run_scenario(hz.load_scenario(pl.data_path(f"scenarios/{name}.json")),
+                                        stack)
+        out[name] = {"replan_ticks": np.flatnonzero(trace.column("replan")).tolist(),
+                     **{key: report[key] for key in (
+                         "task_completed", "replan_count", "detection_latency_ms",
+                         "fraction_scores_below_threshold")}}
+    return out
+
+
 def _assert_report_matches(got: dict, want: dict) -> None:
     assert sorted(got) == sorted(want)
     for key, ref in want.items():
@@ -174,6 +201,26 @@ def test_golden_collection_run():
                                    atol=COLLECT_ATOL, err_msg=key)
 
 
+def test_golden_detector_events(trained):
+    want = json.loads((GOLDEN_DIR / "detector_events.json").read_text())
+    got = detector_run(trained)
+    assert sorted(got) == sorted(want)
+    for name, ref in want.items():
+        run = got[name]
+        assert run["task_completed"] == ref["task_completed"], name
+        assert run["replan_count"] == ref["replan_count"], name
+        assert len(run["replan_ticks"]) == len(ref["replan_ticks"]), name
+        assert all(abs(a - b) <= REPLAN_TICK_TOL
+                   for a, b in zip(run["replan_ticks"], ref["replan_ticks"])), name
+        if ref["detection_latency_ms"] is None:
+            assert run["detection_latency_ms"] is None, name
+        else:
+            assert abs(run["detection_latency_ms"] - ref["detection_latency_ms"]) \
+                <= LATENCY_TOL_MS, name
+        assert abs(run["fraction_scores_below_threshold"]
+                   - ref["fraction_scores_below_threshold"]) <= FRACTION_TOL, name
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for scenario_name in SCENARIOS:
@@ -188,4 +235,7 @@ if __name__ == "__main__":
     print(f"wrote {path}")
     path = GOLDEN_DIR / "collect_training_data.json"
     path.write_text(json.dumps(collection_run()) + "\n")
+    print(f"wrote {path}")
+    path = GOLDEN_DIR / "detector_events.json"
+    path.write_text(json.dumps(detector_run(train_session_detector())) + "\n")
     print(f"wrote {path}")

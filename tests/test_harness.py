@@ -1,6 +1,7 @@
 """Harness tests: event injection, data collection, metrics bookkeeping,
 trace format, determinism, and the scenario engine's interlocks."""
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -557,3 +558,14 @@ def test_batched_read_out_matches_per_channel_draws(n, n_c, seed, noise, keys):
                 for k, v in zip(keys, vecs)]
         assert packed.tobytes() == np.concatenate(want).tobytes()
         assert [p.tobytes() for p in read_out.split(packed)] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("event, name", [
+    ({"type": "drop", "t": True}, "scenario events[0] t"),
+    ({"type": "drop", "t": 0.5, "params": {"decay": True}}, "scenario events[0] params decay"),
+    ({"type": "payload_step", "t": 0.5, "params": {"mass": "2"}},
+     "scenario events[0] params mass"),
+], ids=["boolean-time", "boolean-decay", "string-mass"])
+def test_scenario_event_takes_only_numbers_as_numbers(tmp_path, event, name):
+    with pytest.raises(dyn.ConfigError, match=re.escape(name)):
+        hz.load_scenario(_scenario_file(tmp_path, event))

@@ -254,7 +254,7 @@ def test_refined_segment_sampling_consistency():
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(1, 4), horizon=st.integers(2, 20),
        gradient_scale=st.sampled_from([None, 0.0, 1e-3, 0.5, 50.0]),
-       speed_factor=st.sampled_from([0.3, 0.6, 3.0]), R=st.sampled_from([0.0, 0.01, 0.2]),
+       speed_factor=st.sampled_from([0.3, 0.6, 3.0]), R=st.sampled_from([0.01, 0.2]),
        position_margin=st.sampled_from([0.02, np.pi]), seed=st.integers(0, 2**32 - 1))
 @example(n=4, horizon=20, gradient_scale=0.5, speed_factor=0.3, R=0.01, position_margin=np.pi,
          seed=1)
@@ -262,8 +262,7 @@ def test_refine_matches_reference_bit_for_bit(n, horizon, gradient_scale, speed_
                                               position_margin, seed):
     """Per-move constants change no byte of a refinement: zero, small and
     large score gradients, speed limits that bind (the active set iterates)
-    and limits that do not, tight position limits, and R = 0 (null
-    curvature, regularised)."""
+    and limits that do not, and tight position limits."""
     rng = np.random.default_rng(seed)
     q0 = rng.uniform(-0.5, 0.5, n)
     qf = q0 + rng.uniform(-1.5, 1.5, n)
