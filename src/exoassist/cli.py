@@ -7,7 +7,6 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -49,55 +48,44 @@ def _config_section(name: str):
         raise dyn.ConfigError(f"{name}: {exc}") from exc
 
 
-def _converted(cls, values: dict):
-    """``cls(**values)`` with each field converted to its default's type: a
-    tuple to a tuple of ints, a float to a float or (a per-joint list) a
-    float array. TypeError or ValueError on a value that does not convert."""
-    obj = cls(**values)
-    for f in fields(cls):
-        value = getattr(obj, f.name)
-        if isinstance(f.default, tuple):
-            value = tuple(int(v) for v in value)
-        elif isinstance(f.default, float) and np.ndim(value):
-            value = np.asarray(value, dtype=float)
-        else:
-            value = type(f.default)(value)
-        setattr(obj, f.name, value)
-    return obj
+# train_config.json's fields; one that is left out takes its default below
+TRAIN_CONFIG_FIELDS = {
+    "plant": dyn.Field("string"),
+    "duration": dyn.Field(bound="> 0"),
+    **dict.fromkeys(("L_s", "stride"), dyn.Field("integer", "> 0")),
+    "seed": dyn.Field("integer", ">= 0"),
+    "subjects": dyn.Field("objects", table=hz.WEARER_FIELDS),
+    "schedule": dyn.Field("object", table={
+        **dict.fromkeys(("T", "nu"), dyn.Field("integer", "> 0")),
+        **dict.fromkeys(("beta_start", "beta_end"), dyn.Field(bound="> 0"))}),
+    "train": dyn.Field("object", table={
+        **dict.fromkeys(("epochs", "batch_size", "embed_dim"), dyn.Field("integer", "> 0")),
+        **dict.fromkeys(("lr", "adam_eps"), dyn.Field(bound="> 0")),
+        **dict.fromkeys(("beta1", "beta2"), dyn.Field(bound=">= 0")),
+        "seed": dyn.Field("integer", ">= 0"),
+        "hidden": dyn.Field("integers", "> 0")}),
+    "calibrate": dyn.Field("object", table={"target": dyn.Field(bound="> 0"),
+                                            "percentile": dyn.Field(bound=">= 0")}),
+}
+DEFAULT_SUBJECTS = [{"name": "subject-a"}, {"name": "subject-b", "K_h": 25.0}]
 
 
 def cmd_train_detector(args) -> int:
+    # every value is checked before collection starts
     with _config_section(f"--config {args.config}"):
         cfg = json.loads(Path(args.config).read_text()) if args.config else {}
-        if not isinstance(cfg, dict):
-            raise TypeError("the config must be a JSON object")
-        for key in ("schedule", "train", "calibrate"):
-            if not isinstance(cfg.get(key, {}), dict):
-                raise TypeError(f"{key} must be a JSON object")
+        dyn.check_fields(cfg, TRAIN_CONFIG_FIELDS, "config")
+        if cfg.get("calibrate", {}).get("percentile", 99.0) > 100:
+            raise dyn.ConfigError("config calibrate percentile must be at most 100")
     with _config_section("plant"):
         model = dyn.load_plant_config(_default(cfg.get("plant"), "plant.json"))
-
-    # every value is converted and checked before collection starts
     with _config_section("schedule"):
-        sched_cfg = cfg.get("schedule", {})
-        schedule = ano.NoiseSchedule.linear(
-            T=int(sched_cfg.get("T", 50)),
-            beta_start=float(sched_cfg.get("beta_start", 1e-4)),
-            beta_end=float(sched_cfg.get("beta_end", 0.05)),
-            nu=int(sched_cfg.get("nu", 10)),
-        )
-    with _config_section("train"):
-        train_cfg = _converted(ano.TrainConfig, cfg.get("train", {}))
-    with _config_section("calibrate"):
-        cal_cfg = cfg.get("calibrate", {})
-        calibration = {"target": float(cal_cfg.get("target", 0.35)),
-                       "percentile": float(cal_cfg.get("percentile", 99.0))}
-    scalars = {}
-    for key, kind, default in (("L_s", int, 25), ("seed", int, 0),
-                               ("duration", float, 45.0), ("stride", int, 5)):
-        with _config_section(key):
-            scalars[key] = kind(cfg.get(key, default))
-    L_s, seed = scalars["L_s"], scalars["seed"]
+        schedule = ano.NoiseSchedule.linear(**cfg.get("schedule", {}))
+    train = cfg.get("train", {})
+    train_cfg = ano.TrainConfig(
+        **{**train, "hidden": tuple(train.get("hidden", ano.TrainConfig.hidden))})
+    calibration = cfg.get("calibrate", {})
+    L_s, seed = cfg.get("L_s", 25), cfg.get("seed", 0)
 
     if args.data:
         layout = ano.ChannelLayout(n=model.n, n_c=model.n_c)
@@ -108,12 +96,10 @@ def cmd_train_detector(args) -> int:
         data = {"raw": raw, "stats": stats, "layout": layout, "L_s": L_s,
                 "train_idx": np.arange(cut), "val_idx": np.arange(cut, len(raw))}
     else:
-        with _config_section("subjects"):
-            subjects = [_converted(hz.WearerParams, s) for s in cfg.get(
-                "subjects", [{"name": "subject-a"}, {"name": "subject-b", "K_h": 25.0}])]
+        subjects = [hz.WearerParams(**s) for s in cfg.get("subjects", DEFAULT_SUBJECTS)]
         data = hz.collect_training_data(
-            model, subjects, duration=scalars["duration"], seed=seed, L_s=L_s,
-            stride=scalars["stride"])
+            model, subjects, duration=cfg.get("duration", 45.0), seed=seed, L_s=L_s,
+            stride=cfg.get("stride", 5))
         print(f"collected {data['raw'].shape[0]} windows "
               f"({len(subjects)} subjects)")
 
@@ -184,9 +170,8 @@ def cmd_eval_planner(args) -> int:
             transport = llmmod.HTTPTransport(cfg)
             if args.record_file:
                 transport = llmmod.RecordingTransport(transport, args.record_file)
-        scorer = llmmod.LLMScorer(cfg, transport=transport,
+        scorer = llmmod.LLMScorer(cfg, library, transport=transport,
                                   fallback=pl.RuleScorer(corpus) if args.fallback else None)
-        scorer.bind_library(library)
     report = pl.evaluate_corpus(corpus, scorer, library)
     Path(args.report).write_text(json.dumps(report, indent=1))
     print(f"success rate {report['success_rate']:.3f}, "

@@ -92,7 +92,8 @@ class Field:
 
     ``kind`` is ``number``, ``integer``, ``string``, ``joints`` (per-joint
     numbers; one number stands for all joints unless ``scalar`` is False),
-    ``indices`` (a list of joint indices), ``object`` (keys from ``table``;
+    ``indices`` (a list of joint indices), ``integers`` (a list of
+    integers), ``object`` (keys from ``table``;
     with no table, its owner checks it) or ``objects`` (a list of
     such objects). ``bound`` is ``"> x"``, ``">= x"`` or empty (finite
     only). ``size`` (``"n"`` or ``"n_c"``) is the plant size a joints
@@ -107,7 +108,8 @@ class Field:
 
 
 _KIND_TEXT = {"number": "a single number", "integer": "an integer", "pose": "a list of numbers",
-              "joints": "a number or a list of numbers", "indices": "a list of joint indices"}
+              "joints": "a number or a list of numbers", "indices": "a list of joint indices",
+              "integers": "a list of integers"}
 _BOUND_TEST = {">": np.greater, ">=": np.greater_equal}
 
 
@@ -122,7 +124,7 @@ def _check_numbers(value, spec: Field, name: str, sizes: dict | None) -> np.ndar
         shape_ok = spec.kind == "joints" and spec.scalar
     else:
         shape_ok = len(items) > 0
-    want = numbers.Integral if spec.kind in ("integer", "indices") else numbers.Real
+    want = numbers.Integral if spec.kind in ("integer", "indices", "integers") else numbers.Real
     seq = [items] if single else items
     text = _KIND_TEXT["pose" if spec.kind == "joints" and not spec.scalar else spec.kind]
     must = f"{name} must be {text}{' ' + spec.bound if spec.bound else ''}"

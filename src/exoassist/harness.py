@@ -801,7 +801,8 @@ def collect_training_data(model: dyn.PlantModel, subjects: list[WearerParams],
     computed on the training part only. ``sensor_noise`` follows a
     scenario's rule (a missing key is no noise; a bad one raises
     ConfigError) and is read out as ``run_scenario`` reads it: one draw per
-    read-out over the channels with a nonzero level.
+    read-out over the channels with a nonzero level. A subject that breaks
+    ``WEARER_FIELDS`` on this plant raises ConfigError before any motion.
     """
     ticks_per_subject = int(round(duration / CONTROL_DT))
     if ticks_per_subject < L_s:
@@ -809,6 +810,8 @@ def collect_training_data(model: dyn.PlantModel, subjects: list[WearerParams],
     cfg = (cfg or ctl.TransparentConfig()).validated(model.n_c)
     noise = DEFAULT_SENSOR_NOISE if sensor_noise is None else sensor_noise
     check_fields(noise, SCENARIO_FIELDS["sensor_noise"].table, "sensor_noise")
+    for s_idx, subject in enumerate(subjects):
+        check_fields(subject, WEARER_FIELDS, f"subjects[{s_idx}]", {"n": model.n, "n_c": model.n_c})
     read_row = _ReadOut(noise, model)  # the window's channels
     read_belief = _ReadOut(noise, model, ("q", "qdot", "tau_e"))  # the controller's
     box = [np.radians(np.array(b, dtype=float)) for b in motion_box_deg]

@@ -1,10 +1,11 @@
 """Remote language-model scorer: chat-completion client with record/replay.
 
-The planner needs per-candidate probabilities; commercial endpoints expose
-neither token likelihoods nor per-candidate scores, so each planning
-decision becomes one structured completion request (chain-of-thought
-prompt, JSON answer with a chosen candidate and a confidence). The chosen
-candidate receives the stated confidence, the rest share the remainder.
+The planner asks for one probability per candidate of each decision;
+commercial endpoints expose neither token likelihoods nor per-candidate
+scores, so each decision becomes one structured completion request
+(chain-of-thought prompt, JSON answer with a chosen candidate and a
+confidence). The chosen candidate receives the stated confidence, the rest
+share the remainder.
 
 Transports make the client hermetic: HTTPTransport talks to the real
 endpoint, RecordingTransport snapshots request/response pairs to a file,
@@ -115,6 +116,10 @@ class ReplayTransport:
             f"{len(payload.get('messages', []))} messages")
 
 
+_SYSTEM = ("You are the task planner of an upper-limb assistive "
+           "exoskeleton. Reason step by step, then answer with JSON.")
+
+
 def load_prompt_template(path: str | Path | None = None) -> str:
     if path is None:
         path = Path(__file__).parent / "data" / "prompt_template.txt"
@@ -122,36 +127,32 @@ def load_prompt_template(path: str | Path | None = None) -> str:
 
 
 class LLMScorer:
-    """Scores planner queries through one completion per decision.
+    """Scores each planner decision through one completion request.
 
-    On transport failure the scorer retries, then falls back to the given
-    scorer (typically the rule scorer) if configured; every fallback is
-    recorded in ``events``.
+    ``library`` supplies the function descriptions the prompt lists. On
+    transport failure the scorer retries, then returns the fallback
+    scorer's result (typically the rule scorer's) if one is configured;
+    every fallback and every unrecognised answer is recorded in ``events``.
     """
 
-    def __init__(self, config: LLMConfig, transport=None, template: str | None = None,
-                 fallback=None):
+    def __init__(self, config: LLMConfig, library, transport=None,
+                 template: str | None = None, fallback=None):
         self.config = config
+        self.functions = library.describe_functions()
         self.transport = transport or HTTPTransport(config)
         self.template = template or load_prompt_template()
         self.fallback = fallback
         self.events: list[dict] = []
-        self._decisions: dict = {}  # (task, history, context) -> (scores, invalid)
 
-    # -- decision layer ------------------------------------------------------
-
-    def _payload(self, system: str, user: str) -> dict:
-        return {
+    def _complete(self, user: str) -> str:
+        payload = {
             "model": self.config.model,
             "temperature": self.config.temperature,
             "messages": [
-                {"role": "system", "content": system},
+                {"role": "system", "content": _SYSTEM},
                 {"role": "user", "content": user},
             ],
         }
-
-    def _complete(self, system: str, user: str) -> str:
-        payload = self._payload(system, user)
         last_exc: Exception | None = None
         for _ in range(max(1, self.config.retries + 1)):
             try:
@@ -178,65 +179,25 @@ class LLMScorer:
             return None, confidence
         return choice, min(max(confidence, 0.0), 1.0)
 
-    def decide(self, task: str, candidates: list[str], history: tuple,
-               context: str | None, functions: str) -> tuple[dict, bool]:
-        key = (task, tuple(history), context, tuple(candidates))
-        if key in self._decisions:
-            return self._decisions[key]
+    def score(self, query: ScorerQuery) -> ScoreResult:
+        candidates = query.candidates
         user = self.template.format(
-            functions=functions,
-            task=task,
-            history="\n".join(history) if history else "(empty)",
-            context=context or "(selecting the next subtask)",
+            functions=self.functions,
+            task=query.task,
+            history="\n".join(query.history) if query.history else "(empty)",
+            context=query.context or "(selecting the next subtask)",
             candidates="\n".join(f"- {c}" for c in candidates),
         )
-        system = ("You are the task planner of an upper-limb assistive "
-                  "exoskeleton. Reason step by step, then answer with JSON.")
         try:
-            content = self._complete(system, user)
+            content = self._complete(user)
         except LLMError as exc:
-            if self.fallback is not None:
-                self.events.append({"type": "fallback", "reason": str(exc)})
-                scores = {
-                    c: self.fallback.score(ScorerQuery(
-                        prompt="", task=task, candidate=c,
-                        context=context, history=tuple(history))).probability
-                    for c in candidates
-                }
-                self._decisions[key] = (scores, False)
-                return scores, False
-            raise
+            if self.fallback is None:
+                raise
+            self.events.append({"type": "fallback", "reason": str(exc)})
+            return self.fallback.score(query)
         choice, confidence = self.parse_choice(content, candidates)
         if choice is None:
             self.events.append({"type": "invalid_response", "content": content})
-            self._decisions[key] = ({c: 0.0 for c in candidates}, True)
-            return self._decisions[key]
+            return ScoreResult((0.0,) * len(candidates), invalid=True)
         rest = (1.0 - confidence) / max(len(candidates) - 1, 1)
-        scores = {c: (confidence if c == choice else rest) for c in candidates}
-        self._decisions[key] = (scores, False)
-        return scores, False
-
-    # -- planner-facing interface ---------------------------------------------
-
-    def score(self, query: ScorerQuery) -> ScoreResult:
-        if query.context is None:
-            candidates = self._subtask_names
-        else:
-            candidates = self._bindings_for_context(query.context)
-        scores, invalid = self.decide(query.task, candidates, query.history,
-                                      query.context, self._functions)
-        if invalid:
-            return ScoreResult(probability=0.0, invalid=True)
-        return ScoreResult(probability=scores.get(query.candidate, 0.0))
-
-    def bind_library(self, library) -> None:
-        """The scorer needs the candidate sets to issue one query per decision."""
-        self._subtask_names = library.names
-        self._functions = library.describe_functions()
-        self._context_map = {
-            sub.description: [label for label, _ in sub.bindings]
-            for sub in library.subtasks if sub.configurable
-        }
-
-    def _bindings_for_context(self, context: str) -> list[str]:
-        return self._context_map[context]
+        return ScoreResult(tuple(confidence if c == choice else rest for c in candidates))

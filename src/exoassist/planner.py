@@ -1,11 +1,13 @@
 """Stepwise task planning with anomaly-triggered replanning.
 
-The planner scores candidate subtasks with a pluggable scorer (a
-deterministic rule scorer for tests and offline use, or a remote language
-model client), takes the argmax, then scores the chosen subtask's
-parameter bindings the same way. Replanning happens in the harness: when
-the anomaly score crosses the threshold during execution, it aborts the
-running plan and requests a new one.
+Each planning step is one or two decisions, each one scorer call over a
+set of candidates: the next subtask, then, if that subtask is
+configurable, its parameter binding. The scorer (a deterministic rule
+scorer for tests and offline use, or a remote language model client)
+returns one probability per candidate and the planner takes the argmax.
+Replanning happens in the harness: when the anomaly score crosses the
+threshold during execution, it aborts the running plan and requests a new
+one.
 """
 from __future__ import annotations
 
@@ -37,6 +39,7 @@ __all__ = [
 ]
 
 DEFAULT_THRESHOLD = 0.5
+MAX_STEPS = 16  # past this many steps without ``done`` a plan has run away
 
 
 class PlanError(RuntimeError):
@@ -175,25 +178,23 @@ class Plan:
 class PlanResult:
     plan: Plan | None
     needs_clarification: bool = False
-    trace: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
-# scoring interface
+# scoring interface: one scorer call per decision
 
 
 @dataclass(frozen=True)
 class ScorerQuery:
-    prompt: str
     task: str
-    candidate: str
+    candidates: tuple[str, ...]    # subtask names, or the chosen subtask's labels
     context: str | None = None     # chosen-subtask description for config queries
     history: tuple[str, ...] = ()  # labels of steps already in the plan
 
 
 @dataclass(frozen=True)
 class ScoreResult:
-    probability: float
+    probabilities: tuple[float, ...]  # one per candidate, in candidate order
     needs_clarification: bool = False
     invalid: bool = False
 
@@ -320,7 +321,8 @@ class RuleScorer:
     """Deterministic stand-in for the language model.
 
     Builds the canonical plan for the matched item and scores 1.0 for
-    whichever candidate continues that plan, 0.0 otherwise.
+    whichever candidate continues that plan, 0.0 for the others; with no
+    matched item it asks for clarification.
     """
 
     def __init__(self, items: list[ItemRecord],
@@ -350,15 +352,11 @@ class RuleScorer:
     def score(self, query: ScorerQuery) -> ScoreResult:
         steps = self.canonical_plan(query.task)
         if steps is None:
-            return ScoreResult(probability=0.5, needs_clarification=True)
+            return ScoreResult((0.5,) * len(query.candidates), needs_clarification=True)
         idx = len(query.history)
-        if idx >= len(steps):
-            expected_name, expected_label = "done", "done"
-        else:
-            expected_name, expected_label = steps[idx]
-        if query.context is None:
-            return ScoreResult(probability=1.0 if query.candidate == expected_name else 0.0)
-        return ScoreResult(probability=1.0 if query.candidate == expected_label else 0.0)
+        name, label = steps[idx] if idx < len(steps) else ("done", "done")
+        expected = name if query.context is None else label
+        return ScoreResult(tuple(float(c == expected) for c in query.candidates))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +368,7 @@ def replan_check(s: float, s_bar: float = DEFAULT_THRESHOLD) -> bool:
     return s >= s_bar
 
 
-def _argmax(labels: list[str], scores: list[float]) -> int:
+def _argmax(scores) -> int:
     """Argmax with ties broken toward the earliest candidate."""
     best, best_score = 0, -float("inf")
     for i, sc in enumerate(scores):
@@ -379,64 +377,46 @@ def _argmax(labels: list[str], scores: list[float]) -> int:
     return best
 
 
-def plan(task: str, scorer, library: SubtaskLibrary,
-         prompt: str = "", max_steps: int = 16) -> PlanResult:
-    """Generate a plan stepwise: score subtasks, argmax, score configurations,
-    argmax, append, until the chosen subtask is ``done``. Raises
-    ``PlanError`` past ``max_steps`` steps or on an unbound parameter."""
+def _decide(scorer, query: ScorerQuery, what: str) -> tuple[int, PlanResult | None]:
+    """One scorer call: the index of the best candidate, or the result that
+    ends planning when the scorer asks for clarification or fails to
+    recognise its own answer (``what`` names the decision in the reason)."""
+    r = scorer.score(query)
+    if r.needs_clarification:
+        return 0, PlanResult(plan=None, needs_clarification=True)
+    if r.invalid:
+        return 0, PlanResult(plan=Plan(
+            valid=False, invalid_reason=f"scorer produced an unrecognized {what}"))
+    return _argmax(r.probabilities), None
+
+
+def plan(task: str, scorer, library: SubtaskLibrary) -> PlanResult:
+    """Generate a plan stepwise: choose a subtask, then its configuration,
+    append, until the chosen subtask is ``done``. Raises ``PlanError`` past
+    ``MAX_STEPS`` steps or on an unbound parameter."""
     steps: list[PlanStep] = []
-    trace: list[dict] = []
-
-    while True:
+    while not steps or steps[-1].name != "done":
+        if len(steps) > MAX_STEPS:
+            raise PlanError(f"plan exceeded {MAX_STEPS} steps without 'done'")
         history = tuple(step.label for step in steps)
-
-        scores1 = []
-        for sub in library.subtasks:
-            q = ScorerQuery(prompt=prompt, task=task, candidate=sub.name, history=history)
-            r = scorer.score(q)
-            if r.needs_clarification:
-                trace.append({"type": "clarification", "task": task})
-                return PlanResult(plan=None, needs_clarification=True, trace=trace)
-            if r.invalid:
-                return PlanResult(
-                    plan=Plan(valid=False, invalid_reason="scorer produced an "
-                              "unrecognized selection"),
-                    trace=trace)
-            scores1.append(r.probability)
-        pick = library.subtasks[_argmax(library.names, scores1)]
-        trace.append({"type": "subtask", "candidates": library.names,
-                      "scores": scores1, "choice": pick.name})
-
+        i, end = _decide(scorer, ScorerQuery(task, tuple(library.names), history=history),
+                         "selection")
+        if end:
+            return end
+        pick = library.subtasks[i]
+        label, args = pick.name, {}
         if pick.configurable:
-            scores2 = []
-            labels = [label for label, _ in pick.bindings]
-            for label, _ in pick.bindings:
-                q = ScorerQuery(prompt=prompt, task=task, candidate=label,
-                                context=pick.description, history=history)
-                r = scorer.score(q)
-                if r.invalid:
-                    return PlanResult(
-                        plan=Plan(valid=False,
-                                  invalid_reason="scorer produced an unrecognized "
-                                  "configuration"),
-                        trace=trace)
-                scores2.append(r.probability)
-            j = _argmax(labels, scores2)
+            labels = tuple(label for label, _ in pick.bindings)
+            j, end = _decide(scorer, ScorerQuery(task, labels, pick.description, history),
+                             "configuration")
+            if end:
+                return end
             label, args = pick.bindings[j]
-            trace.append({"type": "configuration", "candidates": labels,
-                          "scores": scores2, "choice": label})
-            steps.append(PlanStep(name=pick.name, args=dict(args), label=label))
-        else:
-            steps.append(PlanStep(name=pick.name, args={}, label=pick.name))
-
-        if pick.name == "done":
-            break
-        if len(steps) > max_steps:
-            raise PlanError(f"plan exceeded {max_steps} steps without 'done'")
+        steps.append(PlanStep(name=pick.name, args=dict(args), label=label))
 
     result = Plan(steps=steps)
     result.require_bound(library)
-    return PlanResult(plan=result, trace=trace)
+    return PlanResult(plan=result)
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +431,9 @@ class PlannerRuntime:
     handoff is a slot guarded by a lock that ``poll`` clears on read.
     """
 
-    def __init__(self, scorer, library: SubtaskLibrary, prompt: str = "",
-                 background: bool = False):
+    def __init__(self, scorer, library: SubtaskLibrary, background: bool = False):
         self.scorer = scorer
         self.library = library
-        self.prompt = prompt
         self.background = background
         self._lock = threading.Lock()
         self._slot: PlanResult | None = None
@@ -466,7 +444,7 @@ class PlannerRuntime:
 
         def work():
             try:
-                result = plan(task, self.scorer, self.library, prompt=self.prompt)
+                result = plan(task, self.scorer, self.library)
             except PlanError as exc:
                 result = PlanResult(plan=Plan(valid=False, invalid_reason=str(exc)))
             with self._lock:
@@ -502,8 +480,7 @@ def plan_semantics(p: Plan) -> dict:
 
 
 def evaluate_corpus(corpus: list[ItemRecord], scorer, library: SubtaskLibrary,
-                    task_template: str = "help me carry the {name}",
-                    prompt: str = "") -> dict:
+                    task_template: str = "help me carry the {name}") -> dict:
     """Per-item semantic bits against expectations, with the four-way error
     breakdown (impedance / speed / combined / end mode)."""
     per_item = []
@@ -512,7 +489,7 @@ def evaluate_corpus(corpus: list[ItemRecord], scorer, library: SubtaskLibrary,
     n_valid = 0
     for item in corpus:
         task = task_template.format(name=item.name)
-        result = plan(task, scorer, library, prompt=prompt)
+        result = plan(task, scorer, library)
         row = {"name": item.name, "task": task,
                "expected": {"spd": item.expected_spd, "imp": item.expected_imp,
                             "end_impedance": item.expected_end_impedance}}

@@ -280,7 +280,8 @@ def test_criterion_7_planner_exactness(trained):
             r = scorer.score(query)
             if r.needs_clarification or r.invalid:
                 return r
-            return pl.ScoreResult(probability=float(np.exp(self.a * r.probability) + self.b))
+            return pl.ScoreResult(tuple(float(np.exp(self.a * p) + self.b)
+                                        for p in r.probabilities))
 
     for _ in range(15):
         wrapped = pl.plan("carry the suitcase",

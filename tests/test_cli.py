@@ -1,12 +1,16 @@
 """CLI tests: all four subcommands exercised in-process with small configs."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import scenario_path
 
 from exoassist import anomaly as ano
+from exoassist import planner as pl
 from exoassist.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -78,9 +82,20 @@ def test_train_detector_from_csv(tmp_path, trained):
     ({"schedule": []}, None, "schedule"),
     ({"calibrate": {"target": "x"}}, None, "calibrate"),
     ({"plant": 5}, None, "plant"),
+    ({"subjects": [{"K_h": True}]}, None, "subjects[0] K_h"),
+    ({"subjects": [{"C_h": -3}]}, None, "subjects[0] C_h"),
+    ({"subjects": [{"name": 5}]}, None, "subjects[0] name"),
+    ({"train": {"epochs": True}}, None, "train epochs"),
+    ({"train": {"hidden": [64.7, 2]}}, None, "train hidden"),
+    ({"seed": True}, None, "config seed"),
+    ({"subjects": [{"K_h": [20.0, 20.0]}]}, None, "subjects[0] K_h"),
+    ({"calibrate": {"percentile": 150}}, None, "calibrate percentile"),
 ], ids=["unknown-train-field", "nu-above-T", "string-duration", "short-csv-rows",
         "not-an-object", "malformed-json", "string-epochs", "string-subject-gain",
-        "schedule-not-an-object", "string-calibrate-target", "numeric-plant-path"])
+        "schedule-not-an-object", "string-calibrate-target", "numeric-plant-path",
+        "boolean-subject-gain", "negative-subject-damping", "numeric-subject-name",
+        "boolean-epochs", "fractional-hidden-width", "boolean-seed", "short-subject-gain",
+        "percentile-above-100"])
 def test_train_detector_rejects_bad_config(tmp_path, capsys, config, csv_row, name):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config if isinstance(config, str) else json.dumps(config))
@@ -217,6 +232,21 @@ def test_eval_planner_rule_scorer(tmp_path):
 def test_eval_planner_replay_requires_file(tmp_path):
     assert main(["eval-planner", "--scorer", "replay",
                  "--report", str(tmp_path / "r.json")]) == 2
+
+
+def test_eval_planner_replays_pinned_requests(tmp_path):
+    # the fixture holds the requests of one corpus item, recorded from a
+    # scripted transport answering with the rule scorer's canonical plan;
+    # replay matches requests exactly, so any change to a prompt or payload
+    # byte misses it
+    corpus = tmp_path / "one.jsonl"
+    corpus.write_text("".join(line + "\n" for line in pl.data_path(
+        "corpus.jsonl").read_text().splitlines() if json.loads(line)["name"] == "dumbbell"))
+    report = tmp_path / "r.json"
+    assert main(["eval-planner", "--corpus", str(corpus), "--scorer", "replay",
+                 "--replay-file", str(GOLDEN / "llm_replay.json"),
+                 "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["success_rate"] == 1.0
 
 
 def test_gradcheck_passes():

@@ -106,7 +106,7 @@ class MonotoneWrap:
         if r.needs_clarification or r.invalid:
             return r
         import math
-        return pl.ScoreResult(probability=math.exp(self.a * r.probability) + self.b)
+        return pl.ScoreResult(tuple(math.exp(self.a * p) + self.b for p in r.probabilities))
 
 
 @settings(max_examples=20, deadline=None)
@@ -274,9 +274,7 @@ def scripted_answers():
 def make_llm_scorer(transport, library, fallback=None):
     cfg = llmmod.LLMConfig(endpoint="http://fixture", model="fixture-model",
                            retries=0)
-    scorer = llmmod.LLMScorer(cfg, transport=transport, fallback=fallback)
-    scorer.bind_library(library)
-    return scorer
+    return llmmod.LLMScorer(cfg, library, transport=transport, fallback=fallback)
 
 
 def test_llm_scorer_drives_plan(library):
@@ -313,6 +311,43 @@ def test_llm_timeout_falls_back_to_rule_scorer(corpus, library):
     assert res.plan.valid is True
     assert pl.plan_semantics(res.plan) == {"spd": 0, "imp": 0, "end_impedance": False}
     assert any(e["type"] == "fallback" for e in scorer.events)
+
+
+class CountingFailingTransport(FailingTransport):
+    calls = 0
+
+    def send(self, payload):
+        self.calls += 1
+        return super().send(payload)
+
+
+def test_llm_fallback_keeps_rule_scorer_clarification(corpus, library):
+    transport = CountingFailingTransport()
+    scorer = make_llm_scorer(transport, library, fallback=pl.RuleScorer(corpus))
+    res = pl.plan("bring me the flurbamajig", scorer, library)
+    assert res.plan is None
+    assert res.needs_clarification is True
+    assert transport.calls == 1
+
+
+class CountingScorer:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def score(self, query):
+        self.calls += 1
+        return self.inner.score(query)
+
+
+def test_scorer_called_once_per_decision(scorer, library):
+    # water plan: 4 subtask decisions, 3 of them configurable
+    counting = CountingScorer(scorer)
+    pl.plan("help me drink water", counting, library)
+    assert counting.calls == 7
+    transport = ScriptedTransport(scripted_answers())
+    pl.plan("help me drink water", make_llm_scorer(transport, library), library)
+    assert transport.calls == 7
 
 
 def test_llm_record_then_replay_is_hermetic(tmp_path, library):
