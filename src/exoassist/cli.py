@@ -24,12 +24,11 @@ def _default(path_flag: str | None, bundled: str) -> Path:
     return Path(path_flag) if path_flag else pl.data_path(bundled)
 
 
-def _load_stack(args, detector=None, scorer=None):
+def _load_stack(args, detector=None):
     model = dyn.load_plant_config(_default(getattr(args, "plant", None), "plant.json"))
     control_cfg = ctl.load_control_config(_default(getattr(args, "control", None), "control.json"))
     corpus = pl.load_corpus(pl.data_path("corpus.jsonl"))
-    scorer = scorer or pl.RuleScorer(corpus)
-    runtime = pl.PlannerRuntime(scorer, pl.default_library())
+    runtime = pl.PlannerRuntime(pl.RuleScorer(corpus), pl.default_library())
     return hz.SimStack(model=model, control=control_cfg, planner=runtime,
                        detector=detector)
 
@@ -61,11 +60,11 @@ TRAIN_CONFIG_FIELDS = {
     "train": dyn.Field("object", table={
         **dict.fromkeys(("epochs", "batch_size", "embed_dim"), dyn.Field("integer", "> 0")),
         **dict.fromkeys(("lr", "adam_eps"), dyn.Field(bound="> 0")),
-        **dict.fromkeys(("beta1", "beta2"), dyn.Field(bound=">= 0")),
+        **dict.fromkeys(("beta1", "beta2"), dyn.Field(bound=">= 0, < 1")),
         "seed": dyn.Field("integer", ">= 0"),
         "hidden": dyn.Field("integers", "> 0")}),
     "calibrate": dyn.Field("object", table={"target": dyn.Field(bound="> 0"),
-                                            "percentile": dyn.Field(bound=">= 0")}),
+                                            "percentile": dyn.Field(bound=">= 0, <= 100")}),
 }
 DEFAULT_SUBJECTS = [{"name": "subject-a"}, {"name": "subject-b", "K_h": 25.0}]
 
@@ -75,8 +74,6 @@ def cmd_train_detector(args) -> int:
     with _config_section(f"--config {args.config}"):
         cfg = json.loads(Path(args.config).read_text()) if args.config else {}
         dyn.check_fields(cfg, TRAIN_CONFIG_FIELDS, "config")
-        if cfg.get("calibrate", {}).get("percentile", 99.0) > 100:
-            raise dyn.ConfigError("config calibrate percentile must be at most 100")
     with _config_section("plant"):
         model = dyn.load_plant_config(_default(cfg.get("plant"), "plant.json"))
     with _config_section("schedule"):
@@ -173,9 +170,11 @@ def cmd_eval_planner(args) -> int:
         scorer = llmmod.LLMScorer(cfg, library, transport=transport,
                                   fallback=pl.RuleScorer(corpus) if args.fallback else None)
     report = pl.evaluate_corpus(corpus, scorer, library)
+    report["fallbacks"] = sum(e["type"] == "fallback" for e in getattr(scorer, "events", ()))
     Path(args.report).write_text(json.dumps(report, indent=1))
     print(f"success rate {report['success_rate']:.3f}, "
-          f"validity {report['validity_rate']:.3f}; report written to {args.report}")
+          f"validity {report['validity_rate']:.3f}, fallbacks {report['fallbacks']}; "
+          f"report written to {args.report}")
     return 0
 
 

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ConfigError, Field, PlantModel, PlantState, _rigid_body_terms, check_fields
+from .dynamics import (ConfigError, Field, PlantModel, PlantState, _friction, _rigid_body_terms,
+                       check_fields)
 
 __all__ = [
     "TransparentConfig",
@@ -22,7 +23,6 @@ __all__ = [
     "TaskConfig",
     "ControlConfig",
     "QPConfig",
-    "fast_term",
     "transparent_control",
     "impedance_control",
     "apply_task_config",
@@ -123,25 +123,6 @@ class TaskConfig:
     imp_bit: int
 
 
-def fast_term(state: PlantState, Kv) -> np.ndarray:
-    """Singular-perturbation damping -S2' Kv (thetadot - S2 qdot).
-
-    S2 selects the last n_c (cable-driven) joints, so both products are
-    slices; ``Kv`` is a scalar or a length-n_c array."""
-    n_c = state.theta.shape[0]
-    out = np.zeros(state.q.shape[0])
-    out[-n_c:] = -(Kv * (state.thetadot - state.qdot[-n_c:]))
-    return out
-
-
-def _friction_estimate(model: PlantModel, thetadot: np.ndarray,
-                       scale: float, comp_eps: float) -> np.ndarray:
-    """Friction model used for compensation: widened Coulomb boundary layer."""
-    poly = model.friction_c1 * thetadot + model.friction_c3 * thetadot**3
-    coulomb = model.friction_c0 * np.tanh(thetadot / comp_eps)
-    return -scale * (poly + coulomb)
-
-
 def _floats(value, size: int) -> list[float]:
     """A scalar or per-joint value as ``size`` Python floats (not checked)."""
     arr = np.asarray(value, dtype=float)
@@ -154,9 +135,10 @@ def _compensate(model: PlantModel, state: PlantState, u: list, h: np.ndarray,
     order, as a fresh array; ``u`` and ``tau_e`` are lists of n floats."""
     nd = model.n - model.n_c
     pad = [0.0] * nd  # S2' leaves the direct joints' rows zero
-    tau_f_hat = pad + _friction_estimate(
-        model, state.thetadot, cfg.friction_scale, cfg.friction_comp_eps).tolist()
-    fast = pad + [-(kv * (thd - qd)) for kv, thd, qd in zip(  # fast_term on floats
+    tau_f_hat = pad + (cfg.friction_scale * _friction(
+        model, state.thetadot, cfg.friction_comp_eps)).tolist()
+    # the fast term -S2' Kv (thetadot - S2 qdot)
+    fast = pad + [-(kv * (thd - qd)) for kv, thd, qd in zip(
         _floats(cfg.Kv, model.n_c), state.thetadot.tolist(), state.qdot.tolist()[nd:])]
     return np.array([u_i + h_i - f_i - e_i + k_i for u_i, h_i, f_i, e_i, k_i in zip(
         u, h.tolist(), tau_f_hat, tau_e, fast)])

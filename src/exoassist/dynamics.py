@@ -36,7 +36,6 @@ __all__ = [
     "mass_matrix",
     "coriolis_matrix",
     "gravity_vector",
-    "friction_torque",
     "potential_energy",
     "total_energy",
     "end_effector_position",
@@ -95,8 +94,9 @@ class Field:
     ``indices`` (a list of joint indices), ``integers`` (a list of
     integers), ``object`` (keys from ``table``;
     with no table, its owner checks it) or ``objects`` (a list of
-    such objects). ``bound`` is ``"> x"``, ``">= x"`` or empty (finite
-    only). ``size`` (``"n"`` or ``"n_c"``) is the plant size a joints
+    such objects). ``bound`` is empty (finite only) or one or two limits
+    joined by ``", "``, each ``"> x"``, ``">= x"``, ``"< x"`` or ``"<= x"``
+    (``">= 0, < 1"``). ``size`` (``"n"`` or ``"n_c"``) is the plant size a joints
     field's length or an indices field's range is checked against."""
 
     kind: str = "number"
@@ -110,7 +110,7 @@ class Field:
 _KIND_TEXT = {"number": "a single number", "integer": "an integer", "pose": "a list of numbers",
               "joints": "a number or a list of numbers", "indices": "a list of joint indices",
               "integers": "a list of integers"}
-_BOUND_TEST = {">": np.greater, ">=": np.greater_equal}
+_BOUND_TEST = {">": np.greater, ">=": np.greater_equal, "<": np.less, "<=": np.less_equal}
 
 
 def _check_numbers(value, spec: Field, name: str, sizes: dict | None) -> np.ndarray:
@@ -136,9 +136,9 @@ def _check_numbers(value, spec: Field, name: str, sizes: dict | None) -> np.ndar
         arr = np.array([np.inf])
     if not np.isfinite(arr).all():
         raise ConfigError(f"{name} has a non-finite value")
-    if spec.bound:
-        op, limit = spec.bound.split()
-        if not _BOUND_TEST[op](arr, float(limit)).all():
+    for limit in filter(None, spec.bound.split(", ")):
+        op, value = limit.split()
+        if not _BOUND_TEST[op](arr, float(value)).all():
             raise ConfigError(must)
     if sizes is None or not spec.size:
         return arr
@@ -522,19 +522,12 @@ def coriolis_matrix(model: PlantModel, q, qdot, payload_mass: float = 0.0) -> np
 # friction, energy and the integrator
 
 
-def friction_torque(model: PlantModel, thetadot) -> np.ndarray:
-    """Dissipative cable-joint friction: odd polynomial plus smoothed Coulomb term."""
-    thetadot = np.asarray(thetadot, dtype=float)
-    if thetadot.shape != (model.n_c,):
-        raise ValueError(f"thetadot must have length {model.n_c}")
-    if not np.all(np.isfinite(thetadot)):
-        raise ValueError("thetadot must be finite")
-    return _friction(model, thetadot)
-
-
-def _friction(model: PlantModel, thetadot: np.ndarray) -> np.ndarray:
+def _friction(model: PlantModel, thetadot: np.ndarray, eps_v: float) -> np.ndarray:
+    """Dissipative cable-joint friction: odd polynomial plus a Coulomb term
+    smoothed over a boundary layer of width ``eps_v`` (the plant's
+    ``friction_eps_v``; the controllers' compensation uses a wider one)."""
     poly = model.friction_c1 * thetadot + model.friction_c3 * thetadot**3
-    coulomb = model.friction_c0 * np.tanh(thetadot / model.friction_eps_v)
+    coulomb = model.friction_c0 * np.tanh(thetadot / eps_v)
     return -(poly + coulomb)
 
 
@@ -610,7 +603,8 @@ def step(model: PlantModel, state: PlantState, u, tau_e, dt: float) -> PlantStat
 
     # S1 u + S2' (spring + tau_f) stacks the direct-joint torques over the
     # cable-joint ones
-    rhs_link = np.concatenate((u[:nd], spring + _friction(model, thd))) + tau_e - h
+    tau_f = _friction(model, thd, model.friction_eps_v)
+    rhs_link = np.concatenate((u[:nd], spring + tau_f)) + tau_e - h
     qdd = np.linalg.solve(M, rhs_link)
     thdd = (u[nd:] - spring) / model.motor_inertia
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import re
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -420,45 +419,32 @@ def plan(task: str, scorer, library: SubtaskLibrary) -> PlanResult:
 
 
 # ---------------------------------------------------------------------------
-# runtime handoff (control loop never blocks on the scorer)
+# runtime handoff: the control loop requests plans and polls for them
 
 
 class PlannerRuntime:
-    """Owns planning off the control tick; the loop polls for results.
+    """The planner as the control loop sees it.
 
-    ``request_plan`` plans ``task`` from scratch; a replan is just another
-    request. ``background=True`` runs each request on a worker thread; the
-    handoff is a slot guarded by a lock that ``poll`` clears on read.
+    ``request_plan`` plans ``task`` from scratch (a replan is just another
+    request) into a slot that ``poll`` reads and clears. Planning runs in
+    the caller, so the result is ready on the next poll; a ``PlanError``
+    arrives as an invalid plan.
     """
 
-    def __init__(self, scorer, library: SubtaskLibrary, background: bool = False):
+    def __init__(self, scorer, library: SubtaskLibrary):
         self.scorer = scorer
         self.library = library
-        self.background = background
-        self._lock = threading.Lock()
         self._slot: PlanResult | None = None
 
     def request_plan(self, task: str) -> None:
-        with self._lock:
-            self._slot = None
-
-        def work():
-            try:
-                result = plan(task, self.scorer, self.library)
-            except PlanError as exc:
-                result = PlanResult(plan=Plan(valid=False, invalid_reason=str(exc)))
-            with self._lock:
-                self._slot = result
-
-        if self.background:
-            threading.Thread(target=work, daemon=True).start()
-        else:
-            work()
+        try:
+            self._slot = plan(task, self.scorer, self.library)
+        except PlanError as exc:
+            self._slot = PlanResult(plan=Plan(valid=False, invalid_reason=str(exc)))
 
     def poll(self) -> PlanResult | None:
-        with self._lock:
-            result, self._slot = self._slot, None
-            return result
+        result, self._slot = self._slot, None
+        return result
 
 
 # ---------------------------------------------------------------------------

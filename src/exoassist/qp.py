@@ -1,10 +1,9 @@
 """Dense convex QP solver: dual active-set method with KKT certification.
 
-Solves  min 0.5 x'Hx + f'x  s.t.  A_in x <= b_in,  lb <= x <= ub.  Bounds
-are folded into inequality rows and the problem is solved with a
-Goldfarb-Idnani style dual active set (the working set grows from the
-unconstrained optimum, so no feasible starting point is needed and
-infeasibility is detected directly).
+Solves  min 0.5 x'Hx + f'x  s.t.  A_in x <= b_in  with a Goldfarb-Idnani
+style dual active set (the working set grows from the unconstrained
+optimum, so no feasible starting point is needed and infeasibility is
+detected directly). A box on x is two blocks of rows, [I; -I] x <= [ub; -lb].
 
 A Cholesky factorization of H - 2e-12 max|H_ij| I proves H positive
 definite; only when it fails does ``eigh`` look for null directions
@@ -35,7 +34,7 @@ class QPResult:
     x: np.ndarray | None = None
     objective: float | None = None
     iterations: int = 0
-    ineq_multipliers: np.ndarray | None = None  # merged rows: user, ub, lb
+    ineq_multipliers: np.ndarray | None = None  # one per row of A_in
     residuals: dict = field(default_factory=dict)
 
     @property
@@ -50,30 +49,15 @@ class QPResult:
         )
 
 
-def _merge_inequalities(n, A_in, b_in, lb, ub):
-    rows, rhs = [], []
-    if A_in is not None:
-        A_in = np.atleast_2d(np.asarray(A_in, dtype=float))
-        b_in = np.atleast_1d(np.asarray(b_in, dtype=float))
-        if A_in.shape != (b_in.size, n):
-            raise ValueError("inequality rows are dimensionally inconsistent")
-        rows.append(A_in)
-        rhs.append(b_in)
-    if ub is not None:
-        ub = np.asarray(ub, dtype=float)
-        mask = np.isfinite(ub)
-        if np.any(mask):
-            rows.append(np.eye(n)[mask])
-            rhs.append(ub[mask])
-    if lb is not None:
-        lb = np.asarray(lb, dtype=float)
-        mask = np.isfinite(lb)
-        if np.any(mask):
-            rows.append(-np.eye(n)[mask])
-            rhs.append(-lb[mask])
-    if rows:
-        return np.vstack(rows), np.concatenate(rhs)
-    return np.zeros((0, n)), np.zeros(0)
+def _inequalities(n, A_in, b_in):
+    """The rows A x <= b as float arrays (none when ``A_in`` is None)."""
+    if A_in is None:
+        return np.zeros((0, n)), np.zeros(0)
+    A = np.atleast_2d(np.asarray(A_in, dtype=float))
+    b = np.atleast_1d(np.asarray(b_in, dtype=float))
+    if A.shape != (b.size, n):
+        raise ValueError("inequality rows are dimensionally inconsistent")
+    return A, b
 
 
 def _dual_active_set(G, a, A, b):
@@ -162,7 +146,7 @@ def _dual_active_set(G, a, A, b):
             u = u_plus[:-1].copy()
 
 
-def qp_solve(H, f, A_in=None, b_in=None, lb=None, ub=None) -> QPResult:
+def qp_solve(H, f, A_in=None, b_in=None) -> QPResult:
     """Solve the QP; returns a typed result rather than raising on
     infeasible or unbounded problems."""
     H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -174,7 +158,7 @@ def qp_solve(H, f, A_in=None, b_in=None, lb=None, ub=None) -> QPResult:
         raise ValueError("H must be symmetric")
     H = 0.5 * (H + H.T)
 
-    A, b = _merge_inequalities(n, A_in, b_in, lb, ub)
+    A, b = _inequalities(n, A_in, b_in)
 
     # unbounded directions: null curvature with a nonzero linear term
     scale = max(1.0, float(np.max(np.abs(H))))

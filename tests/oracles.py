@@ -11,7 +11,8 @@
   matrices K, B of the equations, which the package keeps as slices and
   diagonals only.
 - The controllers as first written (one expression each, S2' as a matrix
-  product), and the wearer's interaction torque in numpy.
+  product, with the fast term in numpy as ``fast_term``), and the
+  wearer's interaction torque in numpy.
 - ``reference_refine``: the refinement QP rebuilt from scratch on every
   call, as first written (prediction matrices entry by entry in
   ``reference_prediction_matrices``), solved by ``reference_qp_solve``
@@ -24,9 +25,8 @@ import math
 import numpy as np
 
 from exoassist import dynamics as dyn
-from exoassist.control import _friction_estimate, fast_term
-from exoassist.dynamics import _rigid_body_terms
-from exoassist.qp import QPResult, _dual_active_set, _merge_inequalities, _residuals
+from exoassist.dynamics import _friction, _rigid_body_terms
+from exoassist.qp import QPResult, _dual_active_set, _inequalities, _residuals
 from exoassist.trajectory import QPSetup, RefinedSegment, RefinementError, ReferenceSpline
 
 
@@ -186,7 +186,7 @@ def reference_step(model, state, u, tau_e, dt):
     th, thd = state.theta, state.thetadot
     M, g, D = plant_terms(model, q, state.payload_mass)
     C = christoffel(D, qd)
-    tau_f = dyn.friction_torque(model, thd)
+    tau_f = _friction(model, thd, model.friction_eps_v)
     spring = K @ (th - S2 @ q)
 
     rhs_link = S1 @ u + S2.T @ (spring + tau_f) + tau_e - C @ qd - g
@@ -199,6 +199,17 @@ def reference_step(model, state, u, tau_e, dt):
                           thetadot=thd_new, payload_mass=state.payload_mass, tau_e=tau_e)
 
 
+def fast_term(state, Kv) -> np.ndarray:
+    """Singular-perturbation damping -S2' Kv (thetadot - S2 qdot).
+
+    S2 selects the last n_c (cable-driven) joints, so both products are
+    slices; ``Kv`` is a scalar or a length-n_c array."""
+    n_c = state.theta.shape[0]
+    out = np.zeros(state.q.shape[0])
+    out[-n_c:] = -(Kv * (state.thetadot - state.qdot[-n_c:]))
+    return out
+
+
 def reference_transparent_control(model, state, tau_e, cfg):
     """``control.transparent_control`` as one expression."""
     tau_e = np.asarray(tau_e, dtype=float)
@@ -206,7 +217,7 @@ def reference_transparent_control(model, state, tau_e, cfg):
         raise ValueError(f"tau_e must be finite with length {model.n}")
 
     _, h = _rigid_body_terms(model, state.q, state.qdot, state.payload_mass, with_mass=False)
-    tau_f_hat = _friction_estimate(model, state.thetadot, cfg.friction_scale, cfg.friction_comp_eps)
+    tau_f_hat = cfg.friction_scale * _friction(model, state.thetadot, cfg.friction_comp_eps)
     u_f = fast_term(state, cfg.Kv)
     # (M + B_bar) qdd0 with qdd0 = (1/gamma0)(M + B_bar)^-1 tau_e
     amplified = tau_e / cfg.gamma0
@@ -225,7 +236,7 @@ def reference_impedance_control(model, state, q_d, qdot_d, qddot_d, tau_e, cfg):
             raise ValueError(f"{name} must be finite with length {model.n}")
 
     M, h = _rigid_body_terms(model, state.q, state.qdot, state.payload_mass)
-    tau_f_hat = _friction_estimate(model, state.thetadot, cfg.friction_scale, cfg.friction_comp_eps)
+    tau_f_hat = cfg.friction_scale * _friction(model, state.thetadot, cfg.friction_comp_eps)
     u_f = fast_term(state, cfg.Kv)
     target = (
         cfg.Cd * (qdot_d - state.qdot)
@@ -253,7 +264,7 @@ def reference_wearer_torque(params, intent, override, transients, t, state):
     return tau
 
 
-def reference_qp_solve(H, f, A_in=None, b_in=None, lb=None, ub=None) -> QPResult:
+def reference_qp_solve(H, f, A_in=None, b_in=None) -> QPResult:
     """``qp.qp_solve`` with its first positive-definiteness test: an ``eigh``
     on every call."""
     H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -265,7 +276,7 @@ def reference_qp_solve(H, f, A_in=None, b_in=None, lb=None, ub=None) -> QPResult
         raise ValueError("H must be symmetric")
     H = 0.5 * (H + H.T)
 
-    A, b = _merge_inequalities(n, A_in, b_in, lb, ub)
+    A, b = _inequalities(n, A_in, b_in)
 
     # unbounded directions: null curvature with a nonzero linear term
     evals, evecs = np.linalg.eigh(H)
@@ -364,11 +375,13 @@ def reference_refine(reference: ReferenceSpline, current_state, setup: QPSetup, 
     b_rows.append(qmax - q_base.reshape(-1)[sel])
     A_rows.append(-Lp_full[sel])
     b_rows.append(q_base.reshape(-1)[sel] - qmin)
+    alim = np.tile(setup.accel_limit, N)  # the box -alim <= U <= alim
+    A_rows += [np.eye(N * n), -np.eye(N * n)]
+    b_rows += [alim, alim]
     A_in = np.vstack(A_rows)
     b_in = np.concatenate(b_rows)
-    alim = np.tile(setup.accel_limit, N)
 
-    result = reference_qp_solve(H / 2.0, f / 2.0, A_in=A_in, b_in=b_in, lb=-alim, ub=alim)
+    result = reference_qp_solve(H / 2.0, f / 2.0, A_in=A_in, b_in=b_in)
     if result.status == "infeasible":
         raise RefinementError(
             f"refinement constraints infeasible: N={N}, dt={dt}, "

@@ -90,12 +90,14 @@ def test_train_detector_from_csv(tmp_path, trained):
     ({"seed": True}, None, "config seed"),
     ({"subjects": [{"K_h": [20.0, 20.0]}]}, None, "subjects[0] K_h"),
     ({"calibrate": {"percentile": 150}}, None, "calibrate percentile"),
+    ({"train": {"beta1": 1.5}}, None, "train beta1"),
+    ({"train": {"beta2": 1.0}}, None, "train beta2"),
 ], ids=["unknown-train-field", "nu-above-T", "string-duration", "short-csv-rows",
         "not-an-object", "malformed-json", "string-epochs", "string-subject-gain",
         "schedule-not-an-object", "string-calibrate-target", "numeric-plant-path",
         "boolean-subject-gain", "negative-subject-damping", "numeric-subject-name",
         "boolean-epochs", "fractional-hidden-width", "boolean-seed", "short-subject-gain",
-        "percentile-above-100"])
+        "percentile-above-100", "beta1-above-1", "beta2-at-1"])
 def test_train_detector_rejects_bad_config(tmp_path, capsys, config, csv_row, name):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config if isinstance(config, str) else json.dumps(config))
@@ -227,6 +229,7 @@ def test_eval_planner_rule_scorer(tmp_path):
     rep = json.loads(report.read_text())
     assert rep["success_rate"] == 1.0
     assert rep["n_items"] == 195
+    assert rep["fallbacks"] == 0
 
 
 def test_eval_planner_replay_requires_file(tmp_path):
@@ -234,19 +237,40 @@ def test_eval_planner_replay_requires_file(tmp_path):
                  "--report", str(tmp_path / "r.json")]) == 2
 
 
+def _replayed_item_corpus(tmp_path) -> Path:
+    """A corpus of the one item ``llm_replay.json`` holds the requests of."""
+    corpus = tmp_path / "one.jsonl"
+    corpus.write_text("".join(line + "\n" for line in pl.data_path(
+        "corpus.jsonl").read_text().splitlines() if json.loads(line)["name"] == "dumbbell"))
+    return corpus
+
+
 def test_eval_planner_replays_pinned_requests(tmp_path):
     # the fixture holds the requests of one corpus item, recorded from a
     # scripted transport answering with the rule scorer's canonical plan;
     # replay matches requests exactly, so any change to a prompt or payload
     # byte misses it
-    corpus = tmp_path / "one.jsonl"
-    corpus.write_text("".join(line + "\n" for line in pl.data_path(
-        "corpus.jsonl").read_text().splitlines() if json.loads(line)["name"] == "dumbbell"))
+    corpus = _replayed_item_corpus(tmp_path)
     report = tmp_path / "r.json"
     assert main(["eval-planner", "--corpus", str(corpus), "--scorer", "replay",
                  "--replay-file", str(GOLDEN / "llm_replay.json"),
                  "--report", str(report)]) == 0
     assert json.loads(report.read_text())["success_rate"] == 1.0
+
+
+def test_eval_planner_counts_fallbacks(tmp_path, capsys):
+    argv = ["eval-planner", "--scorer", "replay", "--fallback",
+            "--replay-file", str(GOLDEN / "llm_replay.json"), "--report", str(tmp_path / "r.json")]
+    # the replayed item alone: every decision is answered from the fixture
+    assert main(argv + ["--corpus", str(_replayed_item_corpus(tmp_path))]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["fallbacks"] == 0
+    assert "fallbacks 0;" in capsys.readouterr().out
+    # the bundled corpus: each of the other 194 items misses the fixture at
+    # its first decision at least, and the rule scorer answers instead
+    assert main(argv) == 0
+    fallbacks = json.loads((tmp_path / "r.json").read_text())["fallbacks"]
+    assert fallbacks >= 194
+    assert f"fallbacks {fallbacks};" in capsys.readouterr().out
 
 
 def test_gradcheck_passes():

@@ -1,18 +1,22 @@
 """Every field of every config table, from the tables themselves.
 
-For each field of ``plant.json``, ``control.json`` and a scenario file, a
-value of the wrong kind (a string, a boolean) and, where the field has a
-bound, a value outside it are rejected at load; a per-joint value of the
-wrong length, or a joint index out of range, is rejected at loop entry.
+For each field of ``plant.json``, ``control.json``, a scenario file and
+``train_config.json``, a value of the wrong kind (a string, a boolean)
+and, where the field has a bound, a value below its lower and above its
+upper limit are rejected at load; a per-joint value of the wrong length,
+or a joint index out of range, is rejected at loop entry (for
+``train_config.json``, when collection starts).
 Each raises ConfigError naming the field, so a field added to a table is
 covered here without new test code.
 """
+import argparse
 import copy
 import json
 import re
 
 import pytest
 
+from exoassist import cli
 from exoassist import control as ctl
 from exoassist import dynamics as dyn
 from exoassist import harness as hz
@@ -34,6 +38,10 @@ class _ReachedLoop(Exception):
 class _Planner:
     def request_plan(self, task):
         raise _ReachedLoop
+
+
+def _reached_loop(*args):
+    raise _ReachedLoop
 
 
 def _base_scenario() -> dict:
@@ -59,15 +67,21 @@ def _use_scenario(path):
     hz.run_scenario(hz.load_scenario(path), stack)
 
 
+def _use_train_config(path):
+    cli.cmd_train_detector(argparse.Namespace(config=str(path), data=None, out=None))
+
+
 def _base_file(name):
     return json.loads(pl.data_path(f"{name}.json").read_text())
 
 
-# file -> (its table, a valid base object, load and enter the loop)
+# file, as messages name it -> (its table, a valid base object, load and
+# enter the loop); train_config.json's messages name it "config"
 FILES = {
     "plant": (dyn.PLANT_FIELDS, lambda: _base_file("plant"), _use_plant),
     "control": (ctl.CONTROL_FIELDS, lambda: _base_file("control"), _use_control),
     "scenario": (hz.SCENARIO_FIELDS, _base_scenario, _use_scenario),
+    "config": (cli.TRAIN_CONFIG_FIELDS, lambda: _base_file("train_config"), _use_train_config),
 }
 
 
@@ -106,13 +120,15 @@ def _bad_values(spec):
     """(case id, value) pairs the field must reject at load."""
     wrong = [5, True] if spec.kind == "string" else ["x", True]
     cases = [(f"kind-{v!r}", v) for v in wrong]
-    if spec.bound:
-        op, limit = spec.bound.split()
-        out = float(limit) - (op == ">=")
-        out = int(out) if spec.kind in ("integer", "indices") else out
-        if spec.kind == "indices" or (spec.kind == "joints" and not spec.scalar):
+    for limit in filter(None, spec.bound.split(", ")):
+        op, value = limit.split()
+        out = float(value) + {">": 0, ">=": -1, "<": 0, "<=": 1}[op]
+        out = int(out) if spec.kind in ("integer", "indices", "integers") else out
+        if spec.kind == "integers":
+            out = [out]
+        elif spec.kind == "indices" or (spec.kind == "joints" and not spec.scalar):
             out = [out] * SIZES[spec.size]
-        cases.append(("bound", out))
+        cases.append(("bound" if op.startswith(">") else "upper-bound", out))
     return cases
 
 
@@ -124,8 +140,9 @@ def _cases():
         if spec.kind in ("joints", "indices"):
             size = SIZES[spec.size]
             value = [size] if spec.kind == "indices" else [1.0] * (size + 1)
-            # at loop entry QPConfig holds the angles under names without _deg
-            label = re.sub(r"^control ", "", _label(file, path)).removesuffix("_deg")
+            # at loop entry QPConfig holds the angles under names without _deg,
+            # and collection names a subject without the file
+            label = re.sub(r"^(control|config) ", "", _label(file, path)).removesuffix("_deg")
             yield pytest.param(file, path, value, label, id=f"{_label(file, path)}-size")
 
 
@@ -135,11 +152,12 @@ def _set(obj, path, value):
     obj[path[-1]] = value
 
 
-def test_base_files_pass(tmp_path):
+def test_base_files_pass(tmp_path, monkeypatch):
+    monkeypatch.setattr(dyn, "step", _reached_loop)  # collection's first motion
     for file, (_, base, use) in FILES.items():
         path = tmp_path / f"{file}.json"
         path.write_text(json.dumps(base()))
-        if file == "scenario":
+        if file in ("scenario", "config"):
             with pytest.raises(_ReachedLoop):
                 use(path)
         else:

@@ -221,12 +221,12 @@ def test_gravity_payload_moment_arm(model):
 
 
 def test_friction_zero_at_rest(model):
-    assert np.allclose(dyn.friction_torque(model, np.zeros(model.n_c)), 0.0)
+    assert np.allclose(dyn._friction(model, np.zeros(model.n_c), model.friction_eps_v), 0.0)
 
 
 def test_friction_opposes_motion(model):
     for thd in ([0.5, -0.3], [2.0, 0.01], [-4.0, 1.5]):
-        tau = dyn.friction_torque(model, np.array(thd))
+        tau = dyn._friction(model, np.array(thd), model.friction_eps_v)
         assert np.all(np.sign(tau) == -np.sign(thd))
 
 
@@ -234,7 +234,7 @@ def test_friction_opposes_motion(model):
 @given(st.lists(st.floats(-20, 20, allow_nan=False), min_size=2, max_size=2))
 def test_friction_passivity(thd):
     model = dyn.default_model()
-    tau = dyn.friction_torque(model, np.array(thd))
+    tau = dyn._friction(model, np.array(thd), model.friction_eps_v)
     assert np.asarray(thd) @ tau <= 1e-12
 
 

@@ -2,7 +2,6 @@
 argmax invariance, replanning, the runtime handoff, corpus evaluation,
 and the hermetic record/replay LLM scorer."""
 import json
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,39 +144,13 @@ def test_empty_library_rejected():
 # runtime handoff
 
 
-class SlowScorer:
-    def __init__(self, inner, delay):
-        self.inner = inner
-        self.delay = delay
-
-    def score(self, query):
-        time.sleep(self.delay)
-        return self.inner.score(query)
-
-
-def test_runtime_background_never_blocks(scorer, library):
-    runtime = pl.PlannerRuntime(SlowScorer(scorer, 0.01), library, background=True)
-    runtime.request_plan("hand me the apple")
-    # the control loop keeps polling without waiting
-    polls = 0
-    t0 = time.perf_counter()
-    result = None
-    while result is None and time.perf_counter() - t0 < 5.0:
-        result = runtime.poll()
-        polls += 1
-        time.sleep(0.001)
-    assert result is not None
-    assert polls > 3  # planning took several ticks and never blocked one
-    assert pl.plan_semantics(result.plan)["spd"] == 1
-    assert runtime.poll() is None  # slot cleared on read
-
-
 def test_runtime_sync_mode(scorer, library):
-    runtime = pl.PlannerRuntime(scorer, library, background=False)
+    runtime = pl.PlannerRuntime(scorer, library)
     runtime.request_plan("help me drink water")
     result = runtime.poll()
     assert result is not None
     assert result.plan.steps[2].label == "go_target(mouth)"
+    assert runtime.poll() is None  # slot cleared on read
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@ from oracles import brute_force_qp
 from exoassist.qp import qp_solve
 
 
+def box_rows(lb, ub):
+    """The box lb <= x <= ub as rows A x <= b: [I; -I] x <= [ub; -lb]."""
+    n = len(ub)
+    return np.vstack([np.eye(n), -np.eye(n)]), np.concatenate([ub, -lb])
+
+
 def random_spd(rng, n, scale=1.0):
     A = rng.normal(size=(n, n))
     return A @ A.T + scale * np.eye(n)
@@ -25,7 +31,8 @@ def test_box_projection():
     rng = np.random.default_rng(3)
     n = 6
     c = rng.uniform(-2.5, 2.5, n)
-    res = qp_solve(np.eye(n), -c, lb=-np.ones(n), ub=np.ones(n))
+    A, b = box_rows(-np.ones(n), np.ones(n))
+    res = qp_solve(np.eye(n), -c, A_in=A, b_in=b)
     assert res.status == "optimal"
     assert np.allclose(res.x, np.clip(c, -1, 1), atol=1e-9)
     assert res.certified
@@ -73,9 +80,20 @@ def test_degenerate_psd_with_consistent_linear_term():
     # null direction with no linear push: minimizer exists (non-unique)
     H = np.diag([2.0, 0.0])
     f = np.array([-2.0, 0.0])
-    res = qp_solve(H, f, lb=np.array([-5.0, -5.0]), ub=np.array([5.0, 5.0]))
+    A, b = box_rows(np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
+    res = qp_solve(H, f, A_in=A, b_in=b)
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("A_in, b_in", [
+    (np.ones((2, 3)), np.ones(2)),  # rows of the wrong width
+    (np.ones((2, 2)), np.ones(3)),  # more right-hand sides than rows
+    (np.ones((3, 2)), np.ones(2)),  # fewer right-hand sides than rows
+], ids=["wide-rows", "extra-rhs", "short-rhs"])
+def test_rejects_inconsistent_inequality_rows(A_in, b_in):
+    with pytest.raises(ValueError, match="inequality rows"):
+        qp_solve(np.eye(2), np.zeros(2), A_in=A_in, b_in=b_in)
 
 
 def test_rejects_asymmetric_h():
@@ -103,5 +121,6 @@ def test_positive_definite_h_skips_eigendecomposition(monkeypatch):
     rng = np.random.default_rng(5)
     H = random_spd(rng, 6)
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    res = qp_solve(H, rng.normal(size=6), lb=-np.ones(6), ub=np.ones(6))
+    A, b = box_rows(-np.ones(6), np.ones(6))
+    res = qp_solve(H, rng.normal(size=6), A_in=A, b_in=b)
     assert res.status == "optimal" and res.certified
