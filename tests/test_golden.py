@@ -25,13 +25,17 @@ entries of the raw windows and the channel mean and std, within a relative
 1e-9 (absolute 1e-12). Nothing else guards the per-tick arithmetic of the
 transparent controller and the wearer under sensor noise.
 
-``detector_events.json`` records ``water_mouth`` and ``drop_replan`` run at
-their own seeds with the session detector of ``conftest.py``, compared at
-event level: the replan ticks within one tick, task completion and the
-replan count exactly, the detection latency within 10 ms and the fraction
-of scores below the threshold within 0.005. The scenario goldens run
-without a detector and cannot see a change in the detector's arithmetic;
-this one can, and leaves room for rounding that moves no event.
+``detector_events.json`` records ``water_mouth``, ``drop_replan`` and the
+test scenario ``tests/data/event_mix.json`` (8 s with one event of each
+type: a payload step, a torque pulse, an intent conflict and a drop while
+a payload is held) run at their own seeds with the session detector of
+``conftest.py``. Events are compared at event level: the replan ticks
+within one tick, task completion and the replan count exactly, the
+detection latency within 10 ms and the fraction of scores below the
+threshold within 0.005. The score of every 10th tick is compared within a
+relative 1e-9, so a change in the detector's float64 arithmetic shows as
+a number even when it moves no event. The scenario goldens run without a
+detector and cannot see such a change; this one can.
 
 Regenerate only for an intended change of behaviour:
 
@@ -61,7 +65,10 @@ TRAIN_RTOL = 1e-9
 TRAIN_SAMPLES = 200  # fixed, evenly spaced entries of the final flat parameters
 COLLECT_RTOL, COLLECT_ATOL = 1e-9, 1e-12
 COLLECT_SAMPLES = 200  # fixed, evenly spaced entries of the raw windows
-DETECTOR_SCENARIOS = ("water_mouth", "drop_replan")
+DETECTOR_SCENARIOS = {**{name: pl.data_path(f"scenarios/{name}.json")
+                         for name in ("water_mouth", "drop_replan")},
+                      "event_mix": Path(__file__).parent / "data" / "event_mix.json"}
+SCORE_RTOL = 1e-9  # the sampled scores, every SAMPLE_EVERY-th tick
 REPLAN_TICK_TOL, LATENCY_TOL_MS, FRACTION_TOL = 1, 10.0, 0.005
 
 
@@ -131,18 +138,19 @@ def collection_run() -> dict:
 
 
 def detector_run(trained: dict) -> dict:
-    """Run the detector scenarios with the session detector; keep the events."""
+    """Run the detector scenarios with the session detector; keep the events
+    and every SAMPLE_EVERY-th score."""
     out = {}
-    for name in DETECTOR_SCENARIOS:
+    for name, path in DETECTOR_SCENARIOS.items():
         runtime = pl.PlannerRuntime(pl.RuleScorer(trained["corpus"]), trained["library"])
         stack = hz.SimStack(model=trained["model"], control=trained["control"],
                             planner=runtime, detector=trained["detector"])
-        trace, report = hz.run_scenario(hz.load_scenario(pl.data_path(f"scenarios/{name}.json")),
-                                        stack)
+        trace, report = hz.run_scenario(hz.load_scenario(path), stack)
         out[name] = {"replan_ticks": np.flatnonzero(trace.column("replan")).tolist(),
                      **{key: report[key] for key in (
                          "task_completed", "replan_count", "detection_latency_ms",
-                         "fraction_scores_below_threshold")}}
+                         "fraction_scores_below_threshold")},
+                     "s": trace.column("s")[::SAMPLE_EVERY].tolist()}
     return out
 
 
@@ -219,6 +227,7 @@ def test_golden_detector_events(trained):
                 <= LATENCY_TOL_MS, name
         assert abs(run["fraction_scores_below_threshold"]
                    - ref["fraction_scores_below_threshold"]) <= FRACTION_TOL, name
+        np.testing.assert_allclose(run["s"], ref["s"], rtol=SCORE_RTOL, err_msg=name)
 
 
 if __name__ == "__main__":
