@@ -24,15 +24,6 @@ def _default(path_flag: str | None, bundled: str) -> Path:
     return Path(path_flag) if path_flag else pl.data_path(bundled)
 
 
-def _load_stack(args, detector=None):
-    model = dyn.load_plant_config(_default(getattr(args, "plant", None), "plant.json"))
-    control_cfg = ctl.load_control_config(_default(getattr(args, "control", None), "control.json"))
-    corpus = pl.load_corpus(pl.data_path("corpus.jsonl"))
-    runtime = pl.PlannerRuntime(pl.RuleScorer(corpus), pl.default_library())
-    return hz.SimStack(model=model, control=control_cfg, planner=runtime,
-                       detector=detector)
-
-
 # ---------------------------------------------------------------------------
 # train-detector
 
@@ -128,9 +119,19 @@ def cmd_train_detector(args) -> int:
 
 
 def cmd_run_scenario(args) -> int:
-    detector = ano.load_checkpoint(args.checkpoint) if args.checkpoint else None
-    stack = _load_stack(args, detector=detector)
-    scenario = hz.load_scenario(args.scenario)
+    # a file that is missing, unparseable or invalid exits 2 naming its flag
+    with _config_section(f"--checkpoint {args.checkpoint}"):
+        detector = ano.load_checkpoint(args.checkpoint) if args.checkpoint else None
+    plant, control = _default(args.plant, "plant.json"), _default(args.control, "control.json")
+    with _config_section(f"--plant {plant}"):
+        model = dyn.load_plant_config(plant)
+    with _config_section(f"--control {control}"):
+        control_cfg = ctl.load_control_config(control)
+    with _config_section(f"--scenario {args.scenario}"):
+        scenario = hz.load_scenario(args.scenario)
+    runtime = pl.PlannerRuntime(pl.RuleScorer(pl.load_corpus(pl.data_path("corpus.jsonl"))),
+                                pl.default_library())
+    stack = hz.SimStack(model=model, control=control_cfg, planner=runtime, detector=detector)
     trace, report = hz.run_scenario(scenario, stack, seed=args.seed)
     if args.trace:
         hz.save_trace_csv(args.trace, trace)

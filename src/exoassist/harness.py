@@ -1,15 +1,15 @@
 """Closed-loop scenario engine: plant, controllers, refinement, detector
 and planner wired together with a scripted wearer model.
 
-Rates are fixed at 1 kHz physics with a 100 Hz control/detector tick. A
-tick of ``run_scenario`` runs: events (with a grasp's gradual payload
-transfer) -> sense -> detect -> replan -> execute (``_PlanExecutor`` takes a
-new plan and steps its state machine) -> control -> advance -> record.
-``_advance`` owns the physics: it holds the control torque across the ten
-substeps of a tick for ``run_scenario``, ``tracking_comparison`` and
-``collect_training_data`` alike. All randomness flows through seeded
-generators, so a (scenario, seed, checkpoint) triple reproduces its trace
-bit for bit.
+Rates are fixed at 1 kHz physics with a 100 Hz control/detector tick.
+``_ScenarioRun`` owns all of one run's state; its ``tick`` runs the stages
+in order: events (with a grasp's gradual payload transfer) -> sense ->
+detect -> replan -> execute (take a new plan and step it) -> control ->
+advance -> record. ``_advance`` owns the physics: it holds the control
+torque across the ten substeps of a tick for ``run_scenario``,
+``tracking_comparison`` and ``collect_training_data`` alike. All
+randomness flows through seeded generators, so a (scenario, seed,
+checkpoint) triple reproduces its trace bit for bit.
 """
 from __future__ import annotations
 
@@ -145,8 +145,9 @@ TRACE_N, TRACE_N_C = 4, 2
 @dataclass
 class SimStack:
     """Everything a scenario needs besides the scenario itself. The plant
-    must have the layout the trace records, and the gains are checked
-    against it here, once: the controllers do not."""
+    must have the layout the trace records, and the detector, if any, must
+    read that layout. The gains are checked against the plant here, once:
+    the controllers do not."""
 
     model: dyn.PlantModel
     control: ctl.ControlConfig
@@ -159,6 +160,9 @@ class SimStack:
             raise dyn.ConfigError(
                 f"a scenario runs a plant of {TRACE_N} joints, {TRACE_N_C} cable-driven "
                 f"(the trace layout); got n = {self.model.n}, n_c = {self.model.n_c}")
+        plant = ChannelLayout(n=self.model.n, n_c=self.model.n_c)
+        if self.detector is not None and self.detector.layout != plant:
+            raise dyn.ConfigError(f"the detector reads {self.detector.layout}; the plant is {plant}")
         self.control.transparent.validated(self.model.n_c)
         self.control.impedance.validated(self.model.n, self.model.n_c)
         self.control.qp.validated(self.model.n)
@@ -187,7 +191,8 @@ _LIST_COLUMNS = ("mode", "subtask", "replan", "mode_cmd")
 
 @dataclass
 class TraceRecord:
-    """Column-major per-tick trace; ``rows`` gives CSV-ready row lists."""
+    """Column-major per-tick trace; ``append`` takes one row in
+    TRACE_COLUMNS order and ``rows`` gives CSV-ready row lists."""
 
     fault: str | None = None
     columns: dict = field(default_factory=lambda: {
@@ -200,9 +205,9 @@ class TraceRecord:
     def rows(self) -> list[list]:
         return [list(r) for r in zip(*self.columns.values())]
 
-    def append(self, **kw):
-        for name, col in self.columns.items():
-            col.append(kw[name])
+    def append(self, row):
+        for col, value in zip(self.columns.values(), row, strict=True):
+            col.append(value)
 
     def column(self, name: str) -> np.ndarray:
         vals = self.columns[name]
@@ -397,7 +402,7 @@ def _advance(model: dyn.PlantModel, state: dyn.PlantState, u: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# plan executor
+# scenario engine
 
 
 @dataclass
@@ -412,65 +417,131 @@ class _Move:
     qdd_d: np.ndarray
 
 
-class _PlanExecutor:
-    """Runs the active plan step by step. It owns the control mode, the step
-    state (planning | grasp | move | done), the current move, the task config
-    of the last paramset, the grasp-confirm time and whether the last
-    go_target converged. ``mode_cmd`` marks a mode command within a tick.
-    """
+class _ScenarioRun:
+    """One closed-loop run of a scenario, owning all of its state: the plant
+    state, the noise generator, the detector window, the wearer, the pending
+    events, the payload belief, the replan bookkeeping and the trace, and the
+    plan with its control mode, step (planning | grasp | move | done), move
+    and task config. ``tick`` runs one control tick's stages in order."""
 
-    def __init__(self, scenario: Scenario, stack: SimStack, wearer: _Wearer):
-        self.scenario, self.stack, self.wearer = scenario, stack, wearer
+    def __init__(self, scenario: Scenario, stack: SimStack, seed: int | None):
+        self.scenario, self.stack, self.model = scenario, stack, stack.model
+        self.rng = np.random.default_rng(scenario.seed if seed is None else seed)
+        q0 = np.radians(np.asarray(scenario.start_pose_deg, dtype=float))
+        self.state = dyn.settled_state(self.model, q0)
+        self.read_out = _ReadOut(scenario.sensor_noise, self.model)
+        self.window = deque(maxlen=stack.detector.L_s if stack.detector else 25)
+        self.wearer = _Wearer(scenario.wearer, q0)
         self.grasp_pose = np.radians(np.asarray(scenario.grasp_pose_deg, dtype=float))
+        self.pending = deque(sorted(scenario.events, key=lambda e: e.t))
+        self.first_event_t = self.pending[0].t if self.pending else None
+        self.belief_payload = 0.0
+        self.loading_since = None  # grasp time while the item's mass transfers
+        self.replan_count, self.last_trigger_t = 0, -1e9
+        self.detection_latency = None
+        self.trace = TraceRecord()
         self.plan = None
-        self.mode = "transparent"
-        self.mode_cmd = False
-        self.step = "planning"
+        self.mode, self.step = "transparent", "planning"
         self.move: _Move | None = None
         self.task: ctl.TaskConfig | None = None
         self.icfg = stack.control.impedance  # with the task's w once a paramset ran
         self.grasp_confirm_at: float | None = None
-        self.converged = True
+        self.converged = True  # whether the last go_target reached its target
+        self.replanned = self.mode_cmd = False  # a replan trigger, a mode command this tick
+        stack.planner.request_plan(scenario.task)
 
-    @property
-    def label(self) -> str:
-        step = self.plan.current() if self.plan is not None else None
-        return step.label if step is not None else self.step
+    def tick(self, t: float) -> None:
+        self.replanned = self.mode_cmd = False
+        self.events(t)
+        tau, sensed = self.sense(t)
+        s, grad = self.detect(t, sensed)
+        self.replan(t, s)
+        self.execute(t, s, grad)
+        u, desired = self.control(sensed)
+        self.advance(t, u)
+        self.record(t, tau, u, desired, s)
 
-    def abort(self, t: float, state: dyn.PlantState) -> None:
-        """Drop the plan on a replan trigger: back to transparent mode while
-        the wearer reaches for the object again."""
-        self.plan.clear()
-        self.plan, self.move, self.mode, self.mode_cmd = None, None, "transparent", True
-        self.wearer.reach(t, state.q.copy(), self.grasp_pose, self.scenario.reach_duration)
-        self.step = "planning"
+    def events(self, t: float) -> None:
+        """Inject the events due by t, then transfer a grasped item's load."""
+        sc = self.scenario
+        while self.pending and self.pending[0].t <= t + 1e-12:
+            event = self.pending.popleft()
+            outcome = inject_event(self.state, event, self.model)
+            self.state = outcome.state
+            if outcome.transient:
+                self.wearer.transients.append(outcome.transient)
+            if outcome.intent_override:
+                self.wearer.override = outcome.intent_override
+            if event.type == "drop":
+                self.loading_since = None  # belief unchanged: detection must find it
+        if self.loading_since is not None:
+            frac = min(1.0, (t - self.loading_since) / max(sc.grasp_load_time, 1e-9))
+            self.belief_payload = sc.item_mass * frac
+            self.state = replace(self.state, payload_mass=self.belief_payload)
+            if frac >= 1.0:
+                self.loading_since = None
 
-    def execute(self, t: float, state: dyn.PlantState, grad: np.ndarray,
-                s_value: float) -> bool:
-        """Take a finished plan from the planner, then step the state
-        machine. Returns True on the tick the grasp is confirmed."""
+    def sense(self, t: float):
+        """The wearer's torque on the arm and the noisy read-out of every channel."""
+        state = self.state
+        tau = self.wearer.sense(t, state)
+        return tau, self.read_out(self.rng, state.q, state.qdot, state.theta, state.thetadot, tau)
+
+    def detect(self, t: float, sensed: np.ndarray):
+        """The score and its gradient in tau_e once the window is full; the
+        first score at or above s_bar since the first event sets the latency."""
+        self.window.append(sensed)
+        detector = self.stack.detector
+        if detector is None or len(self.window) < self.window.maxlen:
+            return 0.0, np.zeros(self.model.n)
+        s, _, grad = detector.score_gradient(np.stack(self.window))
+        if self.detection_latency is None and self.first_event_t is not None \
+                and t >= self.first_event_t and s >= self.scenario.s_bar:
+            self.detection_latency = (t - self.first_event_t) * 1000.0
+        return s, grad
+
+    def replan(self, t: float, s: float) -> None:
+        """While a plan runs, a trigger drops it and asks for a new one: back
+        to transparent mode with no payload believed, while the wearer
+        reaches for the object again."""
+        sc = self.scenario
+        if (self.stack.detector is not None and self.step in ("grasp", "move")
+                and replan_check(s, sc.s_bar) and t - self.last_trigger_t > sc.replan_refractory):
+            self.replanned = True
+            self.replan_count += 1
+            self.last_trigger_t = t
+            self.plan.clear()
+            self.plan, self.move, self.mode, self.mode_cmd = None, None, "transparent", True
+            self.wearer.reach(t, self.state.q.copy(), self.grasp_pose, sc.reach_duration)
+            self.step = "planning"
+            self.belief_payload = 0.0
+            self.stack.planner.request_plan(sc.task)
+
+    def execute(self, t: float, s: float, grad: np.ndarray) -> None:
+        """Take a finished plan from the planner, then step it. On the tick
+        the grasp is confirmed the item's mass starts to load."""
         if self.plan is None:
             result = self.stack.planner.poll()
             if result is not None and result.plan is not None and result.plan.valid:
                 self.plan = result.plan
-                self._begin(t, state)
+                self._begin(t)
         if self.plan is None:
-            return False
+            return
         if self.step == "grasp" and self.grasp_confirm_at is not None \
                 and t >= self.grasp_confirm_at:
             self.grasp_confirm_at = None
-            self.wearer.hold(state.q.copy())
+            self.wearer.hold(self.state.q.copy())
             self.plan.advance()
-            self._begin(t, state)
-            return True
-        if self.step == "move":
-            self._track(t, state, grad, s_value)
-        return False
+            self._begin(t)
+            if self.scenario.item_mass > 0.0:
+                self.loading_since = t
+        elif self.step == "move":
+            self._track(t, s, grad)
 
-    def _begin(self, t: float, state: dyn.PlantState) -> None:
+    def _begin(self, t: float) -> None:
         """Start the step at the plan cursor; instantaneous steps chain
         within the same tick."""
-        plan, sc = self.plan, self.scenario
+        plan, sc, state = self.plan, self.scenario, self.state
         while (step := plan.current()) is not None:
             if step.name == "set_mode":
                 self.mode = "impedance" if step.args["mode"] == 1 else "transparent"
@@ -491,7 +562,7 @@ class _PlanExecutor:
                 self.move = move = _Move(
                     reference=traj.quintic_reference(state.q.copy(), target, task.t_f),
                     t0=t,
-                    setup=traj.QPSetup.from_config(self.stack.control.qp, self.stack.model.n,
+                    setup=traj.QPSetup.from_config(self.stack.control.qp, self.model.n,
                                                    task.speed_limit, self.icfg.Kd,
                                                    self.icfg.Cd, self.icfg.w),
                     q_d=state.q.copy(), qd_d=np.zeros_like(target), qdd_d=np.zeros_like(target),
@@ -515,157 +586,85 @@ class _PlanExecutor:
             plan.advance()
         self.step = "done"
 
-    def _track(self, t: float, state: dyn.PlantState, grad: np.ndarray,
-               s_value: float) -> None:
+    def _track(self, t: float, s: float, grad: np.ndarray) -> None:
         """Refine the move's desired state; on convergence hold the target
         and start the next step."""
         move, sc = self.move, self.scenario
         elapsed = t - move.t0
         seg = traj.refine(move.reference, (move.q_d, move.qd_d), move.setup, elapsed,
-                          grad, max(0.0, s_value - sc.score_coupling_floor))
+                          grad, max(0.0, s - sc.score_coupling_floor))
         q_d, qd_d, _ = seg.sample(CONTROL_DT)
         move.qdd_d = seg.qddot_d[0]
         reference_done = elapsed >= move.reference.t_f + sc.settle_time
         target = move.reference.qf
-        at_target = np.max(np.abs(state.q - target)) < math.radians(sc.target_tolerance_deg)
+        at_target = np.max(np.abs(self.state.q - target)) < math.radians(sc.target_tolerance_deg)
         if reference_done and at_target:
             self.converged = True
             move.q_d, move.qd_d = target.copy(), np.zeros_like(target)
             move.qdd_d = np.zeros_like(target)
             self.plan.advance()
-            self._begin(t, state)
+            self._begin(t)
         else:
             move.q_d, move.qd_d = q_d, qd_d
 
+    def control(self, sensed: np.ndarray):
+        """The control torque and the desired (q, qdot) the trace records:
+        the move's in impedance mode, else the sensed one."""
+        q_s, qd_s, th_s, thd_s, tau_s = self.read_out.split(sensed)
+        # fresh, finite arrays: step checks the state, load_scenario the noise
+        belief = dyn.PlantState._unchecked(q_s, qd_s, th_s, thd_s, self.belief_payload, tau_s)
+        move = self.move
+        if self.mode == "impedance" and move is not None:
+            u = ctl.impedance_control(self.model, belief, move.q_d, move.qd_d, move.qdd_d,
+                                      tau_s, self.icfg)
+            return u, (move.q_d, move.qd_d)
+        u = ctl.transparent_control(self.model, belief, tau_s, self.stack.control.transparent)
+        return u, (q_s, qd_s)
 
-# ---------------------------------------------------------------------------
-# scenario engine
+    def advance(self, t: float, u: np.ndarray) -> None:
+        """The tick's physics, under the wearer as sense left it."""
+        self.state, _, _ = _advance(self.model, self.state, u, self.wearer, t,
+                                    self.wearer.torque(t, self.state))
+
+    def record(self, t: float, tau: np.ndarray, u: np.ndarray, desired, s: float) -> None:
+        """One trace row; the subtask is the plan step's label, else the step state."""
+        state, (q_d, qd_d) = self.state, desired
+        step = self.plan.current() if self.plan is not None else None
+        self.trace.append([
+            t, *state.q.tolist(), *state.qdot.tolist(), *state.theta.tolist(),
+            *state.thetadot.tolist(), *tau.tolist(), *u.tolist(), *q_d.tolist(),
+            *qd_d.tolist(), s, int(self.mode == "impedance"),
+            step.label if step is not None else self.step, int(self.replanned),
+            int(self.mode_cmd)])
+
+    def report(self) -> dict:
+        """The trace's metrics and the run's outcome; a faulted run did not
+        complete its task and names its fault."""
+        sc, fault = self.scenario, self.trace.fault
+        completed = (fault is None and self.plan is not None and self.step == "done"
+                     and self.converged
+                     and (self.state.payload_mass > 0.0 if sc.item_mass > 0.0 else True))
+        report = {**metrics(self.trace, sc), "schema_version": 1,
+                  "task_completed": bool(completed), "replan_count": self.replan_count,
+                  "detection_latency_ms": self.detection_latency}
+        if fault is not None:
+            report["fault"] = fault
+        return report
 
 
 def run_scenario(scenario: Scenario, stack: SimStack, seed: int | None = None):
     """Execute the closed loop; returns (TraceRecord, metrics dict). The
     scenario's per-joint values are checked against the plant before the
-    first tick."""
-    model = stack.model
-    _check_scenario(vars(scenario), {"n": model.n})
-    rng = np.random.default_rng(scenario.seed if seed is None else seed)
-
-    q0 = np.radians(np.asarray(scenario.start_pose_deg, dtype=float))
-    state = dyn.settled_state(model, q0)
-
-    read_out = _ReadOut(scenario.sensor_noise, model)
-    detector = stack.detector
-    window = deque(maxlen=detector.L_s if detector else 25)
-
-    wearer = _Wearer(scenario.wearer, q0)
-    executor = _PlanExecutor(scenario, stack, wearer)
-    trace = TraceRecord()
-    events = deque(sorted(scenario.events, key=lambda e: e.t))
-    first_event_t = events[0].t if events else None
-    belief_payload = 0.0
-    loading_since = None  # grasp time while the item's mass transfers
-    replan_count = 0
-    last_trigger_t = -1e9
-    detection_latency = None
-
-    stack.planner.request_plan(scenario.task)
+    first tick. A SimulationFault or RefinementError ends the run: the
+    trace keeps the ticks before it and the report names it."""
+    _check_scenario(vars(scenario), {"n": stack.model.n})
+    run = _ScenarioRun(scenario, stack, seed)
     try:
         for tick in range(int(round(scenario.duration / CONTROL_DT))):
-            t = tick * CONTROL_DT
-            replan_flag = False
-            executor.mode_cmd = False
-
-            # events, then the gradual load transfer while grasping
-            while events and events[0].t <= t + 1e-12:
-                event = events.popleft()
-                outcome = inject_event(state, event, model)
-                state = outcome.state
-                if outcome.transient:
-                    wearer.transients.append(outcome.transient)
-                if outcome.intent_override:
-                    wearer.override = outcome.intent_override
-                if event.type == "drop":
-                    loading_since = None  # belief unchanged: detection must find it
-            if loading_since is not None:
-                frac = min(1.0, (t - loading_since) / max(scenario.grasp_load_time, 1e-9))
-                belief_payload = scenario.item_mass * frac
-                state = replace(state, payload_mass=belief_payload)
-                if frac >= 1.0:
-                    loading_since = None
-
-            # sense
-            tau_true = wearer.sense(t, state)
-            sensed = read_out(rng, state.q, state.qdot, state.theta, state.thetadot, tau_true)
-            q_s, qd_s, th_s, thd_s, tau_s = read_out.split(sensed)
-
-            # detect
-            window.append(sensed)
-            s_value, grad = 0.0, np.zeros(model.n)
-            if detector is not None and len(window) == window.maxlen:
-                s_value, _, grad = detector.score_gradient(np.stack(window))
-                if detection_latency is None and first_event_t is not None \
-                        and t >= first_event_t and s_value >= scenario.s_bar:
-                    detection_latency = (t - first_event_t) * 1000.0
-
-            # replan (only while a plan is being executed)
-            if (detector is not None and executor.step in ("grasp", "move")
-                    and replan_check(s_value, scenario.s_bar)
-                    and t - last_trigger_t > scenario.replan_refractory):
-                replan_flag = True
-                replan_count += 1
-                last_trigger_t = t
-                executor.abort(t, state)
-                belief_payload = 0.0
-                stack.planner.request_plan(scenario.task)
-
-            # execute
-            if executor.execute(t, state, grad, s_value) and scenario.item_mass > 0.0:
-                loading_since = t
-
-            # control
-            # fresh, finite arrays: step checks the state, load_scenario the noise
-            belief = dyn.PlantState._unchecked(q_s, qd_s, th_s, thd_s, belief_payload, tau_s)
-            move = executor.move
-            if executor.mode == "impedance" and move is not None:
-                u = ctl.impedance_control(model, belief, move.q_d, move.qd_d,
-                                          move.qdd_d, tau_s, executor.icfg)
-                q_d_row, qd_d_row = move.q_d, move.qd_d
-            else:
-                u = ctl.transparent_control(model, belief, tau_s, stack.control.transparent)
-                q_d_row, qd_d_row = q_s, qd_s
-
-            # advance; the plant sees the wearer after sense pruned its transients
-            state, _, _ = _advance(model, state, u, wearer, t, wearer.torque(t, state))
-
-            # record
-            row = dict(t=t, s=s_value, mode=int(executor.mode == "impedance"),
-                       subtask=executor.label, replan=int(replan_flag),
-                       mode_cmd=int(executor.mode_cmd))
-            for prefix, vec in (("q", state.q), ("qdot", state.qdot), ("theta", state.theta),
-                                ("thetadot", state.thetadot), ("tau_e", tau_true), ("u", u),
-                                ("q_d", q_d_row), ("qdot_d", qd_d_row)):
-                row.update((f"{prefix}{i}", v) for i, v in enumerate(vec))
-            trace.append(**row)
+            run.tick(tick * CONTROL_DT)
     except (dyn.SimulationFault, traj.RefinementError) as exc:
-        trace.fault = f"{type(exc).__name__}: {exc}"
-        report = metrics(trace, scenario)
-        report["fault"] = trace.fault
-        return trace, report
-
-    completed = (
-        executor.plan is not None
-        and executor.step == "done"
-        and executor.converged
-        and (state.payload_mass > 0.0 if scenario.item_mass > 0.0 else True)
-    )
-    report = metrics(trace, scenario)
-    report.update({
-        "schema_version": 1,
-        "task_completed": bool(completed),
-        "replan_count": replan_count,
-        "detection_latency_ms": detection_latency,
-    })
-    return trace, report
+        run.trace.fault = f"{type(exc).__name__}: {exc}"
+    return run.trace, run.report()
 
 
 # ---------------------------------------------------------------------------

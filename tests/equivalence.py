@@ -26,6 +26,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+from test_golden import SCENARIOS, TRACKING_ARGS
 
 import exoassist
 from exoassist import anomaly as ano
@@ -34,10 +35,7 @@ from exoassist import dynamics as dyn
 from exoassist import harness as hz
 from exoassist import planner as pl
 
-SCENARIOS = ("apple_chest", "drop_replan", "dumbbell_shelf", "raise_lower", "water_mouth")
 DETECTOR_SCENARIOS = ("water_mouth", "drop_replan")
-TRACKING_ARGS = {"q_start_deg": [0, 5, 0, 20], "q_peak_deg": [0, 95, 0, 20],
-                 "t_f": 3.0, "speed_limit_deg": 30.0}
 
 
 def _stack(detector=None) -> hz.SimStack:

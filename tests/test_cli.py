@@ -200,6 +200,39 @@ def test_run_scenario_rejects_bad_control_file(tmp_path, capsys):
     assert "horizon" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag, content", [
+    ("--scenario", None),
+    ("--scenario", '{"name": '),
+    ("--plant", None),
+    ("--plant", "[1, "),
+    ("--control", None),
+    ("--control", '{"qp": '),
+    ("--checkpoint", None),
+], ids=["missing-scenario", "malformed-scenario", "missing-plant", "malformed-plant",
+        "missing-control", "malformed-control", "missing-checkpoint"])
+def test_run_scenario_rejects_unreadable_file(tmp_path, capsys, flag, content):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_text(content)
+    argv = ["run-scenario", "--scenario", str(scenario_path("raise_lower.json"))]
+    assert main(argv + [flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} {path}" in err and len(err.strip().splitlines()) == 1
+
+
+def test_run_scenario_rejects_a_detector_the_plant_cannot_feed(tmp_path, capsys):
+    layout, L_s = ano.ChannelLayout(n=2, n_c=1), 5
+    schedule = ano.NoiseSchedule.linear(T=8, nu=2)
+    stats = ano.NormStats(mean=np.zeros(layout.per_tick), std=np.ones(layout.per_tick))
+    denoiser = ano.Denoiser(L_s * layout.per_tick, schedule.T, hidden=(8,), embed_dim=4, seed=0)
+    checkpoint = tmp_path / "det.npz"
+    ano.save_checkpoint(checkpoint, ano.AnomalyDetector(denoiser, schedule, stats, L_s, layout))
+    assert main(["run-scenario", "--scenario", str(scenario_path("raise_lower.json")),
+                 "--checkpoint", str(checkpoint)]) == 2
+    err = capsys.readouterr().err
+    assert "ChannelLayout(n=2, n_c=1)" in err and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("section, values, name", [
     ("qp", {"accel_limit_deg": "fast"}, "accel_limit_deg"),
     ("transparent", {"gamma0": "x"}, "gamma0"),

@@ -182,20 +182,10 @@ def synthetic_trace(q_fn, q_d_fn, ticks=200):
     trace = hz.TraceRecord()
     for k in range(ticks):
         t = k * hz.CONTROL_DT
-        row = dict(t=t, s=0.0, mode=1, subtask="go_target(chest)", replan=0, mode_cmd=0)
-        q = q_fn(t)
-        q_d = q_d_fn(t)
-        for i in range(4):
-            row[f"q{i}"] = q[i]
-            row[f"qdot{i}"] = 0.0
-            row[f"tau_e{i}"] = 0.0
-            row[f"u{i}"] = 1.0
-            row[f"q_d{i}"] = q_d[i]
-            row[f"qdot_d{i}"] = 0.0
-        for i in range(2):
-            row[f"theta{i}"] = 0.0
-            row[f"thetadot{i}"] = 0.0
-        trace.append(**row)
+        # in TRACE_COLUMNS order: t, q, qdot, theta, thetadot, tau_e, u, q_d,
+        # qdot_d, then s, mode, subtask, replan, mode_cmd
+        trace.append([t, *q_fn(t), *[0.0] * 4, *[0.0] * 2, *[0.0] * 2, *[0.0] * 4,
+                      *[1.0] * 4, *q_d_fn(t), *[0.0] * 4, 0.0, 1, "go_target(chest)", 0, 0])
     return trace
 
 
@@ -291,6 +281,10 @@ def test_engine_fault_flushes_partial_trace(trained, stack_no_detector):
     trace, report = hz.run_scenario(scen, stack_no_detector)
     assert report.get("fault")
     assert len(trace.rows) > 0
+    # the report of a completed run, plus the fault
+    assert set(report) == set(hz.metrics(trace, scen)) | {
+        "schema_version", "task_completed", "replan_count", "detection_latency_ms", "fault"}
+    assert report["task_completed"] is False and report["schema_version"] == 1
 
 
 def test_trace_csv_roundtrip(tmp_path, stack_no_detector):
