@@ -9,6 +9,7 @@ trajectory refinement.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -130,12 +131,12 @@ class NormStats:
         return (raw - self.mean) / self.std
 
 
-def compute_stats(raw_windows: np.ndarray, min_std: float = 1e-8) -> NormStats:
+def compute_stats(raw_windows: np.ndarray) -> NormStats:
     """Per-channel statistics over (M, L_s, per_tick) raw windows."""
     flat = raw_windows.reshape(-1, raw_windows.shape[-1])
     std = flat.std(axis=0)
-    if np.any(std < min_std):
-        bad = np.nonzero(std < min_std)[0].tolist()
+    bad = np.nonzero(std < 1e-8)[0].tolist()
+    if bad:
         raise DegenerateDataError(f"zero-variance channels: {bad}")
     return NormStats(mean=flat.mean(axis=0), std=std)
 
@@ -402,28 +403,35 @@ def save_checkpoint(path: str | Path, detector: AnomalyDetector) -> None:
 
 
 def load_checkpoint(path: str | Path) -> AnomalyDetector:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version: {meta.get('version')}")
-        schedule = NoiseSchedule(beta=data["beta"], nu=int(meta["nu"]))
-        layout = ChannelLayout(n=int(meta["n"]), n_c=int(meta["n_c"]))
-        L_s = int(meta["L_s"])
-        dim = L_s * layout.per_tick
-        denoiser = Denoiser(dim, schedule.T, hidden=tuple(meta["hidden"]),
-                            embed_dim=int(meta["embed_dim"]))
-        for i, (w, b) in enumerate(zip(denoiser.mlp.W, denoiser.mlp.b)):
-            for name, view in ((f"W{i}", w), (f"b{i}", b)):
-                arr = data[name]
-                if arr.shape != view.shape:
-                    raise ValueError(f"checkpoint {name} has shape {arr.shape}, expected {view.shape}")
-                view[...] = arr
-        stats = NormStats(mean=data["mean"].copy(), std=data["std"].copy())
-        det = AnomalyDetector(denoiser, schedule, stats, L_s, layout,
-                              cal_scale=float(meta["cal_scale"]),
-                              seed=int(meta["seed"]))
-        det._eps1_fixed = data["eps1"].copy()
-        return det
+    """The detector ``save_checkpoint`` wrote. A file that is not a zip
+    archive, or lacks an array, raises ValueError naming it."""
+    try:
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+            if meta.get("version") != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version: {meta.get('version')}")
+            schedule = NoiseSchedule(beta=data["beta"], nu=int(meta["nu"]))
+            layout = ChannelLayout(n=int(meta["n"]), n_c=int(meta["n_c"]))
+            L_s = int(meta["L_s"])
+            dim = L_s * layout.per_tick
+            denoiser = Denoiser(dim, schedule.T, hidden=tuple(meta["hidden"]),
+                                embed_dim=int(meta["embed_dim"]))
+            for i, (w, b) in enumerate(zip(denoiser.mlp.W, denoiser.mlp.b)):
+                for name, view in ((f"W{i}", w), (f"b{i}", b)):
+                    arr = data[name]
+                    if arr.shape != view.shape:
+                        raise ValueError(f"checkpoint {name} has shape {arr.shape}, expected {view.shape}")
+                    view[...] = arr
+            stats = NormStats(mean=data["mean"].copy(), std=data["std"].copy())
+            det = AnomalyDetector(denoiser, schedule, stats, L_s, layout,
+                                  cal_scale=float(meta["cal_scale"]),
+                                  seed=int(meta["seed"]))
+            det._eps1_fixed = data["eps1"].copy()
+            return det
+    except zipfile.BadZipFile as exc:
+        raise ValueError(f"checkpoint {path} is not a valid .npz archive: {exc}") from exc
+    except KeyError as exc:  # an array the archive lacks, or a key its meta lacks
+        raise ValueError(f"checkpoint {path} is incomplete: {exc.args[0]}") from exc
 
 
 def save_windows_csv(path: str | Path, raw_windows: np.ndarray) -> None:

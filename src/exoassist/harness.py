@@ -10,6 +10,10 @@ torque across the ten substeps of a tick for ``run_scenario``,
 ``tracking_comparison`` and ``collect_training_data`` alike. All
 randomness flows through seeded generators, so a (scenario, seed,
 checkpoint) triple reproduces its trace bit for bit.
+
+The executor's timings and gains are constants, the same for every
+scenario: REACH_DURATION, GRASP_CONFIRM_DELAY, GRASP_LOAD_TIME,
+SETTLE_TIME, TARGET_TOLERANCE_DEG, REPLAN_REFRACTORY, SCORE_COUPLING_FLOOR.
 """
 from __future__ import annotations
 
@@ -54,6 +58,16 @@ PHYSICS_DT = 1e-3
 CONTROL_SUBSTEPS = 10
 CONTROL_DT = PHYSICS_DT * CONTROL_SUBSTEPS
 
+REACH_DURATION = 1.5  # s, the wearer's reach for the object
+GRASP_CONFIRM_DELAY = 0.5  # s after the reach ends until the grasp is confirmed
+GRASP_LOAD_TIME = 0.4  # s; the payload transfers gradually during grasp
+SETTLE_TIME = 1.0  # s past a go_target's reference before it may converge
+TARGET_TOLERANCE_DEG = 3.0  # a go_target converges this close to its target
+REPLAN_REFRACTORY = 0.5  # s; a trigger closer than this to the last is ignored
+# reconstruction scores have a nominal floor; only the excess above it feeds the
+# QP score chain, otherwise the coupling drags tracking even in normal operation
+SCORE_COUPLING_FLOOR = 0.35
+
 # standard deviation per sensor channel, in ChannelLayout order
 DEFAULT_SENSOR_NOISE = {
     "q": 1e-4, "qdot": 1e-3, "theta": 1e-4, "thetadot": 1e-3, "tau_e": 0.01,
@@ -96,11 +110,9 @@ EVENT_PARAMS = {
 DROP_JOINTS = (1, 3)  # the joints a drop's transient acts on unless given
 SCENARIO_FIELDS = {
     **dict.fromkeys(("name", "task"), Field("string", required=True)),
-    **dict.fromkeys(("duration", "reach_duration", "target_tolerance_deg",
-                     "replan_refractory"), Field(bound="> 0")),
-    **dict.fromkeys(("item_mass", "grasp_confirm_delay", "settle_time", "grasp_load_time"),
-                    Field(bound=">= 0")),
-    **dict.fromkeys(("s_bar", "score_coupling_floor"), Field()),
+    "duration": Field(bound="> 0"),
+    "item_mass": Field(bound=">= 0"),
+    "s_bar": Field(),
     **dict.fromkeys(("start_pose_deg", "grasp_pose_deg"), _POSE),
     "assist_joints": Field("indices", ">= 0", "n"),
     "seed": Field("integer", ">= 0"),
@@ -119,23 +131,13 @@ class Scenario:
     item_mass: float = 0.0
     start_pose_deg: tuple = (0.0, 15.0, 0.0, 25.0)
     grasp_pose_deg: tuple = (5.0, 30.0, 0.0, 60.0)
-    reach_duration: float = 1.5
-    grasp_confirm_delay: float = 0.5
     duration: float = 12.0
     events: list[EventSpec] = field(default_factory=list)
     seed: int = 0
     wearer: WearerParams = field(default_factory=WearerParams)
     assist_joints: tuple = (0, 1, 2, 3)
-    settle_time: float = 1.0
-    grasp_load_time: float = 0.4  # payload transfers gradually during grasp
-    target_tolerance_deg: float = 3.0
-    replan_refractory: float = 0.5
     sensor_noise: dict = field(default_factory=lambda: dict(DEFAULT_SENSOR_NOISE))
     s_bar: float = DEFAULT_THRESHOLD
-    # reconstruction scores have a nominal floor; only the excess above it
-    # feeds the QP score chain, otherwise the coupling drags tracking even
-    # in normal operation
-    score_coupling_floor: float = 0.35
 
 
 # the plant layout TRACE_COLUMNS records: joints, of which cable-driven
@@ -434,7 +436,7 @@ class _ScenarioRun:
         self.wearer = _Wearer(scenario.wearer, q0)
         self.grasp_pose = np.radians(np.asarray(scenario.grasp_pose_deg, dtype=float))
         self.pending = deque(sorted(scenario.events, key=lambda e: e.t))
-        self.first_event_t = self.pending[0].t if self.pending else None
+        self.last_event_t = None  # the time of the latest event injected
         self.belief_payload = 0.0
         self.loading_since = None  # grasp time while the item's mass transfers
         self.replan_count, self.last_trigger_t = 0, -1e9
@@ -463,9 +465,9 @@ class _ScenarioRun:
 
     def events(self, t: float) -> None:
         """Inject the events due by t, then transfer a grasped item's load."""
-        sc = self.scenario
         while self.pending and self.pending[0].t <= t + 1e-12:
             event = self.pending.popleft()
+            self.last_event_t = event.t
             outcome = inject_event(self.state, event, self.model)
             self.state = outcome.state
             if outcome.transient:
@@ -475,8 +477,8 @@ class _ScenarioRun:
             if event.type == "drop":
                 self.loading_since = None  # belief unchanged: detection must find it
         if self.loading_since is not None:
-            frac = min(1.0, (t - self.loading_since) / max(sc.grasp_load_time, 1e-9))
-            self.belief_payload = sc.item_mass * frac
+            frac = min(1.0, (t - self.loading_since) / GRASP_LOAD_TIME)
+            self.belief_payload = self.scenario.item_mass * frac
             self.state = replace(self.state, payload_mass=self.belief_payload)
             if frac >= 1.0:
                 self.loading_since = None
@@ -488,16 +490,16 @@ class _ScenarioRun:
         return tau, self.read_out(self.rng, state.q, state.qdot, state.theta, state.thetadot, tau)
 
     def detect(self, t: float, sensed: np.ndarray):
-        """The score and its gradient in tau_e once the window is full; the
-        first score at or above s_bar since the first event sets the latency."""
+        """The score and its gradient in tau_e once the window is full. The first
+        score at or above s_bar after an event sets the latency from the latest event."""
         self.window.append(sensed)
         detector = self.stack.detector
         if detector is None or len(self.window) < self.window.maxlen:
             return 0.0, np.zeros(self.model.n)
         s, _, grad = detector.score_gradient(np.stack(self.window))
-        if self.detection_latency is None and self.first_event_t is not None \
-                and t >= self.first_event_t and s >= self.scenario.s_bar:
-            self.detection_latency = (t - self.first_event_t) * 1000.0
+        if self.detection_latency is None and self.last_event_t is not None \
+                and s >= self.scenario.s_bar:
+            self.detection_latency = (t - self.last_event_t) * 1000.0
         return s, grad
 
     def replan(self, t: float, s: float) -> None:
@@ -506,13 +508,13 @@ class _ScenarioRun:
         reaches for the object again."""
         sc = self.scenario
         if (self.stack.detector is not None and self.step in ("grasp", "move")
-                and replan_check(s, sc.s_bar) and t - self.last_trigger_t > sc.replan_refractory):
+                and replan_check(s, sc.s_bar) and t - self.last_trigger_t > REPLAN_REFRACTORY):
             self.replanned = True
             self.replan_count += 1
             self.last_trigger_t = t
             self.plan.clear()
             self.plan, self.move, self.mode, self.mode_cmd = None, None, "transparent", True
-            self.wearer.reach(t, self.state.q.copy(), self.grasp_pose, sc.reach_duration)
+            self.wearer.reach(t, self.state.q.copy(), self.grasp_pose, REACH_DURATION)
             self.step = "planning"
             self.belief_payload = 0.0
             self.stack.planner.request_plan(sc.task)
@@ -541,7 +543,7 @@ class _ScenarioRun:
     def _begin(self, t: float) -> None:
         """Start the step at the plan cursor; instantaneous steps chain
         within the same tick."""
-        plan, sc, state = self.plan, self.scenario, self.state
+        plan, state = self.plan, self.state
         while (step := plan.current()) is not None:
             if step.name == "set_mode":
                 self.mode = "impedance" if step.args["mode"] == 1 else "transparent"
@@ -549,8 +551,8 @@ class _ScenarioRun:
                 if plan.cursor == 0 and self.mode == "transparent":
                     # grasp phase: the wearer reaches for the object
                     self.step = "grasp"
-                    self.wearer.reach(t, state.q.copy(), self.grasp_pose, sc.reach_duration)
-                    self.grasp_confirm_at = t + sc.reach_duration + sc.grasp_confirm_delay
+                    self.wearer.reach(t, state.q.copy(), self.grasp_pose, REACH_DURATION)
+                    self.grasp_confirm_at = t + REACH_DURATION + GRASP_CONFIRM_DELAY
                     return
             elif step.name == "paramset":
                 self.task = ctl.apply_task_config((1, step.args["spd"], step.args["imp"]))[1]
@@ -589,15 +591,15 @@ class _ScenarioRun:
     def _track(self, t: float, s: float, grad: np.ndarray) -> None:
         """Refine the move's desired state; on convergence hold the target
         and start the next step."""
-        move, sc = self.move, self.scenario
+        move = self.move
         elapsed = t - move.t0
         seg = traj.refine(move.reference, (move.q_d, move.qd_d), move.setup, elapsed,
-                          grad, max(0.0, s - sc.score_coupling_floor))
+                          grad, max(0.0, s - SCORE_COUPLING_FLOOR))
         q_d, qd_d, _ = seg.sample(CONTROL_DT)
         move.qdd_d = seg.qddot_d[0]
-        reference_done = elapsed >= move.reference.t_f + sc.settle_time
+        reference_done = elapsed >= move.reference.t_f + SETTLE_TIME
         target = move.reference.qf
-        at_target = np.max(np.abs(self.state.q - target)) < math.radians(sc.target_tolerance_deg)
+        at_target = np.max(np.abs(self.state.q - target)) < math.radians(TARGET_TOLERANCE_DEG)
         if reference_done and at_target:
             self.converged = True
             move.q_d, move.qd_d = target.copy(), np.zeros_like(target)
@@ -730,10 +732,10 @@ def _mode_changes_flagged(trace: TraceRecord) -> bool:
 
 def tracking_comparison(model: dyn.PlantModel, control_cfg: ctl.ControlConfig,
                         q_start_deg, q_peak_deg, t_f: float,
-                        speed_limit_deg: float = 30.0, wearer: WearerParams | None = None,
-                        settle: float = 1.5):
+                        speed_limit_deg: float = 30.0, settle: float = 1.5):
     """Raise-then-lower motion tracked twice under the same speed limit:
-    once with the reference merely rate-limited, once with QP refinement.
+    once with the reference merely rate-limited, once with QP refinement,
+    with the default wearer following the commanded motion.
 
     Returns ``{"clamped": ..., "refined": ...}``; each variant has the RMS
     error of the measured joints against the reference (``rms_deg``) and
@@ -744,7 +746,6 @@ def tracking_comparison(model: dyn.PlantModel, control_cfg: ctl.ControlConfig,
     n = q0.size
     limit = math.radians(speed_limit_deg)
     step_lim = limit * CONTROL_DT
-    wearer = wearer or WearerParams()
     icfg = control_cfg.impedance.validated(model.n, model.n_c)
     control_cfg.qp.validated(model.n)
     setup = traj.QPSetup.from_config(control_cfg.qp, n, limit, icfg.Kd, icfg.Cd, icfg.w)
@@ -754,7 +755,7 @@ def tracking_comparison(model: dyn.PlantModel, control_cfg: ctl.ControlConfig,
 
     out = {}
     for variant in ("clamped", "refined"):
-        state, arm, t = dyn.settled_state(model, q0), _Wearer(wearer, q0), 0.0
+        state, arm, t = dyn.settled_state(model, q0), _Wearer(WearerParams(), q0), 0.0
         q_d, qd_d = q0.copy(), np.zeros(n)  # the variant's desired state for this tick
         rows_q, rows_ref, rows_cmd_v = [], [], []
         for _ in range(ticks):

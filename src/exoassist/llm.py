@@ -20,7 +20,7 @@ from pathlib import Path
 
 import requests
 
-from .planner import ScoreResult, ScorerQuery
+from .planner import ScoreResult, ScorerQuery, data_path
 
 __all__ = [
     "LLMError",
@@ -120,10 +120,8 @@ _SYSTEM = ("You are the task planner of an upper-limb assistive "
            "exoskeleton. Reason step by step, then answer with JSON.")
 
 
-def load_prompt_template(path: str | Path | None = None) -> str:
-    if path is None:
-        path = Path(__file__).parent / "data" / "prompt_template.txt"
-    return Path(path).read_text()
+def load_prompt_template() -> str:
+    return data_path("prompt_template.txt").read_text()
 
 
 class LLMScorer:
@@ -135,12 +133,11 @@ class LLMScorer:
     every fallback and every unrecognised answer is recorded in ``events``.
     """
 
-    def __init__(self, config: LLMConfig, library, transport=None,
-                 template: str | None = None, fallback=None):
+    def __init__(self, config: LLMConfig, library, transport=None, fallback=None):
         self.config = config
         self.functions = library.describe_functions()
         self.transport = transport or HTTPTransport(config)
-        self.template = template or load_prompt_template()
+        self.template = load_prompt_template()
         self.fallback = fallback
         self.events: list[dict] = []
 

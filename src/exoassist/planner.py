@@ -39,6 +39,8 @@ __all__ = [
 
 DEFAULT_THRESHOLD = 0.5
 MAX_STEPS = 16  # past this many steps without ``done`` a plan has run away
+TARGET_NAMES = ("mouth", "chest", "shelf")  # the places of targets.json, in its order
+PREDEFINED = ("catch_prep", "arm_swing")  # the library's predefined movements
 
 
 class PlanError(RuntimeError):
@@ -83,8 +85,7 @@ class SubtaskLibrary:
         return "\n".join(f"- {s.name}: {s.description}" for s in self.subtasks)
 
 
-def default_library(target_names=("mouth", "chest", "shelf"),
-                    predefined=("catch_prep", "arm_swing")) -> SubtaskLibrary:
+def default_library() -> SubtaskLibrary:
     subtasks = [
         Subtask(
             name="set_mode",
@@ -109,10 +110,10 @@ def default_library(target_names=("mouth", "chest", "shelf"),
         Subtask(
             name="go_target",
             description="Move the arm to a named target place relative to the "
-                        f"wearer. Known targets: {', '.join(target_names)}.",
+                        f"wearer. Known targets: {', '.join(TARGET_NAMES)}.",
             configurable=True,
             bindings=tuple(
-                (f"go_target({t})", {"target": t}) for t in target_names
+                (f"go_target({t})", {"target": t}) for t in TARGET_NAMES
             ),
         ),
         *[
@@ -121,7 +122,7 @@ def default_library(target_names=("mouth", "chest", "shelf"),
                 description=f"Execute the predefined movement '{p}'.",
                 configurable=False,
             )
-            for p in predefined
+            for p in PREDEFINED
         ],
         Subtask(name="done", description="Task complete; end the plan.",
                 configurable=False),
@@ -226,17 +227,13 @@ class ItemRecord:
         end_imp = bool(heavy or dangerous)
         return spd, imp, end_imp
 
-    @property
-    def labels(self) -> dict:
-        return {"dangerous": self.dangerous, "fragile": self.fragile, "heavy": self.heavy}
-
     def consistent(self) -> bool:
         return (self.expected_spd, self.expected_imp, self.expected_end_impedance) == \
             self.expected_from_labels(self.dangerous, self.fragile, self.heavy)
 
 
-def load_corpus(path: str | Path, strict: bool = True) -> list[ItemRecord]:
-    """JSON-lines corpus; malformed rows are rejected with line numbers."""
+def load_corpus(path: str | Path) -> list[ItemRecord]:
+    """JSON-lines corpus; malformed or inconsistent rows are rejected with line numbers."""
     records = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
@@ -259,7 +256,7 @@ def load_corpus(path: str | Path, strict: bool = True) -> list[ItemRecord]:
             raise ValueError(f"corpus line {lineno}: malformed record ({exc})") from exc
         if raw["category"] not in ("food", "household", "heavy"):
             raise ValueError(f"corpus line {lineno}: unknown category {raw['category']!r}")
-        if strict and not rec.consistent():
+        if not rec.consistent():
             raise ValueError(
                 f"corpus line {lineno}: expected bits inconsistent with labels "
                 f"for {rec.name!r}")
@@ -267,10 +264,9 @@ def load_corpus(path: str | Path, strict: bool = True) -> list[ItemRecord]:
     return records
 
 
-def load_targets(path: str | Path | None = None) -> dict[str, list[float]]:
+def load_targets() -> dict[str, list[float]]:
     """Named joint-space targets, degrees in the file."""
-    path = Path(path) if path else data_path("targets.json")
-    raw = json.loads(path.read_text())
+    raw = json.loads(data_path("targets.json").read_text())
     return {k: [float(v) for v in vals] for k, vals in raw.items()}
 
 
@@ -304,9 +300,9 @@ def match_item(task: str, items: list[ItemRecord]) -> ItemRecord | None:
     return best
 
 
-def extract_target(task: str, target_names=("mouth", "chest", "shelf")) -> str:
+def extract_target(task: str) -> str:
     toks = _tokens(task)
-    for name in target_names:  # explicit mention wins
+    for name in TARGET_NAMES:  # explicit mention wins
         if name in toks:
             return name
     for tok in toks:
@@ -324,10 +320,8 @@ class RuleScorer:
     matched item it asks for clarification.
     """
 
-    def __init__(self, items: list[ItemRecord],
-                 target_names=("mouth", "chest", "shelf")):
+    def __init__(self, items: list[ItemRecord]):
         self.items = list(items)
-        self.target_names = tuple(target_names)
 
     def canonical_plan(self, task: str) -> list[tuple[str, str]] | None:
         item = match_item(task, self.items)
@@ -337,7 +331,7 @@ class RuleScorer:
         # evaluation ground truth: mislabeled items must mispredict
         spd, imp, end_imp = ItemRecord.expected_from_labels(
             item.dangerous, item.fragile, item.heavy)
-        target = extract_target(task, self.target_names)
+        target = extract_target(task)
         steps = [
             ("set_mode", "set_mode(0)"),
             ("paramset", f"paramset(Spd={spd}, Imp={imp})"),
@@ -465,8 +459,7 @@ def plan_semantics(p: Plan) -> dict:
     return {"spd": spd, "imp": imp, "end_impedance": end_impedance}
 
 
-def evaluate_corpus(corpus: list[ItemRecord], scorer, library: SubtaskLibrary,
-                    task_template: str = "help me carry the {name}") -> dict:
+def evaluate_corpus(corpus: list[ItemRecord], scorer, library: SubtaskLibrary) -> dict:
     """Per-item semantic bits against expectations, with the four-way error
     breakdown (impedance / speed / combined / end mode)."""
     per_item = []
@@ -474,7 +467,7 @@ def evaluate_corpus(corpus: list[ItemRecord], scorer, library: SubtaskLibrary,
     n_success = 0
     n_valid = 0
     for item in corpus:
-        task = task_template.format(name=item.name)
+        task = f"help me carry the {item.name}"
         result = plan(task, scorer, library)
         row = {"name": item.name, "task": task,
                "expected": {"spd": item.expected_spd, "imp": item.expected_imp,

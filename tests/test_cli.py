@@ -152,14 +152,8 @@ def test_run_scenario_rejects_bad_scenario_file(tmp_path, capsys):
     ("wearer", [20.0, 5.0], "wearer"),
     ("duration", "long", "duration"),
     ("item_mass", -0.5, "item_mass"),
-    ("grasp_confirm_delay", float("inf"), "grasp_confirm_delay"),
-    ("settle_time", -1.0, "settle_time"),
-    ("grasp_load_time", True, "grasp_load_time"),
-    ("reach_duration", 0.0, "reach_duration"),
-    ("target_tolerance_deg", "3", "target_tolerance_deg"),
-    ("replan_refractory", -0.5, "replan_refractory"),
+    ("replan_refractory", 0.5, "replan_refractory"),  # a harness constant, not a field
     ("s_bar", float("nan"), "s_bar"),
-    ("score_coupling_floor", None, "score_coupling_floor"),
     ("seed", "x", "seed"),
     ("seed", -1, "seed"),
     ("seed", True, "seed"),
@@ -175,10 +169,8 @@ def test_run_scenario_rejects_bad_scenario_file(tmp_path, capsys):
     ("sensor_noise", {"q": float("nan")}, "sensor_noise q"),
     ("sensor_noise", {"qq": 0.1}, "sensor_noise"),
 ], ids=["unknown-wearer-field", "wearer-list", "string-duration", "negative-mass",
-        "infinite-delay", "negative-settle", "boolean-load-time", "zero-reach",
-        "string-tolerance", "negative-refractory", "nan-threshold", "null-floor",
-        "string-seed", "negative-seed", "boolean-seed", "string-stiffness",
-        "negative-damping", "negative-saturation", "numeric-name", "short-stiffness",
+        "removed-field", "nan-threshold", "string-seed", "negative-seed", "boolean-seed",
+        "string-stiffness", "negative-damping", "negative-saturation", "numeric-name", "short-stiffness",
         "joint-out-of-range", "short-start-pose", "string-grasp-pose", "negative-noise",
         "nan-noise", "unknown-noise-key"])
 def test_run_scenario_rejects_bad_scenario_value(tmp_path, capsys, field, value, name):
@@ -200,24 +192,32 @@ def test_run_scenario_rejects_bad_control_file(tmp_path, capsys):
     assert "horizon" in err and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("flag, content", [
-    ("--scenario", None),
-    ("--scenario", '{"name": '),
-    ("--plant", None),
-    ("--plant", "[1, "),
-    ("--control", None),
-    ("--control", '{"qp": '),
-    ("--checkpoint", None),
+@pytest.mark.parametrize("flag, content, detail", [
+    ("--scenario", None, ""),
+    ("--scenario", '{"name": ', ""),
+    ("--plant", None, ""),
+    ("--plant", "[1, ", ""),
+    ("--control", None, ""),
+    ("--control", '{"qp": ', ""),
+    ("--checkpoint", None, ""),
+    ("--checkpoint", b"PK\x03\x04" + bytes(8), "not a valid .npz archive"),
+    ("--checkpoint", {"beta": np.zeros(3)}, "incomplete: meta"),
 ], ids=["missing-scenario", "malformed-scenario", "missing-plant", "malformed-plant",
-        "missing-control", "malformed-control", "missing-checkpoint"])
-def test_run_scenario_rejects_unreadable_file(tmp_path, capsys, flag, content):
+        "missing-control", "malformed-control", "missing-checkpoint", "corrupt-checkpoint",
+        "checkpoint-missing-array"])
+def test_run_scenario_rejects_unreadable_file(tmp_path, capsys, flag, content, detail):
     path = tmp_path / "input"
-    if content is not None:
+    if isinstance(content, dict):
+        with open(path, "wb") as f:
+            np.savez(f, **content)
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
         path.write_text(content)
     argv = ["run-scenario", "--scenario", str(scenario_path("raise_lower.json"))]
     assert main(argv + [flag, str(path)]) == 2
     err = capsys.readouterr().err
-    assert f"{flag} {path}" in err and len(err.strip().splitlines()) == 1
+    assert f"{flag} {path}" in err and detail in err and len(err.strip().splitlines()) == 1
 
 
 def test_run_scenario_rejects_a_detector_the_plant_cannot_feed(tmp_path, capsys):
