@@ -165,20 +165,11 @@ class Denoiser:
         self.embed = _sinusoidal_embedding(T, embed_dim)
         self.mlp = MLP([dim + embed_dim, *hidden, dim], seed=seed)
 
-    def _inputs(self, x_t: np.ndarray, t) -> np.ndarray:
-        x_t = np.atleast_2d(x_t)
+    def eps(self, x_t: np.ndarray, t):
+        """Predicted noise for (B, D) windows x_t at step(s) t, and the
+        network's activations, which ``input_vjp`` and backward consume."""
         t_arr = np.broadcast_to(np.asarray(t, dtype=int), (x_t.shape[0],))
-        return np.concatenate([x_t, self.embed[t_arr - 1]], axis=1)
-
-    def eps(self, x_t: np.ndarray, t) -> np.ndarray:
-        """Predicted noise for x_t at step(s) t; accepts (D,) or (B, D)."""
-        single = np.asarray(x_t).ndim == 1
-        out = self.mlp(self._inputs(x_t, t))
-        return out[0] if single else out
-
-    def eps_with_cache(self, x_t: np.ndarray, t):
-        out, acts = self.mlp.forward(self._inputs(x_t, t))
-        return out, acts
+        return self.mlp.forward(np.concatenate([x_t, self.embed[t_arr - 1]], axis=1))
 
     def input_vjp(self, acts, cotangent: np.ndarray) -> np.ndarray:
         """Cotangent through the network w.r.t. the window part of the input."""
@@ -208,7 +199,7 @@ def denoiser_loss_and_grads(denoiser: Denoiser, x0: np.ndarray, t: np.ndarray,
     """
     ab = schedule.alpha_bar[t - 1][:, None]
     x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-    pred, acts = denoiser.eps_with_cache(x_t, t)
+    pred, acts = denoiser.eps(x_t, t)
     resid = pred - eps
     loss = float(np.mean(np.sum(resid**2, axis=1)))
     if not with_grads:
@@ -308,11 +299,9 @@ class AnomalyDetector:
         for t in range(nu, 0, -1):
             a_t = sch.alpha[t - 1]
             c_t = (1.0 - a_t) / np.sqrt(1.0 - sch.alpha_bar[t - 1])
+            pred, acts = self.denoiser.eps(xt, t)
             if with_cache:
-                pred, acts = self.denoiser.eps_with_cache(xt, t)
                 caches.append((t, acts, c_t))
-            else:
-                pred = self.denoiser.eps(xt, np.full(B, t))
             xt = (xt - c_t * pred) / np.sqrt(a_t)
         xhat = xt[0] if single else xt
         if with_cache:

@@ -38,7 +38,8 @@ def _config_section(name: str):
         raise dyn.ConfigError(f"{name}: {exc}") from exc
 
 
-# train_config.json's fields; one that is left out takes its default below
+# train_config.json's fields. The bundled file sets all but "plant" (the
+# bundled plant.json when unset); a --config file's top-level keys replace it
 TRAIN_CONFIG_FIELDS = {
     "plant": dyn.Field("string"),
     "duration": dyn.Field(bound="> 0"),
@@ -57,23 +58,20 @@ TRAIN_CONFIG_FIELDS = {
     "calibrate": dyn.Field("object", table={"target": dyn.Field(bound="> 0"),
                                             "percentile": dyn.Field(bound=">= 0, <= 100")}),
 }
-DEFAULT_SUBJECTS = [{"name": "subject-a"}, {"name": "subject-b", "K_h": 25.0}]
 
 
 def cmd_train_detector(args) -> int:
     # every value is checked before collection starts
     with _config_section(f"--config {args.config}"):
-        cfg = json.loads(Path(args.config).read_text()) if args.config else {}
-        dyn.check_fields(cfg, TRAIN_CONFIG_FIELDS, "config")
+        extra = json.loads(Path(args.config).read_text()) if args.config else {}
+        dyn.check_fields(extra, TRAIN_CONFIG_FIELDS, "config")
+    cfg = {**json.loads(pl.data_path("train_config.json").read_text()), **extra}
     with _config_section("plant"):
         model = dyn.load_plant_config(_default(cfg.get("plant"), "plant.json"))
     with _config_section("schedule"):
-        schedule = ano.NoiseSchedule.linear(**cfg.get("schedule", {}))
-    train = cfg.get("train", {})
-    train_cfg = ano.TrainConfig(
-        **{**train, "hidden": tuple(train.get("hidden", ano.TrainConfig.hidden))})
-    calibration = cfg.get("calibrate", {})
-    L_s, seed = cfg.get("L_s", 25), cfg.get("seed", 0)
+        schedule = ano.NoiseSchedule.linear(**cfg["schedule"])
+    train_cfg = ano.TrainConfig(**cfg["train"])
+    L_s, seed = cfg["L_s"], cfg["seed"]
 
     if args.data:
         layout = ano.ChannelLayout(n=model.n, n_c=model.n_c)
@@ -84,10 +82,9 @@ def cmd_train_detector(args) -> int:
         data = {"raw": raw, "stats": stats, "layout": layout, "L_s": L_s,
                 "train_idx": np.arange(cut), "val_idx": np.arange(cut, len(raw))}
     else:
-        subjects = [hz.WearerParams(**s) for s in cfg.get("subjects", DEFAULT_SUBJECTS)]
-        data = hz.collect_training_data(
-            model, subjects, duration=cfg.get("duration", 45.0), seed=seed, L_s=L_s,
-            stride=cfg.get("stride", 5))
+        subjects = [hz.WearerParams(**s) for s in cfg["subjects"]]
+        data = hz.collect_training_data(model, subjects, duration=cfg["duration"], seed=seed,
+                                        L_s=L_s, stride=cfg["stride"])
         print(f"collected {data['raw'].shape[0]} windows "
               f"({len(subjects)} subjects)")
 
@@ -104,7 +101,7 @@ def cmd_train_detector(args) -> int:
 
     detector = ano.AnomalyDetector(denoiser, schedule, data["stats"], data["L_s"],
                                    data["layout"], seed=seed + 99)
-    detector.calibrate(normed[data["train_idx"]], **calibration)
+    detector.calibrate(normed[data["train_idx"]], **cfg["calibrate"])
     ano.save_checkpoint(args.out, detector)
     val = history["val"][-1] if history["val"] else float("nan")
     print(f"trained {train_cfg.epochs} epochs in {elapsed:.1f} s; "
@@ -271,7 +268,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train-detector", help="collect data, train and calibrate the detector")
-    p.add_argument("--config", help="training config JSON (defaults bundled)")
+    p.add_argument("--config", help="training config JSON whose top-level keys replace "
+                   "the bundled train_config.json's")
     p.add_argument("--out", required=True, help="checkpoint output path (.npz)")
     p.add_argument("--data", help="optional CSV of training windows")
     p.set_defaults(func=cmd_train_detector)

@@ -11,15 +11,16 @@ The rigid-body terms have one implementation, ``_rigid_body_terms``: a
 single-state kernel on Python floats that returns M(q) and the bias torque
 h = C(q, qdot) qdot + g(q) from one forward and one backward pass. ``step``,
 both controllers, ``mass_matrix``, ``gravity_vector`` and
-``coriolis_matrix`` all use it. The tests hold it to an independent
-complex-step reference in ``tests/oracles.py``.
+``coriolis_matrix`` all use it. It and the forward kinematics read one
+description of the arm, ``PlantModel._chain``. The tests hold both to an
+independent complex-step reference in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, is_dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -55,11 +56,6 @@ DEFAULT_LINK_MASSES = (1.5, 2.0, 0.5, 1.2)
 # rotation (z, along the link), elbow flexion (y). Chains longer than four
 # joints cycle through x/y/z.
 _DEFAULT_AXES = ("x", "y", "z", "y")
-_AXIS_VECTORS = {
-    "x": np.array([1.0, 0.0, 0.0]),
-    "y": np.array([0.0, 1.0, 0.0]),
-    "z": np.array([0.0, 0.0, 1.0]),
-}
 
 # Links are modelled as rods along their local -z axis plus cuff hardware;
 # the axial (about-link) inertia must stay well away from zero or the
@@ -208,7 +204,13 @@ PLANT_FIELDS = {
 
 @dataclass
 class PlantModel:
-    """Geometric, inertial and elastic parameters of the exoskeleton arm."""
+    """Geometric, inertial and elastic parameters of the exoskeleton arm.
+
+    ``__post_init__`` checks the fields and derives ``_chain``, the one
+    geometry the model holds: one tuple of Python floats per link, which
+    the rigid-body kernel and the forward-kinematics helpers
+    (``link_com_positions``, ``end_effector_position``,
+    ``potential_energy``) read."""
 
     n: int = 4
     n_c: int = 2
@@ -227,12 +229,6 @@ class PlantModel:
     friction_eps_v: float = 0.1
     gravity: float = 9.81
 
-    # derived, populated in __post_init__
-    axes: np.ndarray = field(init=False, repr=False)
-    joint_offsets: np.ndarray = field(init=False, repr=False)
-    com_offsets: np.ndarray = field(init=False, repr=False)
-    inertia_local: np.ndarray = field(init=False, repr=False)
-
     def __post_init__(self) -> None:
         # the file's fields; an unset link_com or link_inertias is left out
         values = {k: v for k in PLANT_FIELDS if (v := getattr(self, k, None)) is not None}
@@ -242,51 +238,24 @@ class PlantModel:
             raise ConfigError("plant n_c must not exceed n")
         friction = arrays.pop("friction_coeffs")
         vars(self).update(arrays, **{f"friction_{k}": arr for k, arr in friction.items()})
-        n = self.n
         if self.link_com is None:
             self.link_com = 0.5 * self.link_lengths
         if np.any(self.link_com > self.link_lengths):
             raise ConfigError("plant link_com must not exceed link_lengths")
         if self.link_inertias is None:
             self.link_inertias = self.link_masses * self.link_lengths**2 / 12.0
-
-        axes = [_DEFAULT_AXES[i] if i < len(_DEFAULT_AXES) else "xyz"[i % 3] for i in range(n)]
-        self.axes = np.stack([_AXIS_VECTORS[a] for a in axes])
-        # joint i sits at the tip of link i-1; every link extends along -z
-        offsets = np.zeros((n, 3))
-        for i in range(1, n):
-            offsets[i] = (0.0, 0.0, -self.link_lengths[i - 1])
-        self.joint_offsets = offsets
-        self.com_offsets = np.column_stack(
-            [np.zeros(n), np.zeros(n), -self.link_com]
-        )
-        skews = np.zeros((n, 3, 3))
-        for i in range(n):
-            ax, ay, az = self.axes[i]
-            skews[i] = [[0.0, -az, ay], [az, 0.0, -ax], [-ay, ax, 0.0]]
-        self._axis_skew = skews
-        self._axis_skew2 = skews @ skews
-        # rod-like tensor in the link frame: transverse inertia from config,
-        # reduced axial inertia about the link (-z) axis
-        self.inertia_local = np.zeros((n, 3, 3))
-        for i in range(n):
-            it = self.link_inertias[i]
-            self.inertia_local[i] = np.diag([it, it, AXIAL_INERTIA_RATIO * it])
-
-        # scalar copies for the single-state kernel: per link the joint-axis
-        # index and the two column indices its rotation mixes, link length,
-        # COM distance, mass, transverse inertia and (axial - transverse)
-        self._chain = tuple(
-            (ax, (ax + 1) % 3, (ax + 2) % 3, float(self.link_lengths[i]),
-             float(self.link_com[i]), float(self.link_masses[i]),
-             float(self.inertia_local[i, 0, 0]),
-             float(self.inertia_local[i, 2, 2] - self.inertia_local[i, 0, 0]))
-            for i, ax in enumerate(int(np.argmax(a)) for a in self.axes)
-        )
-
-    @property
-    def ee_offset(self) -> np.ndarray:
-        return np.array([0.0, 0.0, -self.link_lengths[-1]])
+        # the one description of the chain, which the kernel and _fk read:
+        # per link the joint-axis index and the two column indices its
+        # rotation mixes, link length, COM distance, mass, transverse inertia
+        # and (axial - transverse) inertia
+        chain = []
+        for i in range(self.n):
+            ax = "xyz".index(_DEFAULT_AXES[i]) if i < len(_DEFAULT_AXES) else i % 3
+            it = float(self.link_inertias[i])
+            chain.append((ax, (ax + 1) % 3, (ax + 2) % 3, float(self.link_lengths[i]),
+                          float(self.link_com[i]), float(self.link_masses[i]), it,
+                          AXIAL_INERTIA_RATIO * it - it))
+        self._chain = tuple(chain)
 
 
 @dataclass(frozen=True)
@@ -353,15 +322,19 @@ def _check_q(model: PlantModel, q) -> np.ndarray:
 
 def _fk(model: PlantModel, q: np.ndarray):
     """World positions of the link centres of mass (n, 3) and of the end
-    effector (3,) for one checked configuration."""
-    R, p = np.eye(3), np.zeros(3)
-    c = np.empty((model.n, 3))
-    s, co = np.sin(q), np.cos(q)
-    for i in range(model.n):
-        p = p + R @ model.joint_offsets[i]
-        R = R @ (np.eye(3) + s[i] * model._axis_skew[i] + (1.0 - co[i]) * model._axis_skew2[i])
-        c[i] = p + R @ model.com_offsets[i]
-    return c, p + R @ model.ee_offset
+    effector (3,) for one checked configuration: the kernel's frame update."""
+    R = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]  # link frame columns
+    p = (0.0, 0.0, 0.0)  # joint origin
+    coms = []
+    for qi, (_, b, d, length, lc, *_) in zip(q.tolist(), model._chain):
+        co, si = math.cos(qi), math.sin(qi)
+        rb, rd = R[b], R[d]
+        R[b] = (co * rb[0] + si * rd[0], co * rb[1] + si * rd[1], co * rb[2] + si * rd[2])
+        R[d] = (co * rd[0] - si * rb[0], co * rd[1] - si * rb[1], co * rd[2] - si * rb[2])
+        z = R[2]
+        coms.append((p[0] - lc * z[0], p[1] - lc * z[1], p[2] - lc * z[2]))
+        p = (p[0] - length * z[0], p[1] - length * z[1], p[2] - length * z[2])
+    return np.array(coms), np.array(p)
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +353,13 @@ def _fk(model: PlantModel, q: np.ndarray):
 #   links beyond joint j (and the payload) form one body whose momentum
 #   under a unit rate of joint j, taken about the world origin, is column j.
 #
-# It relies on what PlantModel builds: every joint axis is a principal axis
-# of the parent link's frame, and every link, COM offset and inertia tensor
-# is symmetric about the link's local z axis. The tests hold it to an
-# independent complex-step reference in ``tests/oracles.py``.
+# It reads the model's one geometry, ``PlantModel._chain``, and relies on
+# what it describes: every joint axis is a principal axis of the parent
+# link's frame, and every link, COM offset and inertia tensor is symmetric
+# about the link's local z axis. ``_fk`` repeats the forward pass's frame
+# update for positions only. The tests hold both to an independent
+# complex-step reference in ``tests/oracles.py``, which builds its own
+# rotation-matrix geometry from the model's public fields.
 
 
 def _cross(a, b):

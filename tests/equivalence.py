@@ -18,6 +18,10 @@ and compare them with another revision's.
   the bundled corpus;
 - ``llm_requests.json``: the request payloads an ``LLMScorer`` sends while
   planning LLM_TASK, each answered with the next choice of LLM_SCRIPT;
+- ``train_config.json``: what the bundled ``train_config.json`` builds: the
+  collection arguments, the subjects' ``WearerParams``, the noise
+  schedule's ``beta`` and ``nu``, the ``TrainConfig`` fields and the
+  calibration arguments;
 - ``manifest.json``: the SHA-256 digest of each file above.
 
 ``--against REV`` unpacks REV with ``git archive`` into a temporary
@@ -87,6 +91,17 @@ class _ScriptedTransport:
         return {"choices": [{"message": {"content": answer}}]}
 
 
+def _train_config_build() -> dict:
+    """The bundled train_config.json as ``exoassist train-detector`` builds
+    it, through the package's constructors."""
+    cfg = json.loads(pl.data_path("train_config.json").read_text())
+    schedule = ano.NoiseSchedule.linear(**cfg["schedule"])
+    return {"collection": {key: cfg[key] for key in ("duration", "seed", "L_s", "stride")},
+            "subjects": [vars(hz.WearerParams(**s)) for s in cfg["subjects"]],
+            "beta": schedule.beta.tolist(), "nu": schedule.nu,
+            "train": vars(ano.TrainConfig(**cfg["train"])), "calibrate": cfg["calibrate"]}
+
+
 def write_artifacts(out: Path, checkpoint: Path) -> dict:
     """Write every artifact into ``out``; returns the manifest."""
     out.mkdir(parents=True, exist_ok=True)
@@ -110,8 +125,9 @@ def write_artifacts(out: Path, checkpoint: Path) -> dict:
                            transport=transport)
     pl.plan(LLM_TASK, scorer, library)
     (out / "llm_requests.json").write_text(json.dumps(transport.requests, indent=1))
+    (out / "train_config.json").write_text(json.dumps(_train_config_build(), indent=1))
     written += ["tracking_comparison.json", "collection.npy", "corpus_report.json",
-                "llm_requests.json"]
+                "llm_requests.json", "train_config.json"]
     manifest = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in sorted(written)}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")

@@ -2,10 +2,12 @@
 
 - ``brute_force_qp``: the QP by enumeration of active sets.
 - The plant's rigid-body terms by a route independent of the package's
-  Newton-Euler kernel, which is held to them: batched forward kinematics
-  in real or complex arithmetic (``fk``), M(q) and g(q) from Jacobians
-  (``dynamics_terms``), dM/dq by complex-step differentiation
-  (``plant_terms``) and C from Christoffel symbols (``christoffel``).
+  Newton-Euler kernel, which is held to them: the chain's rotation-matrix
+  geometry built from the model's public fields (``geometry``), batched
+  forward kinematics in real or complex arithmetic (``fk``), M(q) and
+  g(q) from Jacobians (``dynamics_terms``), dM/dq by complex-step
+  differentiation (``plant_terms``) and C from Christoffel symbols
+  (``christoffel``).
   ``reference_step`` is the plant step on them.
 - ``plant_matrices``: the selection matrices S1, S2 and the diagonal
   matrices K, B of the equations, which the package keeps as slices and
@@ -75,8 +77,32 @@ def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def geometry(model: dyn.PlantModel):
+    """The chain as the oracles describe it, from the model's public fields
+    alone: per joint the unit axis (in the parent link's frame) and its skew
+    matrix, the offset from the parent joint and to the link's centre of
+    mass (in the link frame), and the rod-like inertia tensor in the link
+    frame; then the end effector's offset from the last joint. Joint axes
+    run x, y, z, y (shoulder abduction, flexion, internal rotation, elbow
+    flexion), then cycle through x, y, z; every link extends along its
+    local -z axis."""
+    n = model.n
+    letters = ("x", "y", "z", "y") + tuple("xyz"[i % 3] for i in range(4, n))
+    axes = np.array([np.eye(3)["xyz".index(a)] for a in letters[:n]])
+    skews = np.array([[[0.0, -az, ay], [az, 0.0, -ax], [-ay, ax, 0.0]] for ax, ay, az in axes])
+    lengths = np.asarray(model.link_lengths, dtype=float)
+    joint_offsets = np.zeros((n, 3))
+    joint_offsets[1:, 2] = -lengths[:-1]
+    com_offsets = np.zeros((n, 3))
+    com_offsets[:, 2] = -np.asarray(model.link_com, dtype=float)
+    inertias = np.array([np.diag([it, it, dyn.AXIAL_INERTIA_RATIO * it])
+                         for it in np.asarray(model.link_inertias, dtype=float)])
+    return axes, skews, joint_offsets, com_offsets, inertias, np.array([0.0, 0.0, -lengths[-1]])
+
+
 def fk(model: dyn.PlantModel, q: np.ndarray):
-    """Batched forward kinematics.
+    """Batched forward kinematics on rotation matrices (Rodrigues' formula
+    per joint), in real or complex arithmetic.
 
     Returns world-frame joint positions ``p`` (B,n,3), link rotations ``R``
     (B,n,3,3), COM positions ``c`` (B,n,3), joint axes ``k`` (B,n,3) and the
@@ -85,6 +111,7 @@ def fk(model: dyn.PlantModel, q: np.ndarray):
     q = np.atleast_2d(q)
     B, n = q.shape
     dtype = complex if np.iscomplexobj(q) else float
+    axes, skews, joint_offsets, com_offsets, _, ee_offset = geometry(model)
 
     R_parent = np.zeros((B, 3, 3), dtype=dtype)
     R_parent[:] = np.eye(3)
@@ -97,22 +124,22 @@ def fk(model: dyn.PlantModel, q: np.ndarray):
     eye3 = np.eye(3)
 
     for i in range(n):
-        p_i = p_parent + R_parent @ model.joint_offsets[i]
+        p_i = p_parent + R_parent @ joint_offsets[i]
         ang = q[:, i]
         s, co = np.sin(ang), np.cos(ang)
         rot = (
             eye3
-            + s[:, None, None] * model._axis_skew[i]
-            + (1.0 - co)[:, None, None] * model._axis_skew2[i]
+            + s[:, None, None] * skews[i]
+            + (1.0 - co)[:, None, None] * (skews[i] @ skews[i])
         )
         R_i = R_parent @ rot
         p[:, i] = p_i
         R[:, i] = R_i
-        k[:, i] = R_parent @ model.axes[i]
-        c[:, i] = p_i + R_i @ model.com_offsets[i]
+        k[:, i] = R_parent @ axes[i]
+        c[:, i] = p_i + R_i @ com_offsets[i]
         R_parent, p_parent = R_i, p_i
 
-    ee = p_parent + R_parent @ model.ee_offset
+    ee = p_parent + R_parent @ ee_offset
     return p, R, c, k, ee
 
 
@@ -121,6 +148,7 @@ def dynamics_terms(model: dyn.PlantModel, q: np.ndarray, payload_mass: float):
     q2 = np.atleast_2d(q)
     B, n = q2.shape
     p, R, c, k, ee = fk(model, q2)
+    inertias = geometry(model)[4]
     dtype = p.dtype
 
     M = np.zeros((B, n, n), dtype=dtype)
@@ -139,7 +167,7 @@ def dynamics_terms(model: dyn.PlantModel, q: np.ndarray, payload_mass: float):
         m_i = model.link_masses[i]
         M += m_i * (cols @ np.swapaxes(cols, 1, 2))
         # angular part: Jw rows are the masked world joint axes
-        Iw = R[:, i] @ model.inertia_local[i] @ np.swapaxes(R[:, i], 1, 2)
+        Iw = R[:, i] @ inertias[i] @ np.swapaxes(R[:, i], 1, 2)
         M += km @ Iw @ np.swapaxes(km, 1, 2)
         gvec += (m_i * g) * cols[:, :, 2]
         if payload_mass > 0.0 and i == n - 1:

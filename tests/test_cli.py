@@ -7,6 +7,7 @@ import pytest
 from conftest import scenario_path
 
 from exoassist import anomaly as ano
+from exoassist import harness as hz
 from exoassist import planner as pl
 from exoassist.cli import main
 
@@ -39,6 +40,33 @@ def test_train_detector_writes_checkpoint(small_checkpoint):
     det = ano.load_checkpoint(small_checkpoint)
     assert det.schedule.T == 12
     assert det.cal_scale > 0.0
+
+
+class _Collected(Exception):
+    """Stops a train-detector run once collection is asked for."""
+
+
+@pytest.mark.parametrize("config, seed", [(None, 5), ({"seed": 3}, 3)],
+                         ids=["bundled", "seed-replaced"])
+def test_train_detector_lays_config_over_bundled_file(tmp_path, monkeypatch, config, seed):
+    calls = []
+
+    def collect(model, subjects, **kwargs):
+        calls.append((subjects, kwargs))
+        raise _Collected
+
+    monkeypatch.setattr(hz, "collect_training_data", collect)
+    argv = ["train-detector", "--out", str(tmp_path / "det.npz")]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    with pytest.raises(_Collected):
+        main(argv)
+    bundled = json.loads(pl.data_path("train_config.json").read_text())
+    (subjects, kwargs), = calls
+    assert subjects == [hz.WearerParams(**s) for s in bundled["subjects"]]
+    assert kwargs == {"duration": bundled["duration"], "seed": seed, "L_s": bundled["L_s"],
+                      "stride": bundled["stride"]}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diverges on purpose

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from exoassist import dynamics as dyn
 from exoassist import planner as pl
-from oracles import christoffel, fk, plant_matrices, plant_terms
+from oracles import christoffel, fk, geometry, plant_matrices, plant_terms
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +61,7 @@ def test_kinetic_energy_matches_link_sum(model):
     """Brute-force oracle: sum per-link 0.5 m|v|^2 + 0.5 w'Iw with FD velocities."""
     rng = np.random.default_rng(7)
     q = rng.uniform(-1.0, 1.0, model.n)
+    inertias = geometry(model)[4]
     for basis in range(model.n):
         qdot = np.eye(model.n)[basis]
         h = 1e-7
@@ -78,11 +79,28 @@ def test_kinetic_energy_matches_link_sum(model):
             R0 = fk(model, q[None, :])[1][0, i].real
             W = Rdot @ R0.T  # skew(omega)
             omega = np.array([W[2, 1], W[0, 2], W[1, 0]])
-            Iw = R0 @ model.inertia_local[i] @ R0.T
+            Iw = R0 @ inertias[i] @ R0.T
             ke_oracle += 0.5 * omega @ Iw @ omega
 
         ke_mass = 0.5 * qdot @ dyn.mass_matrix(model, q) @ qdot
         assert ke_mass == pytest.approx(ke_oracle, rel=1e-5, abs=1e-10)
+
+
+@pytest.mark.parametrize("chain", [
+    dyn.default_model(),
+    dyn.PlantModel(n=6, n_c=3, link_lengths=[0.05, 0.3, 0.1, 0.25, 0.2, 0.15],
+                   link_masses=[1.5, 2.0, 0.5, 1.2, 0.8, 0.4], link_inertias=[0.01] * 6),
+], ids=["default", "six-joint"])
+def test_forward_kinematics_matches_rotation_matrices(chain):
+    qs = np.random.default_rng(11).uniform(-np.pi, np.pi, (200, chain.n))
+    _, _, coms, _, ees = fk(chain, qs)
+    for q, c, ee in zip(qs, coms, ees):
+        assert np.max(np.abs(dyn.link_com_positions(chain, q) - c)) < 1e-12
+        assert np.max(np.abs(dyn.end_effector_position(chain, q) - ee)) < 1e-12
+        u = chain.gravity * (chain.link_masses @ c[:, 2])
+        assert abs(dyn.potential_energy(chain, q) - u) < 1e-12
+        u += chain.gravity * 0.7 * ee[2]
+        assert abs(dyn.potential_energy(chain, q, 0.7) - u) < 1e-12
 
 
 def test_mass_matrix_rejects_nonfinite(model):
