@@ -5,8 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,31 +19,16 @@ from . import planner as pl
 __all__ = ["main"]
 
 
-def _default(path_flag: str | None, bundled: str) -> Path:
-    return Path(path_flag) if path_flag else pl.data_path(bundled)
-
-
 # ---------------------------------------------------------------------------
 # train-detector
 
 
-@contextmanager
-def _config_section(name: str):
-    """Turn a bad value's TypeError or ValueError, or an unreadable file,
-    into a ConfigError naming it."""
-    try:
-        yield
-    except (TypeError, ValueError, OSError) as exc:
-        raise dyn.ConfigError(f"{name}: {exc}") from exc
-
-
-# train_config.json's fields. The bundled file sets all but "plant" (the
-# bundled plant.json when unset); a --config file's top-level keys replace it
+# train_config.json's fields; the bundled file sets all but "plant" (the bundled plant.json)
 TRAIN_CONFIG_FIELDS = {
     "plant": dyn.Field("string"),
     "duration": dyn.Field(bound="> 0"),
     **dict.fromkeys(("L_s", "stride"), dyn.Field("integer", "> 0")),
-    "seed": dyn.Field("integer", ">= 0"),
+    **dict.fromkeys(("seed", "detector_seed"), dyn.Field("integer", ">= 0")),
     "subjects": dyn.Field("objects", table=hz.WEARER_FIELDS),
     "schedule": dyn.Field("object", table={
         **dict.fromkeys(("T", "nu"), dyn.Field("integer", "> 0")),
@@ -60,53 +44,33 @@ TRAIN_CONFIG_FIELDS = {
 }
 
 
+def _csv_data(path: str, layout: ano.ChannelLayout, L_s: int) -> dict:
+    """A --data CSV's windows, 80 % to train on (and to take stats from)."""
+    with dyn.config_section(f"--data {path}"):
+        raw = ano.load_windows_csv(path, L_s, layout.per_tick)
+        cut = int(0.8 * len(raw))
+        if cut == 0:
+            raise ValueError(f"{len(raw)} window is too few to split 80/20; need 2")
+        stats = ano.compute_stats(raw[:cut])
+    return {"raw": raw, "stats": stats, "layout": layout, "L_s": L_s,
+            "train_idx": np.arange(cut), "val_idx": np.arange(cut, len(raw))}
+
+
 def cmd_train_detector(args) -> int:
     # every value is checked before collection starts
-    with _config_section(f"--config {args.config}"):
+    with dyn.config_section(f"--config {args.config}"):
         extra = json.loads(Path(args.config).read_text()) if args.config else {}
         dyn.check_fields(extra, TRAIN_CONFIG_FIELDS, "config")
-    cfg = {**json.loads(pl.data_path("train_config.json").read_text()), **extra}
-    with _config_section("plant"):
-        model = dyn.load_plant_config(_default(cfg.get("plant"), "plant.json"))
-    with _config_section("schedule"):
-        schedule = ano.NoiseSchedule.linear(**cfg["schedule"])
-    train_cfg = ano.TrainConfig(**cfg["train"])
-    L_s, seed = cfg["L_s"], cfg["seed"]
-
-    if args.data:
-        layout = ano.ChannelLayout(n=model.n, n_c=model.n_c)
-        with _config_section(f"--data {args.data}"):
-            raw = ano.load_windows_csv(args.data, L_s, layout.per_tick)
-        cut = int(0.8 * len(raw))
-        stats = ano.compute_stats(raw[:cut])
-        data = {"raw": raw, "stats": stats, "layout": layout, "L_s": L_s,
-                "train_idx": np.arange(cut), "val_idx": np.arange(cut, len(raw))}
-    else:
-        subjects = [hz.WearerParams(**s) for s in cfg["subjects"]]
-        data = hz.collect_training_data(model, subjects, duration=cfg["duration"], seed=seed,
-                                        L_s=L_s, stride=cfg["stride"])
-        print(f"collected {data['raw'].shape[0]} windows "
-              f"({len(subjects)} subjects)")
-
-    normed = data["stats"].normalize(data["raw"]).reshape(data["raw"].shape[0], -1)
-    t0 = time.perf_counter()
     try:
-        denoiser, history = ano.train_denoiser(
-            normed[data["train_idx"]], schedule, train_cfg,
-            val_windows=normed[data["val_idx"]])
+        run = hz.train_detector(extra, partial(_csv_data, args.data) if args.data else None)
     except ano.AnomalyTrainingError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 2
-    elapsed = time.perf_counter() - t0
-
-    detector = ano.AnomalyDetector(denoiser, schedule, data["stats"], data["L_s"],
-                                   data["layout"], seed=seed + 99)
-    detector.calibrate(normed[data["train_idx"]], **cfg["calibrate"])
-    ano.save_checkpoint(args.out, detector)
-    val = history["val"][-1] if history["val"] else float("nan")
-    print(f"trained {train_cfg.epochs} epochs in {elapsed:.1f} s; "
-          f"final train loss {history['train'][-1]:.2f}, val {val:.2f}, "
-          f"baseline {normed.shape[1]}")
+    ano.save_checkpoint(args.out, run["detector"])
+    history = run["history"]  # the validation split is never empty
+    print(f"trained {len(history['train'])} epochs on {len(run['data']['raw'])} windows "
+          f"in {run['train_elapsed']:.1f} s; final train loss {history['train'][-1]:.2f}, "
+          f"val {history['val'][-1]:.2f}, baseline {run['normed'].shape[1]}")
     print(f"checkpoint written to {args.out}")
     return 0
 
@@ -117,14 +81,15 @@ def cmd_train_detector(args) -> int:
 
 def cmd_run_scenario(args) -> int:
     # a file that is missing, unparseable or invalid exits 2 naming its flag
-    with _config_section(f"--checkpoint {args.checkpoint}"):
+    with dyn.config_section(f"--checkpoint {args.checkpoint}"):
         detector = ano.load_checkpoint(args.checkpoint) if args.checkpoint else None
-    plant, control = _default(args.plant, "plant.json"), _default(args.control, "control.json")
-    with _config_section(f"--plant {plant}"):
+    plant = args.plant or pl.data_path("plant.json")
+    control = args.control or pl.data_path("control.json")
+    with dyn.config_section(f"--plant {plant}"):
         model = dyn.load_plant_config(plant)
-    with _config_section(f"--control {control}"):
+    with dyn.config_section(f"--control {control}"):
         control_cfg = ctl.load_control_config(control)
-    with _config_section(f"--scenario {args.scenario}"):
+    with dyn.config_section(f"--scenario {args.scenario}"):
         scenario = hz.load_scenario(args.scenario)
     runtime = pl.PlannerRuntime(pl.RuleScorer(pl.load_corpus(pl.data_path("corpus.jsonl"))),
                                 pl.default_library())

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, is_dataclass
 from pathlib import Path
 from typing import Sequence
@@ -31,6 +32,7 @@ __all__ = [
     "SimulationFault",
     "Field",
     "check_fields",
+    "config_section",
     "PLANT_FIELDS",
     "PlantModel",
     "PlantState",
@@ -186,6 +188,16 @@ def check_fields(values, table: dict, name: str, sizes: dict | None = None) -> d
             if spec.kind == "joints":
                 out[key] = arr
     return out
+
+
+@contextmanager
+def config_section(name: str):
+    """Turn a bad value's TypeError or ValueError, or an unreadable file,
+    into a ConfigError naming it."""
+    try:
+        yield
+    except (TypeError, ValueError, OSError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 FRICTION_FIELDS = {**dict.fromkeys(("c0", "c1", "c3"), Field("joints", ">= 0", "n_c")),

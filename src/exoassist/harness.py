@@ -9,7 +9,8 @@ advance -> record. ``_advance`` owns the physics: it holds the control
 torque across the ten substeps of a tick for ``run_scenario``,
 ``tracking_comparison`` and ``collect_training_data`` alike. All
 randomness flows through seeded generators, so a (scenario, seed,
-checkpoint) triple reproduces its trace bit for bit.
+checkpoint) triple reproduces its trace bit for bit. ``train_detector`` is
+the one detector recipe, behind ``exoassist train-detector`` and the tests.
 
 The executor's timings and gains are constants, the same for every
 scenario: REACH_DURATION, GRASP_CONFIRM_DELAY, GRASP_LOAD_TIME,
@@ -20,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import time
 from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -27,14 +29,16 @@ from pathlib import Path
 
 import numpy as np
 
+from . import anomaly as ano
 from . import control as ctl
 from . import dynamics as dyn
 from . import trajectory as traj
 from .anomaly import AnomalyDetector, ChannelLayout, compute_stats
-from .dynamics import Field, check_fields
+from .dynamics import ConfigError, Field, check_fields, config_section
 from .planner import (
     DEFAULT_THRESHOLD,
     PlannerRuntime,
+    data_path,
     load_targets,
     replan_check,
 )
@@ -48,6 +52,7 @@ __all__ = [
     "run_scenario",
     "inject_event",
     "collect_training_data",
+    "train_detector",
     "metrics",
     "load_scenario",
     "save_trace_csv",
@@ -785,7 +790,7 @@ def tracking_comparison(model: dyn.PlantModel, control_cfg: ctl.ControlConfig,
 
 
 # ---------------------------------------------------------------------------
-# training data collection
+# training data collection and the detector recipe
 
 
 def collect_training_data(model: dyn.PlantModel, subjects: list[WearerParams],
@@ -862,3 +867,39 @@ def collect_training_data(model: dyn.PlantModel, subjects: list[WearerParams],
         "layout": ChannelLayout(n=model.n, n_c=model.n_c),
         "L_s": L_s,
     }
+
+
+def train_detector(overrides: dict, data=None) -> dict:
+    """Lay the top-level keys of ``overrides`` over the bundled
+    train_config.json, collect (unless ``data(layout, L_s)`` returns a set in
+    collect_training_data's form), normalize, train, build the detector at
+    ``detector_seed`` and calibrate; a bad setting raises ConfigError naming
+    its key before collection. Returns the ``model``, ``data``, ``normed``,
+    ``train_config``, ``history``, ``detector`` and ``train_elapsed`` (s)."""
+    cfg = {**json.loads(data_path("train_config.json").read_text()), **overrides}
+    with config_section("plant"):
+        model = dyn.load_plant_config(cfg.get("plant") or data_path("plant.json"))
+    with config_section("schedule"):
+        schedule = ano.NoiseSchedule.linear(**cfg["schedule"])
+    train_cfg = ano.TrainConfig(**cfg["train"])
+    L_s = cfg["L_s"]
+    if data is not None:
+        data = data(ChannelLayout(n=model.n, n_c=model.n_c), L_s)
+    else:
+        if not cfg["subjects"]:
+            raise ConfigError("subjects: need at least one subject")
+        if round(cfg["duration"] / CONTROL_DT) < L_s:
+            raise ConfigError(f"duration: {cfg['duration']} s is under one window of {L_s} ticks")
+        data = collect_training_data(model, [WearerParams(**s) for s in cfg["subjects"]],
+                                     duration=cfg["duration"], seed=cfg["seed"], L_s=L_s,
+                                     stride=cfg["stride"])
+    normed = data["stats"].normalize(data["raw"]).reshape(data["raw"].shape[0], -1)
+    t0 = time.perf_counter()
+    denoiser, history = ano.train_denoiser(normed[data["train_idx"]], schedule, train_cfg,
+                                           val_windows=normed[data["val_idx"]])
+    train_elapsed = time.perf_counter() - t0
+    detector = AnomalyDetector(denoiser, schedule, data["stats"], data["L_s"], data["layout"],
+                               seed=cfg["detector_seed"])
+    detector.calibrate(normed[data["train_idx"]], **cfg["calibrate"])
+    return {"model": model, "data": data, "normed": normed, "train_config": train_cfg,
+            "history": history, "detector": detector, "train_elapsed": train_elapsed}

@@ -2,61 +2,53 @@
 
 Training the detector takes tens of seconds, so one instance is shared by
 the harness tests and the acceptance suite; the acceptance criterion on
-training runtime reads the elapsed time recorded here.
+training runtime reads the elapsed time recorded here. The deterministic
+scenario runs several tests make with it are shared through ``scenario_runs``.
 """
-import time
+import copy
+import json
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from exoassist import anomaly as ano
 from exoassist import control as ctl
-from exoassist import dynamics as dyn
 from exoassist import harness as hz
 from exoassist import planner as pl
 
 
-TRAIN_EPOCHS = 150
-TRAIN_DURATION = 30.0  # seconds of transparent-mode motion per subject
-
-
 def train_session_detector() -> dict:
-    """The bundled plant and gains, training data, and a detector trained
-    and calibrated on it; the ``trained`` fixture holds one per session."""
-    model = dyn.load_plant_config(pl.data_path("plant.json"))
-    control_cfg = ctl.load_control_config(pl.data_path("control.json"))
-    subjects = [hz.WearerParams(name="subject-a"),
-                hz.WearerParams(name="subject-b", K_h=25.0, C_h=6.0)]
-    data = hz.collect_training_data(model, subjects, duration=TRAIN_DURATION, seed=5)
-    normed = data["stats"].normalize(data["raw"]).reshape(data["raw"].shape[0], -1)
-    schedule = ano.NoiseSchedule.linear()
-    cfg = ano.TrainConfig(epochs=TRAIN_EPOCHS, seed=1)
+    """``harness.train_detector`` on the bundled train_config.json with 30 s
+    a subject, 150 epochs and detector seed 9, plus the bundled gains,
+    corpus and library; the ``trained`` fixture holds one per session."""
+    train = json.loads(pl.data_path("train_config.json").read_text())["train"]
+    run = hz.train_detector({"duration": 30.0, "train": {**train, "epochs": 150},
+                             "detector_seed": 9})
+    return {**run, "schedule": run["detector"].schedule,
+            "control": ctl.load_control_config(pl.data_path("control.json")),
+            "corpus": pl.load_corpus(pl.data_path("corpus.jsonl")),
+            "library": pl.default_library()}
 
-    t0 = time.perf_counter()
-    denoiser, history = ano.train_denoiser(
-        normed[data["train_idx"]], schedule, cfg,
-        val_windows=normed[data["val_idx"]])
-    train_elapsed = time.perf_counter() - t0
 
-    detector = ano.AnomalyDetector(denoiser, schedule, data["stats"],
-                                   data["L_s"], data["layout"], seed=9)
-    detector.calibrate(normed[data["train_idx"]])
+def session_stack(trained: dict, detector=True) -> hz.SimStack:
+    runtime = pl.PlannerRuntime(pl.RuleScorer(trained["corpus"]), trained["library"])
+    return hz.SimStack(model=trained["model"], control=trained["control"], planner=runtime,
+                       detector=trained["detector"] if detector else None)
 
-    corpus = pl.load_corpus(pl.data_path("corpus.jsonl"))
-    library = pl.default_library()
-    return {
-        "model": model,
-        "control": control_cfg,
-        "data": data,
-        "normed": normed,
-        "schedule": schedule,
-        "detector": detector,
-        "history": history,
-        "train_elapsed": train_elapsed,
-        "train_config": cfg,
-        "corpus": corpus,
-        "library": library,
-    }
+
+class ScenarioRuns:
+    """(trace, report) of a scenario file run at a seed (its own by default)
+    with a fresh session stack, run once per (file, seed) and handed out as
+    deep copies. A repeat run is bit-identical (criterion 8 checks it)."""
+
+    def __init__(self, trained: dict):
+        self.trained, self.runs = trained, {}
+
+    def __call__(self, path, seed: int | None = None):
+        scenario = hz.load_scenario(path)
+        key = (Path(path).resolve(), scenario.seed if seed is None else seed)
+        if key not in self.runs:
+            self.runs[key] = hz.run_scenario(scenario, session_stack(self.trained), seed=key[1])
+        return copy.deepcopy(self.runs[key])
 
 
 @pytest.fixture(scope="session")
@@ -64,18 +56,19 @@ def trained():
     return train_session_detector()
 
 
+@pytest.fixture(scope="session")
+def scenario_runs(trained):
+    return ScenarioRuns(trained)
+
+
 @pytest.fixture()
 def stack(trained):
-    runtime = pl.PlannerRuntime(pl.RuleScorer(trained["corpus"]), trained["library"])
-    return hz.SimStack(model=trained["model"], control=trained["control"],
-                       planner=runtime, detector=trained["detector"])
+    return session_stack(trained)
 
 
 @pytest.fixture()
 def stack_no_detector(trained):
-    runtime = pl.PlannerRuntime(pl.RuleScorer(trained["corpus"]), trained["library"])
-    return hz.SimStack(model=trained["model"], control=trained["control"],
-                       planner=runtime, detector=None)
+    return session_stack(trained, detector=False)
 
 
 def scenario_path(name: str):

@@ -20,8 +20,8 @@ and compare them with another revision's.
   planning LLM_TASK, each answered with the next choice of LLM_SCRIPT;
 - ``train_config.json``: what the bundled ``train_config.json`` builds: the
   collection arguments, the subjects' ``WearerParams``, the noise
-  schedule's ``beta`` and ``nu``, the ``TrainConfig`` fields and the
-  calibration arguments;
+  schedule's ``beta`` and ``nu``, the ``TrainConfig`` fields, the
+  calibration arguments and the detector seed;
 - ``manifest.json``: the SHA-256 digest of each file above.
 
 ``--against REV`` unpacks REV with ``git archive`` into a temporary
@@ -99,7 +99,9 @@ def _train_config_build() -> dict:
     return {"collection": {key: cfg[key] for key in ("duration", "seed", "L_s", "stride")},
             "subjects": [vars(hz.WearerParams(**s)) for s in cfg["subjects"]],
             "beta": schedule.beta.tolist(), "nu": schedule.nu,
-            "train": vars(ano.TrainConfig(**cfg["train"])), "calibrate": cfg["calibrate"]}
+            "train": vars(ano.TrainConfig(**cfg["train"])), "calibrate": cfg["calibrate"],
+            # a revision whose file lacks detector_seed took the collection seed plus 99
+            "detector_seed": cfg.get("detector_seed", cfg["seed"] + 99)}
 
 
 def write_artifacts(out: Path, checkpoint: Path) -> dict:

@@ -218,15 +218,14 @@ def test_criterion_5_detector_training_and_math(trained):
              f"(checks {elapsed:.1f} s)")
 
 
-def test_criterion_6_anomaly_separation(trained, stack):
+def test_criterion_6_anomaly_separation(trained, scenario_runs):
     t0 = time.perf_counter()
-    nominal = hz.load_scenario(scenario_path("water_mouth.json"))
-    trace_n, report_n = hz.run_scenario(nominal, stack)
+    trace_n, report_n = scenario_runs(scenario_path("water_mouth.json"))
     frac = report_n["fraction_scores_below_threshold"]
     assert frac >= 0.99
 
     drop = hz.load_scenario(scenario_path("drop_replan.json"))
-    trace_d, report_d = hz.run_scenario(drop, stack)
+    trace_d, report_d = scenario_runs(scenario_path("drop_replan.json"))
     latency = report_d["detection_latency_ms"]
     assert latency is not None and latency <= 200.0
 
@@ -294,10 +293,10 @@ def test_criterion_7_planner_exactness(trained):
              f"under 15 fuzzed monotone transforms ({elapsed:.1f} s)")
 
 
-def test_criterion_8_replanning_end_to_end(trained, stack):
+def test_criterion_8_replanning_end_to_end(trained, stack, scenario_runs):
     t0 = time.perf_counter()
     scen = hz.load_scenario(scenario_path("drop_replan.json"))
-    trace, report = hz.run_scenario(scen, stack, seed=scen.seed)
+    trace, report = scenario_runs(scenario_path("drop_replan.json"), seed=scen.seed)
 
     assert report["replan_count"] == 1
     assert report["task_completed"] is True

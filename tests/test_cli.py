@@ -42,6 +42,30 @@ def test_train_detector_writes_checkpoint(small_checkpoint):
     assert det.cal_scale > 0.0
 
 
+def test_train_detector_matches_library_recipe(tmp_path, small_train_config, small_checkpoint):
+    det = hz.train_detector(json.loads(small_train_config.read_text()))["detector"]
+    ano.save_checkpoint(tmp_path / "library.npz", det)
+    with np.load(small_checkpoint) as cli, np.load(tmp_path / "library.npz") as lib:
+        assert sorted(cli.files) == sorted(lib.files)
+        for name in cli.files:
+            assert np.array_equal(cli[name], lib[name]), name
+    assert det.seed == json.loads(pl.data_path("train_config.json").read_text())["detector_seed"]
+
+
+def test_train_detector_seeds_detector_from_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "duration": 1.0,
+        "subjects": [{"name": "subject-a"}],
+        "schedule": {"T": 4, "nu": 2},
+        "train": {"epochs": 1, "hidden": [8], "embed_dim": 4},
+        "detector_seed": 7,
+    }))
+    out = tmp_path / "det.npz"
+    assert main(["train-detector", "--config", str(cfg), "--out", str(out)]) == 0
+    assert ano.load_checkpoint(out).seed == 7
+
+
 class _Collected(Exception):
     """Stops a train-detector run once collection is asked for."""
 
@@ -98,11 +122,15 @@ def test_train_detector_from_csv(tmp_path, trained):
     assert out.exists()
 
 
-@pytest.mark.parametrize("config, csv_row, name", [
+# five windows in the bundled plant's shape (25 ticks of 16 channels), random but fixed
+_WINDOWS = np.random.default_rng(0).standard_normal((5, 25 * 16))
+
+
+@pytest.mark.parametrize("config, csv_rows, name", [
     ({"train": {"epoch": 3}}, None, "epoch"),
     ({"schedule": {"T": 5, "nu": 10}}, None, "nu"),
     ({"duration": "long"}, None, "duration"),
-    ({}, [0.5] * 7, "7 values"),
+    ({}, [[0.5] * 7], "7 values"),
     ([], None, "--config"),
     ('{"train": ', None, "--config"),
     ({"train": {"epochs": "x"}}, None, "train"),
@@ -120,19 +148,24 @@ def test_train_detector_from_csv(tmp_path, trained):
     ({"calibrate": {"percentile": 150}}, None, "calibrate percentile"),
     ({"train": {"beta1": 1.5}}, None, "train beta1"),
     ({"train": {"beta2": 1.0}}, None, "train beta2"),
+    ({}, _WINDOWS[:1], "--data"),
+    ({}, np.where(np.arange(_WINDOWS.shape[1]) % 16 == 3, 1.0, _WINDOWS), "--data"),
+    ({"duration": 0.1}, None, "duration"),
+    ({"subjects": []}, None, "subjects"),
 ], ids=["unknown-train-field", "nu-above-T", "string-duration", "short-csv-rows",
         "not-an-object", "malformed-json", "string-epochs", "string-subject-gain",
         "schedule-not-an-object", "string-calibrate-target", "numeric-plant-path",
         "boolean-subject-gain", "negative-subject-damping", "numeric-subject-name",
         "boolean-epochs", "fractional-hidden-width", "boolean-seed", "short-subject-gain",
-        "percentile-above-100", "beta1-above-1", "beta2-at-1"])
-def test_train_detector_rejects_bad_config(tmp_path, capsys, config, csv_row, name):
+        "percentile-above-100", "beta1-above-1", "beta2-at-1", "one-csv-row",
+        "constant-csv-channel", "duration-below-one-window", "no-subjects"])
+def test_train_detector_rejects_bad_config(tmp_path, capsys, config, csv_rows, name):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config if isinstance(config, str) else json.dumps(config))
     argv = ["train-detector", "--config", str(cfg), "--out", str(tmp_path / "det.npz")]
-    if csv_row is not None:
+    if csv_rows is not None:
         csv_path = tmp_path / "win.csv"
-        csv_path.write_text(",".join(map(str, csv_row)) + "\n")
+        csv_path.write_text("".join(",".join(map(str, row)) + "\n" for row in csv_rows))
         argv += ["--data", str(csv_path)]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import train_session_detector
+from conftest import ScenarioRuns, train_session_detector
 
 from exoassist import anomaly as ano
 from exoassist import control as ctl
@@ -137,15 +137,12 @@ def collection_run() -> dict:
             "std": data["stats"].std.tolist()}
 
 
-def detector_run(trained: dict) -> dict:
+def detector_run(scenario_runs: ScenarioRuns) -> dict:
     """Run the detector scenarios with the session detector; keep the events
     and every SAMPLE_EVERY-th score."""
     out = {}
     for name, path in DETECTOR_SCENARIOS.items():
-        runtime = pl.PlannerRuntime(pl.RuleScorer(trained["corpus"]), trained["library"])
-        stack = hz.SimStack(model=trained["model"], control=trained["control"],
-                            planner=runtime, detector=trained["detector"])
-        trace, report = hz.run_scenario(hz.load_scenario(path), stack)
+        trace, report = scenario_runs(path)
         out[name] = {"replan_ticks": np.flatnonzero(trace.column("replan")).tolist(),
                      **{key: report[key] for key in (
                          "task_completed", "replan_count", "detection_latency_ms",
@@ -209,9 +206,9 @@ def test_golden_collection_run():
                                    atol=COLLECT_ATOL, err_msg=key)
 
 
-def test_golden_detector_events(trained):
+def test_golden_detector_events(scenario_runs):
     want = json.loads((GOLDEN_DIR / "detector_events.json").read_text())
-    got = detector_run(trained)
+    got = detector_run(scenario_runs)
     assert sorted(got) == sorted(want)
     for name, ref in want.items():
         run = got[name]
@@ -246,5 +243,5 @@ if __name__ == "__main__":
     path.write_text(json.dumps(collection_run()) + "\n")
     print(f"wrote {path}")
     path = GOLDEN_DIR / "detector_events.json"
-    path.write_text(json.dumps(detector_run(train_session_detector())) + "\n")
+    path.write_text(json.dumps(detector_run(ScenarioRuns(train_session_detector()))) + "\n")
     print(f"wrote {path}")
