@@ -91,12 +91,17 @@ class NoiseSchedule:
         return cls(beta=np.linspace(beta_start, beta_end, T), nu=nu)
 
 
-def forward_diffuse(x0: np.ndarray, t: int, eps: np.ndarray,
+def forward_diffuse(x0: np.ndarray, t, eps: np.ndarray,
                     schedule: NoiseSchedule) -> np.ndarray:
-    """Closed-form forward marginal: x_t = x0 sqrt(ab_t) + eps sqrt(1-ab_t)."""
-    if not 1 <= t <= schedule.T:
+    """Closed-form forward marginal: x_t = x0 sqrt(ab_t) + eps sqrt(1-ab_t),
+    at one step ``t``, or at ``t[i]`` for row i when ``t`` has shape (B,)
+    and ``x0`` and ``eps`` shape (B, D)."""
+    t = np.asarray(t)
+    if t.min() < 1 or t.max() > schedule.T:
         raise ValueError(f"t must lie in [1, {schedule.T}]")
     ab = schedule.alpha_bar[t - 1]
+    if t.ndim:
+        ab = ab[:, None]
     return np.sqrt(ab) * np.asarray(x0) + np.sqrt(1.0 - ab) * np.asarray(eps)
 
 
@@ -134,6 +139,8 @@ class NormStats:
 def compute_stats(raw_windows: np.ndarray) -> NormStats:
     """Per-channel statistics over (M, L_s, per_tick) raw windows."""
     flat = raw_windows.reshape(-1, raw_windows.shape[-1])
+    if not flat.shape[0]:
+        raise DegenerateDataError("no windows to take statistics over")
     std = flat.std(axis=0)
     bad = np.nonzero(std < 1e-8)[0].tolist()
     if bad:
@@ -197,8 +204,7 @@ def denoiser_loss_and_grads(denoiser: Denoiser, x0: np.ndarray, t: np.ndarray,
     and its flat parameter gradient: the network's gradient buffer, valid
     until the next backward. Deterministic given (x0, t, eps).
     """
-    ab = schedule.alpha_bar[t - 1][:, None]
-    x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+    x_t = forward_diffuse(x0, t, eps, schedule)
     pred, acts = denoiser.eps(x_t, t)
     resid = pred - eps
     loss = float(np.mean(np.sum(resid**2, axis=1)))
@@ -292,9 +298,7 @@ class AnomalyDetector:
         B = x.shape[0]
         sch = self.schedule
         nu = sch.nu
-        eps1 = np.tile(self._eps1_fixed, (B, 1))
-        ab_nu = sch.alpha_bar[nu - 1]
-        xt = np.sqrt(ab_nu) * x + np.sqrt(1.0 - ab_nu) * eps1
+        xt = forward_diffuse(x, nu, np.tile(self._eps1_fixed, (B, 1)), sch)
         caches = []
         for t in range(nu, 0, -1):
             a_t = sch.alpha[t - 1]
@@ -430,7 +434,11 @@ def save_windows_csv(path: str | Path, raw_windows: np.ndarray) -> None:
 
 
 def load_windows_csv(path: str | Path, L_s: int, per_tick: int) -> np.ndarray:
-    flat = np.loadtxt(path, delimiter=",", ndmin=2)
+    """Raw windows (M, L_s, per_tick) from the CSV ``save_windows_csv`` writes."""
+    text = Path(path).read_text()
+    if not text.strip():
+        raise ValueError(f"{path} holds no windows")
+    flat = np.loadtxt(text.splitlines(), delimiter=",", ndmin=2)
     if flat.shape[1] != L_s * per_tick:
         raise ValueError(
             f"CSV rows have {flat.shape[1]} values, expected {L_s * per_tick}")

@@ -15,6 +15,7 @@ from . import control as ctl
 from . import dynamics as dyn
 from . import harness as hz
 from . import planner as pl
+from .config import ConfigError, Field, check_fields, config_section
 
 __all__ = ["main"]
 
@@ -25,28 +26,28 @@ __all__ = ["main"]
 
 # train_config.json's fields; the bundled file sets all but "plant" (the bundled plant.json)
 TRAIN_CONFIG_FIELDS = {
-    "plant": dyn.Field("string"),
-    "duration": dyn.Field(bound="> 0"),
-    **dict.fromkeys(("L_s", "stride"), dyn.Field("integer", "> 0")),
-    **dict.fromkeys(("seed", "detector_seed"), dyn.Field("integer", ">= 0")),
-    "subjects": dyn.Field("objects", table=hz.WEARER_FIELDS),
-    "schedule": dyn.Field("object", table={
-        **dict.fromkeys(("T", "nu"), dyn.Field("integer", "> 0")),
-        **dict.fromkeys(("beta_start", "beta_end"), dyn.Field(bound="> 0"))}),
-    "train": dyn.Field("object", table={
-        **dict.fromkeys(("epochs", "batch_size", "embed_dim"), dyn.Field("integer", "> 0")),
-        **dict.fromkeys(("lr", "adam_eps"), dyn.Field(bound="> 0")),
-        **dict.fromkeys(("beta1", "beta2"), dyn.Field(bound=">= 0, < 1")),
-        "seed": dyn.Field("integer", ">= 0"),
-        "hidden": dyn.Field("integers", "> 0")}),
-    "calibrate": dyn.Field("object", table={"target": dyn.Field(bound="> 0"),
-                                            "percentile": dyn.Field(bound=">= 0, <= 100")}),
+    "plant": Field("string"),
+    "duration": Field(bound="> 0"),
+    **dict.fromkeys(("L_s", "stride"), Field("integer", "> 0")),
+    **dict.fromkeys(("seed", "detector_seed"), Field("integer", ">= 0")),
+    "subjects": Field("objects", table=hz.WEARER_FIELDS),
+    "schedule": Field("object", table={
+        **dict.fromkeys(("T", "nu"), Field("integer", "> 0")),
+        **dict.fromkeys(("beta_start", "beta_end"), Field(bound="> 0"))}),
+    "train": Field("object", table={
+        **dict.fromkeys(("epochs", "batch_size", "embed_dim"), Field("integer", "> 0")),
+        **dict.fromkeys(("lr", "adam_eps"), Field(bound="> 0")),
+        **dict.fromkeys(("beta1", "beta2"), Field(bound=">= 0, < 1")),
+        "seed": Field("integer", ">= 0"),
+        "hidden": Field("integers", "> 0")}),
+    "calibrate": Field("object", table={"target": Field(bound="> 0"),
+                                        "percentile": Field(bound=">= 0, <= 100")}),
 }
 
 
 def _csv_data(path: str, layout: ano.ChannelLayout, L_s: int) -> dict:
     """A --data CSV's windows, 80 % to train on (and to take stats from)."""
-    with dyn.config_section(f"--data {path}"):
+    with config_section(f"--data {path}"):
         raw = ano.load_windows_csv(path, L_s, layout.per_tick)
         cut = int(0.8 * len(raw))
         if cut == 0:
@@ -58,9 +59,9 @@ def _csv_data(path: str, layout: ano.ChannelLayout, L_s: int) -> dict:
 
 def cmd_train_detector(args) -> int:
     # every value is checked before collection starts
-    with dyn.config_section(f"--config {args.config}"):
+    with config_section(f"--config {args.config}"):
         extra = json.loads(Path(args.config).read_text()) if args.config else {}
-        dyn.check_fields(extra, TRAIN_CONFIG_FIELDS, "config")
+        check_fields(extra, TRAIN_CONFIG_FIELDS, "config")
     try:
         run = hz.train_detector(extra, partial(_csv_data, args.data) if args.data else None)
     except ano.AnomalyTrainingError as exc:
@@ -81,15 +82,15 @@ def cmd_train_detector(args) -> int:
 
 def cmd_run_scenario(args) -> int:
     # a file that is missing, unparseable or invalid exits 2 naming its flag
-    with dyn.config_section(f"--checkpoint {args.checkpoint}"):
+    with config_section(f"--checkpoint {args.checkpoint}"):
         detector = ano.load_checkpoint(args.checkpoint) if args.checkpoint else None
     plant = args.plant or pl.data_path("plant.json")
     control = args.control or pl.data_path("control.json")
-    with dyn.config_section(f"--plant {plant}"):
+    with config_section(f"--plant {plant}"):
         model = dyn.load_plant_config(plant)
-    with dyn.config_section(f"--control {control}"):
+    with config_section(f"--control {control}"):
         control_cfg = ctl.load_control_config(control)
-    with dyn.config_section(f"--scenario {args.scenario}"):
+    with config_section(f"--scenario {args.scenario}"):
         scenario = hz.load_scenario(args.scenario)
     runtime = pl.PlannerRuntime(pl.RuleScorer(pl.load_corpus(pl.data_path("corpus.jsonl"))),
                                 pl.default_library())
@@ -265,7 +266,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except dyn.ConfigError as exc:
+    except ConfigError as exc:
         print(f"exoassist {args.command}: {exc}", file=sys.stderr)
         return 2
 

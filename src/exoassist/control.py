@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (ConfigError, Field, PlantModel, PlantState, _friction, _rigid_body_terms,
-                       check_fields)
+from .config import ConfigError, Field, check_fields
+from .dynamics import PlantModel, PlantState, _friction, _rigid_body_terms
 
 __all__ = [
     "TransparentConfig",

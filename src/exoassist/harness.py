@@ -34,7 +34,7 @@ from . import control as ctl
 from . import dynamics as dyn
 from . import trajectory as traj
 from .anomaly import AnomalyDetector, ChannelLayout, compute_stats
-from .dynamics import ConfigError, Field, check_fields, config_section
+from .config import ConfigError, Field, check_fields, config_section
 from .planner import (
     DEFAULT_THRESHOLD,
     PlannerRuntime,
@@ -164,12 +164,12 @@ class SimStack:
 
     def __post_init__(self):
         if (self.model.n, self.model.n_c) != (TRACE_N, TRACE_N_C):
-            raise dyn.ConfigError(
+            raise ConfigError(
                 f"a scenario runs a plant of {TRACE_N} joints, {TRACE_N_C} cable-driven "
                 f"(the trace layout); got n = {self.model.n}, n_c = {self.model.n_c}")
         plant = ChannelLayout(n=self.model.n, n_c=self.model.n_c)
         if self.detector is not None and self.detector.layout != plant:
-            raise dyn.ConfigError(f"the detector reads {self.detector.layout}; the plant is {plant}")
+            raise ConfigError(f"the detector reads {self.detector.layout}; the plant is {plant}")
         self.control.transparent.validated(self.model.n_c)
         self.control.impedance.validated(self.model.n, self.model.n_c)
         self.control.qp.validated(self.model.n)
@@ -244,10 +244,10 @@ def _check_scenario(values: dict, sizes: dict | None = None) -> None:
         event = vars(event) if isinstance(event, EventSpec) else event
         name, kind = f"scenario events[{i}]", event["type"]
         if kind not in EVENT_PARAMS:
-            raise dyn.ConfigError(f"{name}: unknown event type {kind!r}")
+            raise ConfigError(f"{name}: unknown event type {kind!r}")
         check_fields(event.get("params", {}), EVENT_PARAMS[kind], f"{name} params", sizes)
         if event["t"] > duration:
-            raise dyn.ConfigError(f"{name} at t = {event['t']} s is outside [0, {duration}] s")
+            raise ConfigError(f"{name} at t = {event['t']} s is outside [0, {duration}] s")
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -517,7 +517,6 @@ class _ScenarioRun:
             self.replanned = True
             self.replan_count += 1
             self.last_trigger_t = t
-            self.plan.clear()
             self.plan, self.move, self.mode, self.mode_cmd = None, None, "transparent", True
             self.wearer.reach(t, self.state.q.copy(), self.grasp_pose, REACH_DURATION)
             self.step = "planning"
@@ -525,12 +524,12 @@ class _ScenarioRun:
             self.stack.planner.request_plan(sc.task)
 
     def execute(self, t: float, s: float, grad: np.ndarray) -> None:
-        """Take a finished plan from the planner, then step it. On the tick
+        """Take a ready plan from the planner, then step it. On the tick
         the grasp is confirmed the item's mass starts to load."""
         if self.plan is None:
             result = self.stack.planner.poll()
-            if result is not None and result.plan is not None and result.plan.valid:
-                self.plan = result.plan
+            if result is not None and result.status == "ready":
+                self.plan = result
                 self._begin(t)
         if self.plan is None:
             return
@@ -589,7 +588,7 @@ class _ScenarioRun:
                 self.step = "done"
                 return
             elif not step.name.startswith("predefined:"):
-                raise dyn.ConfigError(f"executor cannot run subtask {step.name!r}")
+                raise ConfigError(f"executor cannot run subtask {step.name!r}")
             plan.advance()
         self.step = "done"
 

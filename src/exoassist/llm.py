@@ -14,6 +14,7 @@ ReplayTransport serves them back by exact request match.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -163,7 +164,8 @@ class LLMScorer:
 
     @staticmethod
     def parse_choice(content: str, candidates: list[str]):
-        """Extract {'choice','confidence'} JSON; unknown choice -> invalid."""
+        """Extract {'choice','confidence'} JSON; an unknown choice or a
+        non-finite confidence (``json.loads`` reads NaN and Infinity) -> invalid."""
         try:
             start = content.index("{")
             end = content.rindex("}") + 1
@@ -171,6 +173,8 @@ class LLMScorer:
             choice = str(data["choice"]).strip()
             confidence = float(data.get("confidence", 1.0))
         except (ValueError, KeyError, TypeError):
+            return None, 0.0
+        if not math.isfinite(confidence):
             return None, 0.0
         if choice not in candidates:
             return None, confidence

@@ -5,6 +5,10 @@ set of candidates: the next subtask, then, if that subtask is
 configurable, its parameter binding. The scorer (a deterministic rule
 scorer for tests and offline use, or a remote language model client)
 returns one probability per candidate and the planner takes the argmax.
+Planning has one outcome, a ``Plan`` whose ``status`` says whether it may
+execute: ``ready``, ``needs_clarification`` (ask the wearer) or
+``invalid`` (an unrecognised scorer answer, or a plan that runs past
+``MAX_STEPS`` steps without ``done``); only a ready plan is ever run.
 Replanning happens in the harness: when the anomaly score crosses the
 threshold during execution, it aborts the running plan and requests a new
 one.
@@ -23,7 +27,6 @@ __all__ = [
     "default_library",
     "PlanStep",
     "Plan",
-    "PlanResult",
     "ScorerQuery",
     "ScoreResult",
     "ItemRecord",
@@ -44,7 +47,7 @@ PREDEFINED = ("catch_prep", "arm_swing")  # the library's predefined movements
 
 
 class PlanError(RuntimeError):
-    """Planning aborted: scorer failure, empty library, or runaway loop."""
+    """Raised for an empty subtask library."""
 
 
 def data_path(name: str) -> Path:
@@ -74,12 +77,6 @@ class SubtaskLibrary:
     @property
     def names(self) -> list[str]:
         return [s.name for s in self.subtasks]
-
-    def get(self, name: str) -> Subtask:
-        for s in self.subtasks:
-            if s.name == name:
-                return s
-        raise KeyError(name)
 
     def describe_functions(self) -> str:
         return "\n".join(f"- {s.name}: {s.description}" for s in self.subtasks)
@@ -143,14 +140,14 @@ class PlanStep:
 
 @dataclass
 class Plan:
+    """What planning returns. ``status`` is ``ready`` (the steps end in
+    ``done``), ``needs_clarification`` or ``invalid``; a plan that is not
+    ready has no steps and a ``reason``."""
+
     steps: list[PlanStep] = field(default_factory=list)
     cursor: int = 0
-    valid: bool = True
-    invalid_reason: str | None = None
-
-    def clear(self) -> None:
-        self.steps = []
-        self.cursor = 0
+    status: str = "ready"
+    reason: str | None = None
 
     @property
     def finished(self) -> bool:
@@ -161,23 +158,6 @@ class Plan:
 
     def advance(self) -> None:
         self.cursor += 1
-
-    def require_bound(self, library: SubtaskLibrary) -> None:
-        """No configurable subtask may execute with unbound parameters."""
-        for step in self.steps:
-            sub = library.get(step.name)
-            if sub.configurable:
-                expected = {k for _, args in sub.bindings for k in args}
-                if not expected.issubset(step.args.keys()):
-                    raise PlanError(
-                        f"subtask {step.name} has unbound parameters: "
-                        f"{sorted(expected - set(step.args))}")
-
-
-@dataclass
-class PlanResult:
-    plan: Plan | None
-    needs_clarification: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -370,27 +350,28 @@ def _argmax(scores) -> int:
     return best
 
 
-def _decide(scorer, query: ScorerQuery, what: str) -> tuple[int, PlanResult | None]:
-    """One scorer call: the index of the best candidate, or the result that
+def _decide(scorer, query: ScorerQuery, what: str) -> tuple[int, Plan | None]:
+    """One scorer call: the index of the best candidate, or the plan that
     ends planning when the scorer asks for clarification or fails to
     recognise its own answer (``what`` names the decision in the reason)."""
     r = scorer.score(query)
     if r.needs_clarification:
-        return 0, PlanResult(plan=None, needs_clarification=True)
+        return 0, Plan(status="needs_clarification",
+                       reason=f"scorer asked for clarification of the {what}")
     if r.invalid:
-        return 0, PlanResult(plan=Plan(
-            valid=False, invalid_reason=f"scorer produced an unrecognized {what}"))
+        return 0, Plan(status="invalid", reason=f"scorer produced an unrecognized {what}")
     return _argmax(r.probabilities), None
 
 
-def plan(task: str, scorer, library: SubtaskLibrary) -> PlanResult:
+def plan(task: str, scorer, library: SubtaskLibrary) -> Plan:
     """Generate a plan stepwise: choose a subtask, then its configuration,
-    append, until the chosen subtask is ``done``. Raises ``PlanError`` past
-    ``MAX_STEPS`` steps or on an unbound parameter."""
+    append, until the chosen subtask is ``done``. Planning ends early, with
+    a plan that is not ready, when the scorer asks for clarification or
+    gives an unrecognised answer, or past ``MAX_STEPS`` steps."""
     steps: list[PlanStep] = []
     while not steps or steps[-1].name != "done":
         if len(steps) > MAX_STEPS:
-            raise PlanError(f"plan exceeded {MAX_STEPS} steps without 'done'")
+            return Plan(status="invalid", reason=f"plan exceeded {MAX_STEPS} steps without 'done'")
         history = tuple(step.label for step in steps)
         i, end = _decide(scorer, ScorerQuery(task, tuple(library.names), history=history),
                          "selection")
@@ -406,10 +387,7 @@ def plan(task: str, scorer, library: SubtaskLibrary) -> PlanResult:
                 return end
             label, args = pick.bindings[j]
         steps.append(PlanStep(name=pick.name, args=dict(args), label=label))
-
-    result = Plan(steps=steps)
-    result.require_bound(library)
-    return PlanResult(plan=result)
+    return Plan(steps=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -421,22 +399,18 @@ class PlannerRuntime:
 
     ``request_plan`` plans ``task`` from scratch (a replan is just another
     request) into a slot that ``poll`` reads and clears. Planning runs in
-    the caller, so the result is ready on the next poll; a ``PlanError``
-    arrives as an invalid plan.
+    the caller, so the plan, whatever its status, is there on the next poll.
     """
 
     def __init__(self, scorer, library: SubtaskLibrary):
         self.scorer = scorer
         self.library = library
-        self._slot: PlanResult | None = None
+        self._slot: Plan | None = None
 
     def request_plan(self, task: str) -> None:
-        try:
-            self._slot = plan(task, self.scorer, self.library)
-        except PlanError as exc:
-            self._slot = PlanResult(plan=Plan(valid=False, invalid_reason=str(exc)))
+        self._slot = plan(task, self.scorer, self.library)
 
-    def poll(self) -> PlanResult | None:
+    def poll(self) -> Plan | None:
         result, self._slot = self._slot, None
         return result
 
@@ -472,13 +446,13 @@ def evaluate_corpus(corpus: list[ItemRecord], scorer, library: SubtaskLibrary) -
         row = {"name": item.name, "task": task,
                "expected": {"spd": item.expected_spd, "imp": item.expected_imp,
                             "end_impedance": item.expected_end_impedance}}
-        if result.plan is None or not result.plan.valid:
+        if result.status != "ready":
             row["valid"] = False
             row["success"] = False
             per_item.append(row)
             continue
         n_valid += 1
-        sem = plan_semantics(result.plan)
+        sem = plan_semantics(result)
         row["valid"] = True
         row["predicted"] = sem
         spd_err = sem["spd"] != item.expected_spd

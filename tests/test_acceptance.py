@@ -260,7 +260,7 @@ def test_criterion_7_planner_exactness(trained):
                 "hand me the apple": (1, 1),
                 "carry the dumbbell to the shelf": (0, 1)}
     for task, bits in expected.items():
-        sem = pl.plan_semantics(pl.plan(task, scorer, library).plan)
+        sem = pl.plan_semantics(pl.plan(task, scorer, library))
         assert (sem["spd"], sem["imp"]) == bits, task
 
     report = pl.evaluate_corpus(corpus, scorer, library)
@@ -285,7 +285,7 @@ def test_criterion_7_planner_exactness(trained):
     for _ in range(15):
         wrapped = pl.plan("carry the suitcase",
                           Wrap(rng.uniform(0.1, 3.0), rng.uniform(-2, 2)), library)
-        assert [s.label for s in wrapped.plan.steps] == [s.label for s in ref.plan.steps]
+        assert [s.label for s in wrapped.steps] == [s.label for s in ref.steps]
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0

@@ -82,6 +82,17 @@ def test_forward_diffuse_rejects_bad_t():
         ano.forward_diffuse(np.zeros(2), 0, np.zeros(2), sch)
     with pytest.raises(ValueError):
         ano.forward_diffuse(np.zeros(2), 11, np.zeros(2), sch)
+    with pytest.raises(ValueError):
+        ano.forward_diffuse(np.zeros((3, 2)), np.array([1, 11, 3]), np.zeros((3, 2)), sch)
+
+
+def test_forward_diffuse_per_sample_steps_match_single_steps():
+    sch = ano.NoiseSchedule.linear(T=10, nu=3)
+    rng = np.random.default_rng(2)
+    x0, eps = rng.standard_normal((2, 4, 3))
+    t = np.array([1, 4, 7, 10])
+    rows = [ano.forward_diffuse(x0[i], t[i], eps[i], sch) for i in range(4)]
+    assert np.array_equal(ano.forward_diffuse(x0, t, eps, sch), np.stack(rows))
 
 
 def test_forward_marginal_monte_carlo():
@@ -332,3 +343,5 @@ def test_degenerate_data_rejected():
     raw = np.zeros((10, 4, 8))
     with pytest.raises(ano.DegenerateDataError):
         ano.compute_stats(raw)
+    with pytest.raises(ano.DegenerateDataError, match="no windows"):
+        ano.compute_stats(np.empty((0, 4, 8)))

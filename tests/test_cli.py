@@ -152,13 +152,15 @@ _WINDOWS = np.random.default_rng(0).standard_normal((5, 25 * 16))
     ({}, np.where(np.arange(_WINDOWS.shape[1]) % 16 == 3, 1.0, _WINDOWS), "--data"),
     ({"duration": 0.1}, None, "duration"),
     ({"subjects": []}, None, "subjects"),
+    ({}, [], "holds no windows"),
 ], ids=["unknown-train-field", "nu-above-T", "string-duration", "short-csv-rows",
         "not-an-object", "malformed-json", "string-epochs", "string-subject-gain",
         "schedule-not-an-object", "string-calibrate-target", "numeric-plant-path",
         "boolean-subject-gain", "negative-subject-damping", "numeric-subject-name",
         "boolean-epochs", "fractional-hidden-width", "boolean-seed", "short-subject-gain",
         "percentile-above-100", "beta1-above-1", "beta2-at-1", "one-csv-row",
-        "constant-csv-channel", "duration-below-one-window", "no-subjects"])
+        "constant-csv-channel", "duration-below-one-window", "no-subjects",
+        "empty-csv"])
 def test_train_detector_rejects_bad_config(tmp_path, capsys, config, csv_rows, name):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config if isinstance(config, str) else json.dumps(config))

@@ -21,6 +21,7 @@ from exoassist import control as ctl
 from exoassist import dynamics as dyn
 from exoassist import harness as hz
 from exoassist import planner as pl
+from exoassist.config import ConfigError
 
 SIZES = {"n": 4, "n_c": 2}  # the bundled plant's
 SAMPLE_PARAMS = {  # one valid event of each type, all params given
@@ -172,5 +173,5 @@ def test_bad_field_rejected_naming_it(tmp_path, monkeypatch, file, path, value, 
     _set(obj, path, value)
     config = tmp_path / f"{file}.json"
     config.write_text(json.dumps(obj))
-    with pytest.raises(dyn.ConfigError, match=re.escape(label)):
+    with pytest.raises(ConfigError, match=re.escape(label)):
         use(config)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from exoassist import control as ctl
 from exoassist import dynamics as dyn
+from exoassist.config import ConfigError
 from oracles import (christoffel, fast_term, plant_matrices, plant_terms,
                      reference_impedance_control, reference_step, reference_transparent_control)
 
@@ -370,7 +371,7 @@ def test_control_config_roundtrip(tmp_path):
 def test_control_config_rejects_unknown(tmp_path):
     path = tmp_path / "control.json"
     path.write_text(json.dumps({"transparent": {"gamma0": 0.5, "turbo": True}}))
-    with pytest.raises(dyn.ConfigError, match="turbo"):
+    with pytest.raises(ConfigError, match="turbo"):
         ctl.load_control_config(path)
 
 
@@ -389,7 +390,7 @@ def test_control_config_rejects_unknown(tmp_path):
 def test_bad_qp_setting_rejected_at_construction(field, value, match):
     kwargs = {"position_min": [-1.0, -1.0, 0.0, 0.0], "position_max": [1.0, 1.0, 1.0, 1.0],
               field: value}
-    with pytest.raises(dyn.ConfigError, match=match):
+    with pytest.raises(ConfigError, match=match):
         ctl.QPConfig(**kwargs)
 
 
@@ -398,5 +399,5 @@ def test_bad_qp_setting_rejected_at_construction(field, value, match):
 def test_zero_control_weight_rejected(R):
     """R = 0 leaves the last step's accelerations without curvature, and the
     dual active set then fails to settle on moves with a binding speed limit."""
-    with pytest.raises(dyn.ConfigError, match="qp R"):
+    with pytest.raises(ConfigError, match="qp R"):
         ctl.QPConfig(R=R)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from exoassist import dynamics as dyn
 from exoassist import planner as pl
+from exoassist.config import ConfigError
 from oracles import christoffel, fk, geometry, plant_matrices, plant_terms
 
 
@@ -364,11 +365,11 @@ def test_plant_state_validation():
 
 
 def test_model_invariant_validation():
-    with pytest.raises(dyn.ConfigError):
+    with pytest.raises(ConfigError):
         dyn.PlantModel(link_masses=[1.0, -1.0, 1.0, 1.0])
-    with pytest.raises(dyn.ConfigError):
+    with pytest.raises(ConfigError):
         dyn.PlantModel(n=2, n_c=3, link_lengths=[0.2, 0.2], link_masses=[1, 1])
-    with pytest.raises(dyn.ConfigError):
+    with pytest.raises(ConfigError):
         dyn.PlantModel(spring_stiffness=0.0)
 
 
@@ -393,7 +394,7 @@ def test_plant_config_roundtrip(tmp_path):
 def test_plant_config_rejects_unknown_fields(tmp_path):
     path = tmp_path / "plant.json"
     path.write_text(json.dumps({"n": 4, "wing_span": 2.0}))
-    with pytest.raises(dyn.ConfigError, match="wing_span"):
+    with pytest.raises(ConfigError, match="wing_span"):
         dyn.load_plant_config(path)
 
 
@@ -410,5 +411,5 @@ def test_plant_config_rejects_unknown_fields(tmp_path):
 def test_plant_config_takes_only_numbers_as_numbers(tmp_path, fields, name):
     path = tmp_path / "plant.json"
     path.write_text(json.dumps({**json.loads(pl.data_path("plant.json").read_text()), **fields}))
-    with pytest.raises(dyn.ConfigError, match=re.escape(name)):
+    with pytest.raises(ConfigError, match=re.escape(name)):
         dyn.load_plant_config(path)

@@ -16,6 +16,7 @@ from exoassist import dynamics as dyn
 from exoassist import harness as hz
 from exoassist import planner as pl
 from exoassist import trajectory as traj
+from exoassist.config import ConfigError
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +165,7 @@ def test_scenario_and_collection_read_out_by_one_rule(monkeypatch):
 
 
 def test_collection_rejects_negative_noise(no_physics):
-    with pytest.raises(dyn.ConfigError, match="sensor_noise q"):
+    with pytest.raises(ConfigError, match="sensor_noise q"):
         hz.collect_training_data(dyn.default_model(), [hz.WearerParams()], duration=1.0,
                                  sensor_noise={**hz.DEFAULT_SENSOR_NOISE, "q": -1.0})
 
@@ -301,14 +302,14 @@ def test_trace_csv_roundtrip(tmp_path, stack_no_detector):
 def test_scenario_loader_rejects_unknown_fields(tmp_path):
     path = tmp_path / "scen.json"
     path.write_text('{"name": "x", "task": "y", "warp_speed": 9}')
-    with pytest.raises(dyn.ConfigError, match="warp_speed"):
+    with pytest.raises(ConfigError, match="warp_speed"):
         hz.load_scenario(path)
 
 
 def test_scenario_loader_needs_name_and_task(tmp_path):
     path = tmp_path / "scen.json"
     path.write_text('{"name": "x"}')
-    with pytest.raises(dyn.ConfigError, match="task"):
+    with pytest.raises(ConfigError, match="task"):
         hz.load_scenario(path)
 
 
@@ -331,7 +332,7 @@ def _scenario_file(tmp_path, event, duration=1.0):
     ({"type": "payload_step", "t": 0.5, "params": {"mass": [1.0, 2.0]}}, "single number"),
 ], ids=["unknown-type", "missing-param", "non-finite", "time-outside-run", "list-mass"])
 def test_scenario_loader_rejects_bad_events(tmp_path, event, match):
-    with pytest.raises(dyn.ConfigError, match=match):
+    with pytest.raises(ConfigError, match=match):
         hz.load_scenario(_scenario_file(tmp_path, event))
 
 
@@ -354,14 +355,14 @@ def no_physics(monkeypatch):
     lambda: ctl.ImpedanceConfig(Mv=[0.5, 0.5, 0.0, 0.5]),
 ], ids=["gamma0", "Kv", "w", "Kd", "Mv"])
 def test_bad_gain_rejected_at_construction(make):
-    with pytest.raises(dyn.ConfigError):
+    with pytest.raises(ConfigError):
         make()
 
 
 def test_bad_gain_rejected_at_load(tmp_path):
     path = tmp_path / "control.json"
     path.write_text(json.dumps({"impedance": {"Cd": 0.0}}))
-    with pytest.raises(dyn.ConfigError, match="Cd"):
+    with pytest.raises(ConfigError, match="Cd"):
         ctl.load_control_config(path)
 
 
@@ -369,11 +370,11 @@ def test_wrong_gain_length_fails_before_the_first_tick(no_physics):
     model = dyn.default_model()
     control = ctl.load_control_config(pl.data_path("control.json"))
     short_kd = replace(control, impedance=replace(control.impedance, Kd=[50.0, 50.0]))
-    with pytest.raises(dyn.ConfigError, match="Kd"):
+    with pytest.raises(ConfigError, match="Kd"):
         hz.SimStack(model=model, control=short_kd, planner=None)
-    with pytest.raises(dyn.ConfigError, match="Kd"):
+    with pytest.raises(ConfigError, match="Kd"):
         hz.tracking_comparison(model, short_kd, [0, 5, 0, 20], [0, 95, 0, 20], t_f=3.0)
-    with pytest.raises(dyn.ConfigError, match="Kv"):
+    with pytest.raises(ConfigError, match="Kv"):
         hz.collect_training_data(model, [hz.WearerParams()], duration=1.0,
                                  cfg=ctl.TransparentConfig(Kv=[5.0, 5.0, 5.0]))
 
@@ -383,9 +384,9 @@ def test_wrong_qp_bound_length_fails_before_the_first_tick(no_physics):
     control = ctl.load_control_config(pl.data_path("control.json"))
     short_bound = replace(control, qp=replace(control.qp, position_min=[-1.0, -1.0],
                                               position_max=[1.0, 1.0]))
-    with pytest.raises(dyn.ConfigError, match="position_min must have length 4"):
+    with pytest.raises(ConfigError, match="position_min must have length 4"):
         hz.SimStack(model=model, control=short_bound, planner=None)
-    with pytest.raises(dyn.ConfigError, match="position_min must have length 4"):
+    with pytest.raises(ConfigError, match="position_min must have length 4"):
         hz.tracking_comparison(model, short_bound, [0, 5, 0, 20], [0, 95, 0, 20], t_f=3.0)
 
 
@@ -401,7 +402,7 @@ def test_wrong_event_vector_fails_before_the_first_tick(no_physics, events, matc
                         control=ctl.load_control_config(pl.data_path("control.json")),
                         planner=None)
     scen = hz.Scenario(name="x", task="help me drink water", duration=1.0, events=events)
-    with pytest.raises(dyn.ConfigError, match=match):
+    with pytest.raises(ConfigError, match=match):
         hz.run_scenario(scen, stack)
 
 
@@ -417,7 +418,7 @@ def test_wrong_scenario_vector_fails_before_the_first_tick(no_physics, fields, m
                         control=ctl.load_control_config(pl.data_path("control.json")),
                         planner=None)
     scen = hz.Scenario(name="x", task="help me drink water", duration=1.0, **fields)
-    with pytest.raises(dyn.ConfigError, match=match):
+    with pytest.raises(ConfigError, match=match):
         hz.run_scenario(scen, stack)
 
 
@@ -471,7 +472,7 @@ def test_default_speed_limit_binds_without_paramset():
 def test_scenario_stack_rejects_a_plant_the_trace_cannot_record(n):
     model = dyn.PlantModel(n=n, n_c=2, link_lengths=[0.2] * n, link_masses=[1.0] * n)
     control = ctl.ControlConfig(ctl.TransparentConfig(), ctl.ImpedanceConfig(), ctl.QPConfig())
-    with pytest.raises(dyn.ConfigError, match=f"4 joints, 2 cable-driven.*n = {n}, n_c = 2"):
+    with pytest.raises(ConfigError, match=f"4 joints, 2 cable-driven.*n = {n}, n_c = 2"):
         hz.SimStack(model=model, control=control, planner=None)
 
 
@@ -561,5 +562,5 @@ def test_batched_read_out_matches_per_channel_draws(n, n_c, seed, noise, keys):
      "scenario events[0] params mass"),
 ], ids=["boolean-time", "boolean-decay", "string-mass"])
 def test_scenario_event_takes_only_numbers_as_numbers(tmp_path, event, name):
-    with pytest.raises(dyn.ConfigError, match=re.escape(name)):
+    with pytest.raises(ConfigError, match=re.escape(name)):
         hz.load_scenario(_scenario_file(tmp_path, event))

@@ -31,45 +31,44 @@ def scorer(corpus):
 
 def test_water_plan(scorer, library):
     res = pl.plan("help me drink water", scorer, library)
-    assert [s.label for s in res.plan.steps] == [
+    assert [s.label for s in res.steps] == [
         "set_mode(0)", "paramset(Spd=0, Imp=0)", "go_target(mouth)", "done"]
 
 
 def test_dumbbell_plan(scorer, library):
     res = pl.plan("carry the dumbbell to the shelf", scorer, library)
-    sem = pl.plan_semantics(res.plan)
+    sem = pl.plan_semantics(res)
     assert (sem["spd"], sem["imp"]) == (0, 1)
     assert sem["end_impedance"] is True
 
 
 def test_apple_plan(scorer, library):
     res = pl.plan("hand me the apple", scorer, library)
-    sem = pl.plan_semantics(res.plan)
+    sem = pl.plan_semantics(res)
     assert (sem["spd"], sem["imp"]) == (1, 1)
 
 
 def test_scissors_slow_and_end_impedance(scorer, library):
     res = pl.plan("bring me the scissors", scorer, library)
-    sem = pl.plan_semantics(res.plan)
+    sem = pl.plan_semantics(res)
     assert sem["spd"] == 0
     assert sem["end_impedance"] is True
 
 
 def test_cereal_box_fast(scorer, library):
     res = pl.plan("hand me the cereal box", scorer, library)
-    assert pl.plan_semantics(res.plan)["spd"] == 1
+    assert pl.plan_semantics(res)["spd"] == 1
 
 
 def test_unknown_item_needs_clarification(scorer, library):
     res = pl.plan("bring me the flurbamajig", scorer, library)
-    assert res.plan is None
-    assert res.needs_clarification is True
+    assert res.status == "needs_clarification"
 
 
 def test_planning_is_deterministic(scorer, library):
     a = pl.plan("carry the kettlebell", scorer, library)
     b = pl.plan("carry the kettlebell", scorer, library)
-    assert [s.label for s in a.plan.steps] == [s.label for s in b.plan.steps]
+    assert [s.label for s in a.steps] == [s.label for s in b.steps]
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +115,7 @@ def test_argmax_invariance_under_monotone_transforms(a, b):
     base = pl.RuleScorer(corpus)
     ref = pl.plan("carry the suitcase", base, library)
     wrapped = pl.plan("carry the suitcase", MonotoneWrap(base, a, b), library)
-    assert [s.label for s in ref.plan.steps] == [s.label for s in wrapped.plan.steps]
+    assert [s.label for s in ref.steps] == [s.label for s in wrapped.steps]
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +126,6 @@ def test_replan_check_boundary():
     assert pl.replan_check(0.49, 0.5) is False
     assert pl.replan_check(0.5, 0.5) is True
     assert pl.replan_check(0.51, 0.5) is True
-
-
-def test_unbound_parameters_never_execute(library):
-    broken = pl.Plan(steps=[pl.PlanStep(name="paramset", args={"spd": 1}, label="paramset(?)")])
-    with pytest.raises(pl.PlanError, match="unbound"):
-        broken.require_bound(library)
 
 
 def test_empty_library_rejected():
@@ -149,8 +142,27 @@ def test_runtime_sync_mode(scorer, library):
     runtime.request_plan("help me drink water")
     result = runtime.poll()
     assert result is not None
-    assert result.plan.steps[2].label == "go_target(mouth)"
+    assert result.steps[2].label == "go_target(mouth)"
     assert runtime.poll() is None  # slot cleared on read
+
+
+class NeverDone:
+    """Picks the first candidate of every decision, so never ``done``."""
+
+    def score(self, query):
+        return pl.ScoreResult(tuple(float(i == 0) for i in range(len(query.candidates))))
+
+
+def test_runaway_plan_is_invalid(corpus, library):
+    res = pl.plan("help me drink water", NeverDone(), library)
+    assert (res.status, res.steps) == ("invalid", [])
+    assert res.reason == f"plan exceeded {pl.MAX_STEPS} steps without 'done'"
+    runtime = pl.PlannerRuntime(NeverDone(), library)
+    runtime.request_plan("help me drink water")
+    assert runtime.poll() == res
+    report = pl.evaluate_corpus(corpus[:3], NeverDone(), library)
+    assert (report["success_rate"], report["validity_rate"]) == (0.0, 0.0)
+    assert [row["valid"] for row in report["per_item"]] == [False] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +203,11 @@ def test_evaluate_corpus_perfect_on_bundled(corpus, library, scorer):
     assert report["success_rate"] == 1.0
     assert report["validity_rate"] == 1.0
     assert all(v == 0 for v in report["error_breakdown"].values())
+    # no step executes with arguments its subtask does not bind
+    bindings = {s.name: [args for _, args in s.bindings] or [{}] for s in library.subtasks}
+    for row in report["per_item"]:
+        for step in pl.plan(row["task"], scorer, library).steps:
+            assert step.args in bindings[step.name], (row["task"], step)
 
 
 def test_evaluate_corpus_mislabeled_heavy_increments_impedance(library):
@@ -253,7 +270,7 @@ def make_llm_scorer(transport, library, fallback=None):
 def test_llm_scorer_drives_plan(library):
     scorer = make_llm_scorer(ScriptedTransport(scripted_answers()), library)
     res = pl.plan("help me drink water", scorer, library)
-    assert [s.label for s in res.plan.steps] == [
+    assert [s.label for s in res.steps] == [
         "set_mode(0)", "paramset(Spd=0, Imp=0)", "go_target(mouth)", "done"]
 
 
@@ -261,15 +278,24 @@ def test_llm_unrecognized_function_marks_plan_invalid(library):
     bad = ['{"choice": "launch_rocket", "confidence": 1.0}']
     scorer = make_llm_scorer(ScriptedTransport(bad), library)
     res = pl.plan("help me drink water", scorer, library)
-    assert res.plan is not None
-    assert res.plan.valid is False
+    assert res.status == "invalid"
     assert any(e["type"] == "invalid_response" for e in scorer.events)
+
+
+@pytest.mark.parametrize("confidence", ["NaN", "Infinity", "-Infinity"])
+def test_llm_non_finite_confidence_marks_plan_invalid(library, confidence):
+    # json.loads reads these; a NaN probability would make the argmax pick set_mode
+    answer = f'{{"choice": "done", "confidence": {confidence}}}'
+    scorer = make_llm_scorer(ScriptedTransport([answer]), library)
+    res = pl.plan("help me drink water", scorer, library)
+    assert (res.status, res.reason) == ("invalid", "scorer produced an unrecognized selection")
+    assert [e["type"] for e in scorer.events] == ["invalid_response"]
 
 
 def test_llm_malformed_response_marks_plan_invalid(library):
     scorer = make_llm_scorer(ScriptedTransport(["no json here"]), library)
     res = pl.plan("help me drink water", scorer, library)
-    assert res.plan.valid is False
+    assert res.status == "invalid"
 
 
 class FailingTransport:
@@ -281,8 +307,8 @@ def test_llm_timeout_falls_back_to_rule_scorer(corpus, library):
     fallback = pl.RuleScorer(corpus)
     scorer = make_llm_scorer(FailingTransport(), library, fallback=fallback)
     res = pl.plan("help me drink water", scorer, library)
-    assert res.plan.valid is True
-    assert pl.plan_semantics(res.plan) == {"spd": 0, "imp": 0, "end_impedance": False}
+    assert res.status == "ready"
+    assert pl.plan_semantics(res) == {"spd": 0, "imp": 0, "end_impedance": False}
     assert any(e["type"] == "fallback" for e in scorer.events)
 
 
@@ -298,8 +324,7 @@ def test_llm_fallback_keeps_rule_scorer_clarification(corpus, library):
     transport = CountingFailingTransport()
     scorer = make_llm_scorer(transport, library, fallback=pl.RuleScorer(corpus))
     res = pl.plan("bring me the flurbamajig", scorer, library)
-    assert res.plan is None
-    assert res.needs_clarification is True
+    assert res.status == "needs_clarification"
     assert transport.calls == 1
 
 
@@ -331,7 +356,7 @@ def test_llm_record_then_replay_is_hermetic(tmp_path, library):
 
     replay_scorer = make_llm_scorer(llmmod.ReplayTransport(fixture), library)
     res2 = pl.plan("help me drink water", replay_scorer, library)
-    assert [s.label for s in res1.plan.steps] == [s.label for s in res2.plan.steps]
+    assert [s.label for s in res1.steps] == [s.label for s in res2.steps]
 
     with pytest.raises(llmmod.ReplayMiss):
         pl.plan("carry the dumbbell", make_llm_scorer(llmmod.ReplayTransport(fixture), library), library)
