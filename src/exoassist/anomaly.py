@@ -55,14 +55,16 @@ class NoiseSchedule:
     """Forward-process variance schedule and derived quantities.
 
     Index convention: arrays are 0-based with entry ``t-1`` for diffusion
-    step ``t`` in 1..T.
+    step ``t`` in 1..T. ``beta`` (copied), ``alpha`` = 1 - beta and
+    ``alpha_bar`` (its cumulative product) are read-only arrays, the last
+    two computed once here.
     """
 
     beta: np.ndarray
     nu: int
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
+        beta = np.array(self.beta, dtype=float)  # a copy: the schedule is read-only
         if beta.ndim != 1 or beta.size < 1:
             raise ValueError("beta must be a 1-D array")
         if np.any(beta <= 0.0) or np.any(beta >= 1.0):
@@ -71,19 +73,14 @@ class NoiseSchedule:
             raise ValueError("beta must be non-decreasing")
         if not 1 <= self.nu <= beta.size:
             raise ValueError("nu must lie in [1, T]")
-        object.__setattr__(self, "beta", beta)
+        alpha = 1.0 - beta
+        for name, arr in (("beta", beta), ("alpha", alpha), ("alpha_bar", np.cumprod(alpha))):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def T(self) -> int:
         return self.beta.size
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return 1.0 - self.beta
-
-    @property
-    def alpha_bar(self) -> np.ndarray:
-        return np.cumprod(self.alpha)
 
     @classmethod
     def linear(cls, T: int = 50, beta_start: float = 1e-4,

@@ -115,11 +115,13 @@ def cmd_run_scenario(args) -> int:
 def cmd_eval_planner(args) -> int:
     corpus = pl.load_corpus(args.corpus or pl.data_path("corpus.jsonl"))
     library = pl.default_library()
+    misses = ()  # the scorer's errors that end the run: none for the rule scorer
     if args.scorer == "rule":
         scorer = pl.RuleScorer(corpus)
     else:
         from . import llm as llmmod
 
+        misses = llmmod.LLMError
         if args.scorer == "replay":
             if not args.replay_file:
                 print("--replay-file is required with --scorer replay", file=sys.stderr)
@@ -133,7 +135,12 @@ def cmd_eval_planner(args) -> int:
                 transport = llmmod.RecordingTransport(transport, args.record_file)
         scorer = llmmod.LLMScorer(cfg, library, transport=transport,
                                   fallback=pl.RuleScorer(corpus) if args.fallback else None)
-    report = pl.evaluate_corpus(corpus, scorer, library)
+    try:
+        report = pl.evaluate_corpus(corpus, scorer, library)
+    except misses as exc:  # only a model scorer without --fallback lets one through
+        print(f"exoassist eval-planner: {type(exc).__name__}: {exc}; no report written "
+              f"(--fallback answers such requests with the rule scorer)", file=sys.stderr)
+        return 2
     report["fallbacks"] = sum(e["type"] == "fallback" for e in getattr(scorer, "events", ()))
     Path(args.report).write_text(json.dumps(report, indent=1))
     print(f"success rate {report['success_rate']:.3f}, "

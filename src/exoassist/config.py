@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numbers
 from contextlib import contextmanager
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -98,7 +98,8 @@ def check_fields(values, table: dict, name: str, sizes: dict | None = None) -> d
     the plant. Returns each joints field as a float array (a single number
     repeated once sized) and each object field's own such dict.
     ConfigError names the first field that breaks its entry."""
-    values = vars(values) if is_dataclass(values) else values
+    if is_dataclass(values):  # its fields, not what __post_init__ derives from them
+        values = {f.name: getattr(values, f.name) for f in fields(values)}
     if not isinstance(values, dict):
         raise ConfigError(f"{name} must be an object")
     unknown = set(values) - set(table)

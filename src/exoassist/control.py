@@ -76,6 +76,7 @@ class TransparentConfig:
 
     def __post_init__(self):
         check_fields(self, TRANSPARENT_FIELDS, "transparent")
+        self._kv = np.asarray(self.Kv, dtype=float).ravel().tolist()  # what _compensate reads
 
     def validated(self, n_c: int) -> "TransparentConfig":
         """Gains as per-joint arrays (a scalar repeated); raises ConfigError on a wrong
@@ -103,6 +104,7 @@ class ImpedanceConfig:
 
     def __post_init__(self):
         check_fields(self, _IMPEDANCE_CONFIG_FIELDS, "impedance")
+        self._kv = np.asarray(self.Kv, dtype=float).ravel().tolist()  # what _compensate reads
 
     def validated(self, n: int, n_c: int) -> "ImpedanceConfig":
         """Gains as per-joint arrays (a scalar repeated); raises ConfigError on a wrong
@@ -129,19 +131,23 @@ def _floats(value, size: int) -> list[float]:
     return arr.tolist() if arr.ndim else [float(arr)] * size
 
 
-def _compensate(model: PlantModel, state: PlantState, u: list, h: np.ndarray,
+def _compensate(model: PlantModel, state: PlantState, u: list, h: list,
                 tau_e: list, cfg) -> np.ndarray:
     """u + h - S2' tau_f_hat - tau_e + fast term on Python floats, in that
-    order, as a fresh array; ``u`` and ``tau_e`` are lists of n floats."""
+    order, as a fresh array; ``u``, ``h`` and ``tau_e`` are lists of n
+    floats, and ``cfg._kv`` holds Kv as floats. S2' zeroes the friction and
+    fast terms on the direct joints' rows, which keep the zeros in the sum
+    (+ 0.0 turns a -0.0 into 0.0). On the cable joints' rows, adding the
+    fast term -Kv (thetadot - qdot) is subtracting Kv (thetadot - qdot), bit
+    for bit."""
     nd = model.n - model.n_c
-    pad = [0.0] * nd  # S2' leaves the direct joints' rows zero
-    tau_f_hat = pad + (cfg.friction_scale * _friction(
-        model, state.thetadot, cfg.friction_comp_eps)).tolist()
-    # the fast term -S2' Kv (thetadot - S2 qdot)
-    fast = pad + [-(kv * (thd - qd)) for kv, thd, qd in zip(
-        _floats(cfg.Kv, model.n_c), state.thetadot.tolist(), state.qdot.tolist()[nd:])]
-    return np.array([u_i + h_i - f_i - e_i + k_i for u_i, h_i, f_i, e_i, k_i in zip(
-        u, h.tolist(), tau_f_hat, tau_e, fast)])
+    scale, kv = cfg.friction_scale, cfg._kv
+    cable = zip(u[nd:], h[nd:], _friction(model, state.thetadot, cfg.friction_comp_eps),
+                tau_e[nd:], kv if len(kv) > 1 else kv * model.n_c,
+                state.thetadot.tolist(), state.qdot.tolist()[nd:])
+    return np.array([u_i + h_i - 0.0 - e_i + 0.0 for u_i, h_i, e_i in zip(u[:nd], h, tau_e)]
+                    + [u_i + h_i - scale * f_i - e_i - k * (thd - qd)
+                       for u_i, h_i, f_i, e_i, k, thd, qd in cable])
 
 
 def transparent_control(

@@ -91,7 +91,8 @@ class PlantModel:
     geometry the model holds: one tuple of Python floats per link, which
     the rigid-body kernel and the forward-kinematics helpers
     (``link_com_positions``, ``end_effector_position``,
-    ``potential_energy``) read."""
+    ``potential_energy``) read; and ``_friction_coeffs``, the friction
+    coefficients as floats."""
 
     n: int = 4
     n_c: int = 2
@@ -137,6 +138,9 @@ class PlantModel:
                           float(self.link_com[i]), float(self.link_masses[i]), it,
                           AXIAL_INERTIA_RATIO * it - it))
         self._chain = tuple(chain)
+        # (c0, c1, c3) per cable joint, as _friction reads them
+        self._friction_coeffs = tuple(zip(self.friction_c0.tolist(), self.friction_c1.tolist(),
+                                          self.friction_c3.tolist()))
 
 
 @dataclass(frozen=True)
@@ -225,32 +229,31 @@ def _fk(model: PlantModel, q: np.ndarray):
 # plant, both controllers and the public helpers below all take them from
 # here. On 3-vectors numpy's per-call overhead costs more than the
 # arithmetic, so the kernel works on Python floats (Featherstone, Rigid
-# Body Dynamics Algorithms, 2008):
+# Body Dynamics Algorithms, 2008), written out on scalars where h needs them:
 #
 # - a forward pass for the link frames, velocities and accelerations;
 # - a backward recursive Newton-Euler pass for h, with qddot = 0 and gravity
 #   as an upward base acceleration;
-# - in the same backward pass, the composite-rigid-body algorithm for M: the
+# - with ``with_mass`` only (the transparent controller asks for h alone),
+#   the composite-rigid-body algorithm for M in a second backward pass: the
 #   links beyond joint j (and the payload) form one body whose momentum
 #   under a unit rate of joint j, taken about the world origin, is column j.
 #
-# It reads the model's one geometry, ``PlantModel._chain``, and relies on
-# what it describes: every joint axis is a principal axis of the parent
-# link's frame, and every link, COM offset and inertia tensor is symmetric
-# about the link's local z axis. ``_fk`` repeats the forward pass's frame
-# update for positions only. The tests hold both to an independent
-# complex-step reference in ``tests/oracles.py``, which builds its own
-# rotation-matrix geometry from the model's public fields.
+# The order of the float operations fixes every output bit, and the tests
+# pin the controllers and the step bitwise. The kernel reads the model's one
+# geometry, ``PlantModel._chain``, and relies on what it describes: every
+# joint axis is a principal axis of the parent link's frame, and every link,
+# COM offset and inertia tensor is symmetric about the link's local z axis.
+# ``_fk`` repeats the forward pass's frame update for positions only. The
+# tests hold both to an independent complex-step reference in
+# ``tests/oracles.py``, which builds its own rotation-matrix geometry from
+# the model's public fields.
 
 
 def _cross(a, b):
     return (a[1] * b[2] - a[2] * b[1],
             a[2] * b[0] - a[0] * b[2],
             a[0] * b[1] - a[1] * b[0])
-
-
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _add_inertia(I, m, c, it=0.0, dit=0.0, z=(0.0, 0.0, 0.0)):
@@ -267,63 +270,73 @@ def _add_inertia(I, m, c, it=0.0, dit=0.0, z=(0.0, 0.0, 0.0)):
 def _rigid_body_terms(model: PlantModel, q: np.ndarray, qdot: np.ndarray,
                       payload_mass: float, with_mass: bool = True):
     """Mass matrix M(q) (None unless ``with_mass``) and bias h = C qdot + g
-    for one state; the payload is an end-effector point mass."""
-    n = model.n
-    qs, qds = q.tolist(), qdot.tolist()
+    for one state, h as a list of n floats; the payload is an end-effector
+    point mass."""
+    chain = model._chain
     R = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]  # link frame columns
-    p = (0.0, 0.0, 0.0)  # joint origin
-    w = wd = (0.0, 0.0, 0.0)  # angular velocity and acceleration
-    acc = (0.0, 0.0, float(model.gravity))  # joint-origin acceleration
-    links = []
-    for i, (ax, b, d, length, lc, m, it, dit) in enumerate(model._chain):
-        k = R[ax]  # world joint axis, fixed in the parent frame
-        co, si = math.cos(qs[i]), math.sin(qs[i])
-        rb, rd = R[b], R[d]
-        R = R.copy()
-        R[b] = (co * rb[0] + si * rd[0], co * rb[1] + si * rd[1], co * rb[2] + si * rd[2])
-        R[d] = (co * rd[0] - si * rb[0], co * rd[1] - si * rb[1], co * rd[2] - si * rb[2])
-        z = R[2]
-        qd = qds[i]
-        t = _cross(w, k)  # rate of turn of the joint axis
-        wd = (wd[0] + qd * t[0], wd[1] + qd * t[1], wd[2] + qd * t[2])
-        w = (w[0] + qd * k[0], w[1] + qd * k[1], w[2] + qd * k[2])
+    p0 = p1 = p2 = 0.0  # joint origin, tracked for M only
+    w0 = w1 = w2 = wd0 = wd1 = wd2 = 0.0  # angular velocity and acceleration
+    a0, a1, a2 = 0.0, 0.0, float(model.gravity)  # joint-origin acceleration
+    links, frames = [], []
+    for qi, qd, (ax, b, d, length, lc, m, it, dit) in zip(q.tolist(), qdot.tolist(), chain):
+        k = k0, k1, k2 = R[ax]  # world joint axis, fixed in the parent frame
+        co, si = math.cos(qi), math.sin(qi)
+        (b0, b1, b2), (d0, d1, d2) = R[b], R[d]
+        R[b] = (co * b0 + si * d0, co * b1 + si * d1, co * b2 + si * d2)
+        R[d] = (co * d0 - si * b0, co * d1 - si * b1, co * d2 - si * b2)
+        z = z0, z1, z2 = R[2]
+        # w x k is the rate of turn of the joint axis
+        wd0, wd1, wd2 = (wd0 + qd * (w1 * k2 - w2 * k1), wd1 + qd * (w2 * k0 - w0 * k2),
+                         wd2 + qd * (w0 * k1 - w1 * k0))
+        w0, w1, w2 = w0 + qd * k0, w1 + qd * k1, w2 + qd * k2
 
-        # the point x down the link axis (at -x z) accelerates as acc - x e
-        wz = _cross(w, z)
-        t, v = _cross(wd, z), _cross(w, wz)
-        e = (t[0] + v[0], t[1] + v[1], t[2] + v[2])
-        F = (m * (acc[0] - lc * e[0]), m * (acc[1] - lc * e[1]), m * (acc[2] - lc * e[2]))
+        # the point x down the link axis (at -x z) accelerates as a - x e,
+        # e = wd x z + w x (w x z)
+        c0, c1, c2 = w1 * z2 - w2 * z1, w2 * z0 - w0 * z2, w0 * z1 - w1 * z0  # w x z
+        e0 = (wd1 * z2 - wd2 * z1) + (w1 * c2 - w2 * c1)
+        e1 = (wd2 * z0 - wd0 * z2) + (w2 * c0 - w0 * c2)
+        e2 = (wd0 * z1 - wd1 * z0) + (w0 * c1 - w1 * c0)
         # N = I wd + w x (I w) with I v = it v + dit (z . v) z
-        zwd, zw = dit * _dot(z, wd), dit * _dot(z, w)
-        N = (it * wd[0] + zwd * z[0] + zw * wz[0], it * wd[1] + zwd * z[1] + zw * wz[1],
-             it * wd[2] + zwd * z[2] + zw * wz[2])
-        links.append((k, _cross(k, p), (p[0] - lc * z[0], p[1] - lc * z[1], p[2] - lc * z[2]),
-                      z, F, N, length, lc, m, it, dit))
-        acc = (acc[0] - length * e[0], acc[1] - length * e[1], acc[2] - length * e[2])
-        p = (p[0] - length * z[0], p[1] - length * z[1], p[2] - length * z[2])
-    # p and acc are now the end effector's
+        zwd = dit * (z0 * wd0 + z1 * wd1 + z2 * wd2)
+        zw = dit * (z0 * w0 + z1 * w1 + z2 * w2)
+        links.append((k, z, m * (a0 - lc * e0), m * (a1 - lc * e1), m * (a2 - lc * e2),
+                      it * wd0 + zwd * z0 + zw * c0, it * wd1 + zwd * z1 + zw * c1,
+                      it * wd2 + zwd * z2 + zw * c2, length, lc))
+        a0, a1, a2 = a0 - length * e0, a1 - length * e1, a2 - length * e2
+        if with_mass:  # the joint's p x k and the link's COM
+            frames.append(((k1 * p2 - k2 * p1, k2 * p0 - k0 * p2, k0 * p1 - k1 * p0),
+                           (p0 - lc * z0, p1 - lc * z1, p2 - lc * z2)))
+            p0, p1, p2 = p0 - length * z0, p1 - length * z1, p2 - length * z2
+    # a and p are now the end effector's
 
-    # f, nm: force of the links beyond the current joint on it, and moment
-    # about its origin; mc, mu, I0: their composite mass, first moment and
-    # rotational inertia about the world origin
+    # f, n: force of the links beyond the current joint on it, and moment
+    # about its origin
     pm = payload_mass
-    f = (pm * acc[0], pm * acc[1], pm * acc[2])
-    nm = (0.0, 0.0, 0.0)
-    mc, mu = pm, (pm * p[0], pm * p[1], pm * p[2])
-    I0 = _add_inertia((0.0,) * 6, pm, p) if with_mass else None
-    h = [0.0] * n
-    M = [[0.0] * n for _ in range(n)] if with_mass else None
-    axes = [link[:2] for link in links]
-    for j in range(n - 1, -1, -1):
-        k, u, c, z, F, N, length, lc, m, it, dit = links[j]
+    f0, f1, f2 = pm * a0, pm * a1, pm * a2
+    n0 = n1 = n2 = 0.0
+    h = []
+    for (k0, k1, k2), (z0, z1, z2), F0, F1, F2, N0, N1, N2, length, lc in reversed(links):
         # the link's own force acts at -lc z, the outer links' at -length z
-        t = _cross(z, (lc * F[0] + length * f[0], lc * F[1] + length * f[1],
-                       lc * F[2] + length * f[2]))
-        nm = (N[0] + nm[0] - t[0], N[1] + nm[1] - t[1], N[2] + nm[2] - t[2])
-        f = (F[0] + f[0], F[1] + f[1], F[2] + f[2])
-        h[j] = _dot(k, nm)
-        if M is None:
-            continue
+        s0, s1, s2 = lc * F0 + length * f0, lc * F1 + length * f1, lc * F2 + length * f2
+        n0 = N0 + n0 - (z1 * s2 - z2 * s1)
+        n1 = N1 + n1 - (z2 * s0 - z0 * s2)
+        n2 = N2 + n2 - (z0 * s1 - z1 * s0)
+        f0, f1, f2 = F0 + f0, F1 + f1, F2 + f2
+        h.append(k0 * n0 + k1 * n1 + k2 * n2)
+    h.reverse()
+    if not with_mass:
+        return None, h
+
+    # the composite-rigid-body pass: mc, mu, I0 are the composite mass,
+    # first moment and rotational inertia about the world origin of the
+    # links beyond the current joint
+    n = len(chain)
+    mc, mu = pm, (pm * p0, pm * p1, pm * p2)
+    I0 = _add_inertia((0.0,) * 6, pm, (p0, p1, p2))
+    M = [[0.0] * n for _ in range(n)]
+    axes = [(link[0], frame[0]) for link, frame in zip(links, frames)]
+    for j in range(n - 1, -1, -1):
+        (k, z), (u, c), (*_, m, it, dit) = links[j][:2], frames[j], chain[j]
         mc += m
         mu = (mu[0] + m * c[0], mu[1] + m * c[1], mu[2] + m * c[2])
         I0 = _add_inertia(I0, m, c, it, dit, z)
@@ -340,7 +353,7 @@ def _rigid_body_terms(model: PlantModel, q: np.ndarray, qdot: np.ndarray,
         for l, (kl, ul) in enumerate(axes[:j + 1]):
             row[l] = M[l][j] = (kl[0] * n0x + kl[1] * n0y + kl[2] * n0z
                                 - ul[0] * f0x - ul[1] * f0y - ul[2] * f0z)
-    return (None if M is None else np.array(M)), np.array(h)
+    return np.array(M), h
 
 
 def mass_matrix(model: PlantModel, q, payload_mass: float = 0.0) -> np.ndarray:
@@ -352,7 +365,8 @@ def mass_matrix(model: PlantModel, q, payload_mass: float = 0.0) -> np.ndarray:
 def gravity_vector(model: PlantModel, q, payload_mass: float = 0.0) -> np.ndarray:
     """Gradient of total gravitational potential with respect to q."""
     q = _check_q(model, q)
-    return _rigid_body_terms(model, q, np.zeros(model.n), payload_mass, with_mass=False)[1]
+    return np.array(_rigid_body_terms(model, q, np.zeros(model.n), payload_mass,
+                                      with_mass=False)[1])
 
 
 def coriolis_matrix(model: PlantModel, q, qdot, payload_mass: float = 0.0) -> np.ndarray:
@@ -368,7 +382,7 @@ def coriolis_matrix(model: PlantModel, q, qdot, payload_mass: float = 0.0) -> np
         raise ValueError(f"qdot must be finite with length {model.n}")
 
     def bias(v):
-        return _rigid_body_terms(model, q, v, payload_mass, with_mass=False)[1]
+        return np.array(_rigid_body_terms(model, q, v, payload_mass, with_mass=False)[1])
 
     # G(qdot + e_j) - G(e_j) = h(qdot + e_j) - h(e_j): their g's cancel
     G_qdot = bias(qdot) - bias(np.zeros(model.n))
@@ -379,13 +393,16 @@ def coriolis_matrix(model: PlantModel, q, qdot, payload_mass: float = 0.0) -> np
 # friction, energy and the integrator
 
 
-def _friction(model: PlantModel, thetadot: np.ndarray, eps_v: float) -> np.ndarray:
-    """Dissipative cable-joint friction: odd polynomial plus a Coulomb term
-    smoothed over a boundary layer of width ``eps_v`` (the plant's
-    ``friction_eps_v``; the controllers' compensation uses a wider one)."""
-    poly = model.friction_c1 * thetadot + model.friction_c3 * thetadot**3
-    coulomb = model.friction_c0 * np.tanh(thetadot / eps_v)
-    return -(poly + coulomb)
+def _friction(model: PlantModel, thetadot: np.ndarray, eps_v: float) -> list[float]:
+    """Dissipative cable-joint friction as n_c floats: odd polynomial plus a
+    Coulomb term smoothed over a boundary layer of width ``eps_v`` (the
+    plant's ``friction_eps_v``; the controllers' compensation uses a wider
+    one). The cube and the tanh stay in numpy, whose ``**3`` and ``tanh``
+    differ from ``v**3`` and ``math.tanh`` in the last bit on some inputs;
+    the sum is the same on floats as on arrays."""
+    cube, layer = (thetadot**3).tolist(), np.tanh(thetadot / eps_v).tolist()
+    return [-(c1 * v + c3 * v3 + c0 * s) for (c0, c1, c3), v, v3, s in zip(
+        model._friction_coeffs, thetadot.tolist(), cube, layer)]
 
 
 def link_com_positions(model: PlantModel, q) -> np.ndarray:

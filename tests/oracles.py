@@ -9,6 +9,8 @@
   differentiation (``plant_terms``) and C from Christoffel symbols
   (``christoffel``).
   ``reference_step`` is the plant step on them.
+- ``reference_friction``: the cable-joint friction law as one numpy
+  expression, which the package splits between numpy and floats.
 - ``plant_matrices``: the selection matrices S1, S2 and the diagonal
   matrices K, B of the equations, which the package keeps as slices and
   diagonals only.
@@ -27,7 +29,7 @@ import math
 import numpy as np
 
 from exoassist import dynamics as dyn
-from exoassist.dynamics import _friction, _rigid_body_terms
+from exoassist.dynamics import _rigid_body_terms
 from exoassist.qp import QPResult, _dual_active_set, _inequalities, _residuals
 from exoassist.trajectory import QPSetup, RefinedSegment, RefinementError, ReferenceSpline
 
@@ -206,6 +208,13 @@ def plant_matrices(model):
     return S1, S2, np.diag(model.spring_stiffness), np.diag(model.motor_inertia)
 
 
+def reference_friction(model, thetadot, eps_v):
+    """``dynamics._friction`` as one numpy expression, an array."""
+    poly = model.friction_c1 * thetadot + model.friction_c3 * thetadot**3
+    coulomb = model.friction_c0 * np.tanh(thetadot / eps_v)
+    return -(poly + coulomb)
+
+
 def reference_step(model, state, u, tau_e, dt):
     """Semi-implicit Euler plant step on the complex-step reference terms:
     M, g and dM/dq from ``plant_terms``, C from ``christoffel``."""
@@ -214,7 +223,7 @@ def reference_step(model, state, u, tau_e, dt):
     th, thd = state.theta, state.thetadot
     M, g, D = plant_terms(model, q, state.payload_mass)
     C = christoffel(D, qd)
-    tau_f = _friction(model, thd, model.friction_eps_v)
+    tau_f = reference_friction(model, thd, model.friction_eps_v)
     spring = K @ (th - S2 @ q)
 
     rhs_link = S1 @ u + S2.T @ (spring + tau_f) + tau_e - C @ qd - g
@@ -245,7 +254,8 @@ def reference_transparent_control(model, state, tau_e, cfg):
         raise ValueError(f"tau_e must be finite with length {model.n}")
 
     _, h = _rigid_body_terms(model, state.q, state.qdot, state.payload_mass, with_mass=False)
-    tau_f_hat = cfg.friction_scale * _friction(model, state.thetadot, cfg.friction_comp_eps)
+    tau_f_hat = cfg.friction_scale * reference_friction(model, state.thetadot,
+                                                        cfg.friction_comp_eps)
     u_f = fast_term(state, cfg.Kv)
     # (M + B_bar) qdd0 with qdd0 = (1/gamma0)(M + B_bar)^-1 tau_e
     amplified = tau_e / cfg.gamma0
@@ -264,7 +274,8 @@ def reference_impedance_control(model, state, q_d, qdot_d, qddot_d, tau_e, cfg):
             raise ValueError(f"{name} must be finite with length {model.n}")
 
     M, h = _rigid_body_terms(model, state.q, state.qdot, state.payload_mass)
-    tau_f_hat = cfg.friction_scale * _friction(model, state.thetadot, cfg.friction_comp_eps)
+    tau_f_hat = cfg.friction_scale * reference_friction(model, state.thetadot,
+                                                        cfg.friction_comp_eps)
     u_f = fast_term(state, cfg.Kv)
     target = (
         cfg.Cd * (qdot_d - state.qdot)

@@ -49,6 +49,20 @@ def test_schedule_identities():
     assert np.all(np.diff(sch.alpha_bar) < 0)
 
 
+def test_schedule_arrays_are_fixed_and_read_only():
+    beta = np.linspace(1e-4, 0.05, 50)
+    sch = ano.NoiseSchedule(beta=beta, nu=10)
+    beta[0] = 0.5  # the caller's array is copied
+    expected = {"beta": np.linspace(1e-4, 0.05, 50), "alpha": 1.0 - sch.beta,
+                "alpha_bar": np.cumprod(1.0 - sch.beta)}
+    for name, value in expected.items():
+        arr = getattr(sch, name)
+        assert arr is getattr(sch, name)  # computed once, not per read
+        assert arr.tobytes() == value.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.1
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         ano.NoiseSchedule(beta=np.array([0.2, 0.1]), nu=1)  # decreasing

@@ -369,6 +369,17 @@ def test_eval_planner_counts_fallbacks(tmp_path, capsys):
     assert f"fallbacks {fallbacks};" in capsys.readouterr().out
 
 
+def test_eval_planner_replay_miss_without_fallback_exits_2(tmp_path, capsys):
+    # the bundled corpus: its first item is not in the fixture
+    report = tmp_path / "r.json"
+    assert main(["eval-planner", "--scorer", "replay", "--replay-file",
+                 str(GOLDEN / "llm_replay.json"), "--report", str(report)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "ReplayMiss" in err and "--fallback" in err
+    assert not report.exists()
+
+
 def test_gradcheck_passes():
     assert main(["gradcheck"]) == 0
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from exoassist import control as ctl
 from exoassist import dynamics as dyn
 from exoassist.config import ConfigError
-from oracles import (christoffel, fast_term, plant_matrices, plant_terms,
+from oracles import (christoffel, fast_term, plant_matrices, plant_terms, reference_friction,
                      reference_impedance_control, reference_step, reference_transparent_control)
 
 
@@ -156,7 +156,7 @@ def test_transparent_matches_reference_terms(model):
     u = ctl.transparent_control(model, state, tau_e, cfg)
     M, g, D = plant_terms(model, q, 0.4)
     C = christoffel(D, qd)
-    tau_hat = dyn._friction(model, state.thetadot, cfg.friction_comp_eps)
+    tau_hat = reference_friction(model, state.thetadot, cfg.friction_comp_eps)
     expected = (tau_e / cfg.gamma0 + C @ qd + g - S2.T @ tau_hat - tau_e
                 + fast_term(state, cfg.Kv))
     assert np.allclose(u, expected, atol=1e-12)
@@ -245,7 +245,7 @@ def test_impedance_zero_error_is_feedforward(model):
     u = ctl.impedance_control(model, state, q, qd, np.zeros(4), np.zeros(4), cfg)
     M, g, D = plant_terms(model, q, 0.0)
     C = christoffel(D, qd)
-    tau_hat = dyn._friction(model, state.thetadot, cfg.friction_comp_eps)
+    tau_hat = reference_friction(model, state.thetadot, cfg.friction_comp_eps)
     expected = C @ qd + g - S2.T @ tau_hat + fast_term(state, cfg.Kv)
     assert np.allclose(u, expected, atol=1e-12)
 
