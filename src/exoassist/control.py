@@ -200,6 +200,7 @@ def impedance_control(
     a /= cfg.Mv
     a += qddot_d
     # M + B_bar with B_bar = S2' B S2: the motor inertia on the cable-joint diagonal
+    M = np.array(M)
     M[-model.n_c:, -model.n_c:][np.diag_indices(model.n_c)] += model.motor_inertia
     return _compensate(model, state, (M @ a).tolist(), h, tau_e.tolist(), cfg)
 

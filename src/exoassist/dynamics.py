@@ -91,8 +91,9 @@ class PlantModel:
     geometry the model holds: one tuple of Python floats per link, which
     the rigid-body kernel and the forward-kinematics helpers
     (``link_com_positions``, ``end_effector_position``,
-    ``potential_energy``) read; and ``_friction_coeffs``, the friction
-    coefficients as floats."""
+    ``potential_energy``) read; and ``_friction_coeffs``, ``_spring`` and
+    ``_motor``, the friction coefficients, spring stiffness and motor
+    inertia as floats."""
 
     n: int = 4
     n_c: int = 2
@@ -138,9 +139,10 @@ class PlantModel:
                           float(self.link_com[i]), float(self.link_masses[i]), it,
                           AXIAL_INERTIA_RATIO * it - it))
         self._chain = tuple(chain)
-        # (c0, c1, c3) per cable joint, as _friction reads them
+        # (c0, c1, c3) per cable joint, as _friction reads them; K and B as step reads them
         self._friction_coeffs = tuple(zip(self.friction_c0.tolist(), self.friction_c1.tolist(),
                                           self.friction_c3.tolist()))
+        self._spring, self._motor = self.spring_stiffness.tolist(), self.motor_inertia.tolist()
 
 
 @dataclass(frozen=True)
@@ -229,7 +231,7 @@ def _fk(model: PlantModel, q: np.ndarray):
 # plant, both controllers and the public helpers below all take them from
 # here. On 3-vectors numpy's per-call overhead costs more than the
 # arithmetic, so the kernel works on Python floats (Featherstone, Rigid
-# Body Dynamics Algorithms, 2008), written out on scalars where h needs them:
+# Body Dynamics Algorithms, 2008), written out on scalars:
 #
 # - a forward pass for the link frames, velocities and accelerations;
 # - a backward recursive Newton-Euler pass for h, with qddot = 0 and gravity
@@ -240,7 +242,13 @@ def _fk(model: PlantModel, q: np.ndarray):
 #   under a unit rate of joint j, taken about the world origin, is column j.
 #
 # The order of the float operations fixes every output bit, and the tests
-# pin the controllers and the step bitwise. The kernel reads the model's one
+# pin the controllers and the step bitwise. ``step`` runs on floats too,
+# around one ``np.linalg.solve(M, rhs)``: LAPACK's LU with partial pivoting
+# fixes the bits of qddot in an order that no Python expression reproduces,
+# and the closed loop can amplify a 1-ulp change there into a different
+# trajectory (a float Cholesky moved one transparent-mode collection by
+# 0.4 rad), so the solve stays until a change of bits is wanted. The
+# kernel reads the model's one
 # geometry, ``PlantModel._chain``, and relies on what it describes: every
 # joint axis is a principal axis of the parent link's frame, and every link,
 # COM offset and inertia tensor is symmetric about the link's local z axis.
@@ -250,34 +258,17 @@ def _fk(model: PlantModel, q: np.ndarray):
 # the model's public fields.
 
 
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
-def _add_inertia(I, m, c, it=0.0, dit=0.0, z=(0.0, 0.0, 0.0)):
-    """I (xx, yy, zz, xy, xz, yz) about the origin plus a body of mass m at
-    c whose own inertia is it E + dit z z'."""
-    cx, cy, cz = c
-    iso = it + m * (cx * cx + cy * cy + cz * cz)
-    zx, zy, zz = dit * z[0], dit * z[1], dit * z[2]
-    return (I[0] + iso + zx * z[0] - m * cx * cx, I[1] + iso + zy * z[1] - m * cy * cy,
-            I[2] + iso + zz * z[2] - m * cz * cz, I[3] + zx * z[1] - m * cx * cy,
-            I[4] + zx * z[2] - m * cx * cz, I[5] + zy * z[2] - m * cy * cz)
-
-
 def _rigid_body_terms(model: PlantModel, q: np.ndarray, qdot: np.ndarray,
                       payload_mass: float, with_mass: bool = True):
     """Mass matrix M(q) (None unless ``with_mass``) and bias h = C qdot + g
-    for one state, h as a list of n floats; the payload is an end-effector
-    point mass."""
+    for one state, M as n lists of n floats and h as a list of n floats;
+    the payload is an end-effector point mass."""
     chain = model._chain
     R = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]  # link frame columns
     p0 = p1 = p2 = 0.0  # joint origin, tracked for M only
     w0 = w1 = w2 = wd0 = wd1 = wd2 = 0.0  # angular velocity and acceleration
     a0, a1, a2 = 0.0, 0.0, float(model.gravity)  # joint-origin acceleration
-    links, frames = [], []
+    links, axes, bodies = [], [], []
     for qi, qd, (ax, b, d, length, lc, m, it, dit) in zip(q.tolist(), qdot.tolist(), chain):
         k = k0, k1, k2 = R[ax]  # world joint axis, fixed in the parent frame
         co, si = math.cos(qi), math.sin(qi)
@@ -303,9 +294,9 @@ def _rigid_body_terms(model: PlantModel, q: np.ndarray, qdot: np.ndarray,
                       it * wd0 + zwd * z0 + zw * c0, it * wd1 + zwd * z1 + zw * c1,
                       it * wd2 + zwd * z2 + zw * c2, length, lc))
         a0, a1, a2 = a0 - length * e0, a1 - length * e1, a2 - length * e2
-        if with_mass:  # the joint's p x k and the link's COM
-            frames.append(((k1 * p2 - k2 * p1, k2 * p0 - k0 * p2, k0 * p1 - k1 * p0),
-                           (p0 - lc * z0, p1 - lc * z1, p2 - lc * z2)))
+        if with_mass:  # the joint's axis and k x p; the link as a body at its COM
+            axes.append((k0, k1, k2, k1 * p2 - k2 * p1, k2 * p0 - k0 * p2, k0 * p1 - k1 * p0))
+            bodies.append((m, p0 - lc * z0, p1 - lc * z1, p2 - lc * z2, it, dit, z0, z1, z2))
             p0, p1, p2 = p0 - length * z0, p1 - length * z1, p2 - length * z2
     # a and p are now the end effector's
 
@@ -327,39 +318,49 @@ def _rigid_body_terms(model: PlantModel, q: np.ndarray, qdot: np.ndarray,
     if not with_mass:
         return None, h
 
-    # the composite-rigid-body pass: mc, mu, I0 are the composite mass,
-    # first moment and rotational inertia about the world origin of the
-    # links beyond the current joint
+    # the composite-rigid-body pass, from the payload (a point mass at the end
+    # effector) inwards: mc, mu and I = (xx, yy, zz, xy, xz, yz) are the
+    # composite mass, first moment and rotational inertia about the world
+    # origin of the bodies beyond the current joint. mc and mu start at -0.0,
+    # which adds as an exact zero, so the payload's sums are its own products.
+    bodies.append((pm, p0, p1, p2, 0.0, 0.0, 0.0, 0.0, 0.0))
+    mc = mu0 = mu1 = mu2 = -0.0
+    xx = yy = zz = xy = xz = yz = 0.0
     n = len(chain)
-    mc, mu = pm, (pm * p0, pm * p1, pm * p2)
-    I0 = _add_inertia((0.0,) * 6, pm, (p0, p1, p2))
     M = [[0.0] * n for _ in range(n)]
-    axes = [(link[0], frame[0]) for link, frame in zip(links, frames)]
-    for j in range(n - 1, -1, -1):
-        (k, z), (u, c), (*_, m, it, dit) = links[j][:2], frames[j], chain[j]
+    for j in range(n, -1, -1):
+        # add the body of mass m at c whose own inertia is it E + dit z z'
+        m, c0, c1, c2, it, dit, z0, z1, z2 = bodies[j]
         mc += m
-        mu = (mu[0] + m * c[0], mu[1] + m * c[1], mu[2] + m * c[2])
-        I0 = _add_inertia(I0, m, c, it, dit, z)
+        mu0, mu1, mu2 = mu0 + m * c0, mu1 + m * c1, mu2 + m * c2
+        iso = it + m * (c0 * c0 + c1 * c1 + c2 * c2)
+        d0, d1, d2 = dit * z0, dit * z1, dit * z2
+        xx, yy, zz, xy, xz, yz = (
+            xx + iso + d0 * z0 - m * c0 * c0, yy + iso + d1 * z1 - m * c1 * c1,
+            zz + iso + d2 * z2 - m * c2 * c2, xy + d0 * z1 - m * c0 * c1,
+            xz + d0 * z2 - m * c0 * c2, yz + d1 * z2 - m * c1 * c2)
+        if j == n:
+            continue
         # momentum of the composite under a unit rate of joint j, whose
-        # spatial axis is (k, p_j x k) = (k, -u); M[l][j] = k_l . n0 - u_l . f0
-        xx, yy, zz, xy, xz, yz = I0
-        t = _cross(u, mu)
-        n0x = xx * k[0] + xy * k[1] + xz * k[2] + t[0]
-        n0y = xy * k[0] + yy * k[1] + yz * k[2] + t[1]
-        n0z = xz * k[0] + yz * k[1] + zz * k[2] + t[2]
-        t = _cross(k, mu)
-        f0x, f0y, f0z = t[0] - mc * u[0], t[1] - mc * u[1], t[2] - mc * u[2]
+        # spatial axis is (k, p_j x k) = (k, -u): n about the world origin
+        # (I k + u x mu) and f (k x mu - mc u); M[l][j] = k_l . n - u_l . f
+        k0, k1, k2, u0, u1, u2 = axes[j]
+        n0 = xx * k0 + xy * k1 + xz * k2 + (u1 * mu2 - u2 * mu1)
+        n1 = xy * k0 + yy * k1 + yz * k2 + (u2 * mu0 - u0 * mu2)
+        n2 = xz * k0 + yz * k1 + zz * k2 + (u0 * mu1 - u1 * mu0)
+        f0 = (k1 * mu2 - k2 * mu1) - mc * u0
+        f1 = (k2 * mu0 - k0 * mu2) - mc * u1
+        f2 = (k0 * mu1 - k1 * mu0) - mc * u2
         row = M[j]
-        for l, (kl, ul) in enumerate(axes[:j + 1]):
-            row[l] = M[l][j] = (kl[0] * n0x + kl[1] * n0y + kl[2] * n0z
-                                - ul[0] * f0x - ul[1] * f0y - ul[2] * f0z)
-    return np.array(M), h
+        for l, (a0, a1, a2, b0, b1, b2) in enumerate(axes[:j + 1]):
+            row[l] = M[l][j] = a0 * n0 + a1 * n1 + a2 * n2 - b0 * f0 - b1 * f1 - b2 * f2
+    return M, h
 
 
 def mass_matrix(model: PlantModel, q, payload_mass: float = 0.0) -> np.ndarray:
     """Joint-space inertia matrix; the payload enters as an end-effector point mass."""
     q = _check_q(model, q)
-    return _rigid_body_terms(model, q, np.zeros(model.n), payload_mass)[0]
+    return np.array(_rigid_body_terms(model, q, np.zeros(model.n), payload_mass)[0])
 
 
 def gravity_vector(model: PlantModel, q, payload_mass: float = 0.0) -> np.ndarray:
@@ -394,12 +395,15 @@ def coriolis_matrix(model: PlantModel, q, qdot, payload_mass: float = 0.0) -> np
 
 
 def _friction(model: PlantModel, thetadot: np.ndarray, eps_v: float) -> list[float]:
-    """Dissipative cable-joint friction as n_c floats: odd polynomial plus a
-    Coulomb term smoothed over a boundary layer of width ``eps_v`` (the
-    plant's ``friction_eps_v``; the controllers' compensation uses a wider
-    one). The cube and the tanh stay in numpy, whose ``**3`` and ``tanh``
-    differ from ``v**3`` and ``math.tanh`` in the last bit on some inputs;
-    the sum is the same on floats as on arrays."""
+    """Cable-joint friction as n_c floats: odd polynomial plus a Coulomb
+    term smoothed over a boundary layer of width ``eps_v`` (the plant's
+    ``friction_eps_v``; the controllers' compensation uses a wider one). It
+    opposes the motor velocity, so it would dissipate on the motor side; but
+    ``step`` applies it to the link equation, where its power tau_f . qdot_c
+    can be positive, and the unactuated plant gains energy. The cube and the
+    tanh stay in numpy, whose ``**3`` and ``tanh`` differ from ``v**3`` and
+    ``math.tanh`` in the last bit on some inputs; the sum is the same on
+    floats as on arrays."""
     cube, layer = (thetadot**3).tolist(), np.tanh(thetadot / eps_v).tolist()
     return [-(c1 * v + c3 * v3 + c0 * s) for (c0, c1, c3), v, v3, s in zip(
         model._friction_coeffs, thetadot.tolist(), cube, layer)]
@@ -463,36 +467,40 @@ def step(model: PlantModel, state: PlantState, u, tau_e, dt: float) -> PlantStat
     tau_e = np.array(tau_e, dtype=float)  # stored in the returned state
     if u.shape != (model.n,) or tau_e.shape != (model.n,):
         raise ValueError(f"u and tau_e must have length {model.n}")
-    if not np.isfinite(u).all():
+    uf, ef = u.tolist(), tau_e.tolist()
+    if not all(map(math.isfinite, uf)):
         raise SimulationFault("control torque u is non-finite")
-    if not np.isfinite(tau_e).all():
+    if not all(map(math.isfinite, ef)):
         raise SimulationFault("interaction torque tau_e is non-finite")
 
-    q, qd = state.q, state.qdot
-    th, thd = state.theta, state.thetadot
+    # on Python floats, each element in the order of the array expressions
+    # (the kernel's notes say why the solve stays in LAPACK)
+    q, qd = state.q.tolist(), state.qdot.tolist()
+    th, thd = state.theta.tolist(), state.thetadot.tolist()
     nd = model.n - model.n_c  # direct-driven joints come first
 
-    M, h = _rigid_body_terms(model, q, qd, state.payload_mass)
-    spring = model.spring_stiffness * (th - q[nd:])  # K (theta - S2 q)
+    M, h = _rigid_body_terms(model, state.q, state.qdot, state.payload_mass)
+    spring = [k * (t - x) for k, t, x in zip(model._spring, th, q[nd:])]  # K (theta - S2 q)
 
     # S1 u + S2' (spring + tau_f) stacks the direct-joint torques over the
-    # cable-joint ones
-    tau_f = _friction(model, thd, model.friction_eps_v)
-    rhs_link = np.concatenate((u[:nd], spring + tau_f)) + tau_e - h
-    qdd = np.linalg.solve(M, rhs_link)
-    thdd = (u[nd:] - spring) / model.motor_inertia
+    # cable-joint ones; then + tau_e - h
+    tau_f = _friction(model, state.thetadot, model.friction_eps_v)
+    rhs = uf[:nd] + [s + f for s, f in zip(spring, tau_f)]
+    qdd = np.linalg.solve(M, [r + e - hi for r, e, hi in zip(rhs, ef, h)]).tolist()
+    thdd = [(ui - s) / b for ui, s, b in zip(uf[nd:], spring, model._motor)]
 
-    qd_new = qd + dt * qdd
-    thd_new = thd + dt * thdd
-    q_new = q + dt * qd_new
-    th_new = th + dt * thd_new
+    qd_new = [v + dt * a for v, a in zip(qd, qdd)]
+    thd_new = [v + dt * a for v, a in zip(thd, thdd)]
+    q_new = [x + dt * v for x, v in zip(q, qd_new)]
+    th_new = [x + dt * v for x, v in zip(th, thd_new)]
 
-    for name, arr in (("q", q_new), ("qdot", qd_new), ("theta", th_new),
-                      ("thetadot", thd_new)):
-        if not np.isfinite(arr).all():
+    for name, vals in (("q", q_new), ("qdot", qd_new), ("theta", th_new),
+                       ("thetadot", thd_new)):
+        if not all(map(math.isfinite, vals)):
             raise SimulationFault(f"integration produced non-finite {name}")
 
-    return PlantState._unchecked(q_new, qd_new, th_new, thd_new, state.payload_mass, tau_e)
+    return PlantState._unchecked(np.array(q_new), np.array(qd_new), np.array(th_new),
+                                 np.array(thd_new), state.payload_mass, tau_e)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@
   differentiation (``plant_terms``) and C from Christoffel symbols
   (``christoffel``).
   ``reference_step`` is the plant step on them.
+- ``numpy_step``: the plant step as first written on numpy arrays around
+  the package's kernel, which the float step must match bit for bit.
 - ``reference_friction``: the cable-joint friction law as one numpy
   expression, which the package splits between numpy and floats.
 - ``plant_matrices``: the selection matrices S1, S2 and the diagonal
@@ -236,6 +238,49 @@ def reference_step(model, state, u, tau_e, dt):
                           thetadot=thd_new, payload_mass=state.payload_mass, tau_e=tau_e)
 
 
+def numpy_step(model, state, u, tau_e, dt):
+    """``dynamics.step`` as it was written on numpy arrays, every check and
+    message included (the friction as ``reference_friction``). The float
+    step keeps its operations in this order and must give its bits."""
+    if not 0.0 < dt <= 0.005:
+        raise ValueError("dt must lie in (0, 5 ms]")
+    u = np.asarray(u, dtype=float)
+    tau_e = np.array(tau_e, dtype=float)  # stored in the returned state
+    if u.shape != (model.n,) or tau_e.shape != (model.n,):
+        raise ValueError(f"u and tau_e must have length {model.n}")
+    if not np.isfinite(u).all():
+        raise dyn.SimulationFault("control torque u is non-finite")
+    if not np.isfinite(tau_e).all():
+        raise dyn.SimulationFault("interaction torque tau_e is non-finite")
+
+    q, qd = state.q, state.qdot
+    th, thd = state.theta, state.thetadot
+    nd = model.n - model.n_c  # direct-driven joints come first
+
+    M, h = _rigid_body_terms(model, q, qd, state.payload_mass)
+    spring = model.spring_stiffness * (th - q[nd:])  # K (theta - S2 q)
+
+    # S1 u + S2' (spring + tau_f) stacks the direct-joint torques over the
+    # cable-joint ones
+    tau_f = reference_friction(model, thd, model.friction_eps_v)
+    rhs_link = np.concatenate((u[:nd], spring + tau_f)) + tau_e - h
+    qdd = np.linalg.solve(M, rhs_link)
+    thdd = (u[nd:] - spring) / model.motor_inertia
+
+    qd_new = qd + dt * qdd
+    thd_new = thd + dt * thdd
+    q_new = q + dt * qd_new
+    th_new = th + dt * thd_new
+
+    for name, arr in (("q", q_new), ("qdot", qd_new), ("theta", th_new),
+                      ("thetadot", thd_new)):
+        if not np.isfinite(arr).all():
+            raise dyn.SimulationFault(f"integration produced non-finite {name}")
+
+    return dyn.PlantState(q=q_new, qdot=qd_new, theta=th_new, thetadot=thd_new,
+                          payload_mass=state.payload_mass, tau_e=tau_e)
+
+
 def fast_term(state, Kv) -> np.ndarray:
     """Singular-perturbation damping -S2' Kv (thetadot - S2 qdot).
 
@@ -274,6 +319,7 @@ def reference_impedance_control(model, state, q_d, qdot_d, qddot_d, tau_e, cfg):
             raise ValueError(f"{name} must be finite with length {model.n}")
 
     M, h = _rigid_body_terms(model, state.q, state.qdot, state.payload_mass)
+    M = np.array(M)
     tau_f_hat = cfg.friction_scale * reference_friction(model, state.thetadot,
                                                         cfg.friction_comp_eps)
     u_f = fast_term(state, cfg.Kv)

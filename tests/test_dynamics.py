@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from exoassist import dynamics as dyn
 from exoassist import planner as pl
 from exoassist.config import ConfigError
-from oracles import christoffel, fk, geometry, plant_matrices, plant_terms, reference_friction
+from oracles import (christoffel, fk, geometry, numpy_step, plant_matrices, plant_terms,
+                     reference_friction)
 
 
 @pytest.fixture(scope="module")
@@ -378,6 +379,81 @@ def test_step_rejects_bad_dt_and_nonfinite(model):
         dyn.step(model, state, np.array([np.nan, 0, 0, 0]), np.zeros(4), 1e-3)
     with pytest.raises(dyn.SimulationFault, match="tau_e"):
         dyn.step(model, state, np.zeros(4), np.array([np.inf, 0, 0, 0]), 1e-3)
+
+
+_TORQUE_EDGES = (0.0, -0.0, 1e-12, -1e-12)
+
+
+@st.composite
+def step_cases(draw):
+    """A chain with scalar or per-joint spring stiffness and motor inertia and
+    a payload of 0 or more; a state and torques with the edge values among
+    them, then uniform draws on the same plant; a step length."""
+    n = draw(st.sampled_from([1, 2, 4, 6]))
+    n_c = draw(st.integers(1, n))
+
+    def vec(lo, hi, size, edges=()):
+        value = st.floats(lo, hi, **_FINITE)
+        value = st.one_of(st.sampled_from(edges), value) if edges else value
+        return np.array(draw(st.lists(value, min_size=size, max_size=size)))
+
+    def per_joint(lo, hi):
+        return vec(lo, hi, n_c) if draw(st.booleans()) else draw(st.floats(lo, hi, **_FINITE))
+
+    model = dyn.PlantModel(n=n, n_c=n_c, link_lengths=vec(0.05, 0.4, n),
+                           link_masses=vec(0.2, 3.0, n), spring_stiffness=per_joint(10.0, 300.0),
+                           motor_inertia=per_joint(0.01, 0.2))
+    payload = draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0, **_FINITE)))
+    # (bound, size, edges) of q, qdot, theta, thetadot, u and tau_e
+    layout = ((np.pi, n, ()), (3.0, n, ()), (2.0, n_c, ()), (3.0, n_c, ()),
+              (20.0, n, _TORQUE_EDGES), (10.0, n, _TORQUE_EDGES))
+    drawn = tuple(vec(-b, b, size, edges) for b, size, edges in layout)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    uniform = [tuple(rng.uniform(-b, b, size) for b, size, _ in layout) for _ in range(8)]
+    return model, payload, [drawn, *uniform], draw(st.floats(1e-4, 5e-3, **_FINITE))
+
+
+@settings(max_examples=150, deadline=None)
+@given(step_cases())
+def test_step_matches_numpy_oracle_bitwise(case):
+    """The float step gives the array step's bits on all five arrays of the
+    new state, signed zeros included."""
+    model, payload, draws, dt = case
+    for q, qdot, theta, thetadot, u, tau_e in draws:
+        state = dyn.PlantState(q=q, qdot=qdot, theta=theta, thetadot=thetadot,
+                               payload_mass=payload)
+        got, want = dyn.step(model, state, u, tau_e, dt), numpy_step(model, state, u, tau_e, dt)
+        for name in ("q", "qdot", "theta", "thetadot", "tau_e"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.payload_mass == want.payload_mass
+
+
+@pytest.mark.parametrize("u, tau_e", [
+    ([np.nan, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]),  # u is checked first
+    ([0.0, 0.0, 0.0, 0.0], [0.0, -np.inf, 0.0, 0.0]),
+    ([0.0, 0.0, 0.0, 1e308], [0.0, 0.0, 0.0, 0.0]),  # the motor acceleration overflows
+], ids=["u", "tau_e", "integration"])
+def test_step_faults_match_numpy_oracle(model, u, tau_e):
+    state = dyn.settled_state(model, np.zeros(4))
+    with pytest.raises(dyn.SimulationFault) as got:
+        dyn.step(model, state, np.array(u), np.array(tau_e), 1e-3)
+    # the array step overflows in numpy, which warns
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(dyn.SimulationFault) as want:
+        numpy_step(model, state, np.array(u), np.array(tau_e), 1e-3)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10, a passive plant: the motor-side "
+                   "friction acts on the link equation, where it can feed energy in")
+def test_unactuated_plant_never_gains_energy(model):
+    """Passivity: with u = tau_e = 0 the default plant, friction on, holds or
+    loses its energy over 1.5 s."""
+    state = dyn.settled_state(model, (0.1, 0.3, 0.0, 0.5))
+    zero = np.zeros(model.n)
+    e0 = dyn.total_energy(model, state)
+    for _ in range(1500):
+        state = dyn.step(model, state, zero, zero, 1e-3)
+        assert dyn.total_energy(model, state) <= e0 + 1e-3 * abs(e0)
 
 
 def test_step_stores_tau_e(model):
