@@ -312,21 +312,21 @@ class AnomalyDetector:
     # -- scoring -----------------------------------------------------------
 
     def score(self, window) -> float:
-        """Calibrated squared reconstruction error of one window."""
-        x0 = self._as_normalized(window)
+        """Calibrated squared reconstruction error of one raw (L_s, per_tick) window."""
+        x0 = self._normalized(window)
         return float(self.score_batch(x0[None, :])[0])
 
     def score_batch(self, x0: np.ndarray) -> np.ndarray:
-        """Scores for (B, D) normalized windows."""
+        """Scores for (B, D) normalized windows, as training and calibration hold them."""
         x0 = np.atleast_2d(np.asarray(x0, dtype=float))
         xhat = self.reconstruct(x0)
         return self.cal_scale * np.sum((x0 - xhat) ** 2, axis=1)
 
     def score_gradient(self, window):
-        """Score plus its gradient w.r.t. the raw tau_e channels of the most
-        recent window tick (length n), via backprop through the frozen
-        reverse chain."""
-        x0 = self._as_normalized(window)
+        """Score of one raw (L_s, per_tick) window plus its gradient w.r.t.
+        the raw tau_e channels of the most recent window tick (length n),
+        via backprop through the frozen reverse chain."""
+        x0 = self._normalized(window)
         x = x0[None, :]
         xhat, caches = self.reconstruct(x, with_cache=True)
         diff = x - xhat
@@ -346,20 +346,24 @@ class AnomalyDetector:
 
     def calibrate(self, train_windows: np.ndarray, target: float = 0.35,
                   percentile: float = 99.0) -> float:
-        """Rescale so the training-set score percentile maps to ``target``."""
-        self.cal_scale = 1.0
-        scores = self.score_batch(train_windows)
-        q = float(np.percentile(scores, percentile))
+        """Rescale so the score percentile of the normalized training
+        windows maps to ``target``; on failure the scale stays as it was."""
+        previous, self.cal_scale = self.cal_scale, 1.0  # unscaled scores
+        try:
+            q = float(np.percentile(self.score_batch(train_windows), percentile))
+        finally:
+            self.cal_scale = previous
         if q <= 0.0:
             raise ValueError("cannot calibrate on identically-zero scores")
         self.cal_scale = target / q
         return self.cal_scale
 
-    def _as_normalized(self, window) -> np.ndarray:
-        arr = np.asarray(window, dtype=float)
-        if arr.ndim == 2:  # raw (L_s, per_tick)
-            return self.stats.normalize(arr).reshape(-1)
-        return arr
+    def _normalized(self, window) -> np.ndarray:
+        """A raw (L_s, per_tick) window, normalized and flattened to (D,)."""
+        raw = np.asarray(window, dtype=float)
+        if raw.shape != (self.L_s, self.layout.per_tick):
+            raise ValueError(f"a window is a raw ({self.L_s}, {self.layout.per_tick}) array; got {raw.shape}")
+        return self.stats.normalize(raw).reshape(-1)
 
 
 # ---------------------------------------------------------------------------

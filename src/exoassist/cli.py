@@ -81,7 +81,9 @@ def cmd_train_detector(args) -> int:
 
 
 def cmd_run_scenario(args) -> int:
-    # a file that is missing, unparseable or invalid exits 2 naming its flag
+    # a bad --seed, or a file that is missing, unparseable or invalid, exits 2 naming its flag
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed {args.seed}: must be >= 0, as a scenario's seed")
     with config_section(f"--checkpoint {args.checkpoint}"):
         detector = ano.load_checkpoint(args.checkpoint) if args.checkpoint else None
     plant = args.plant or pl.data_path("plant.json")
@@ -187,20 +189,18 @@ def cmd_gradcheck(args) -> int:
     t = rng.integers(1, sch.T + 1, 6)
     eps = rng.standard_normal((6, 20))
     _, grads = ano.denoiser_loss_and_grads(den, x0, t, eps, sch)
-    flat = den.mlp.get_flat()
+    params = den.mlp.params  # perturbed in place, one entry at a time
     hp = 1e-5
     errs = []
-    for i in rng.choice(flat.size, 50, replace=False):
-        fp, fm = flat.copy(), flat.copy()
-        fp[i] += hp
-        fm[i] -= hp
-        den.mlp.set_flat(fp)
+    for i in rng.choice(params.size, 50, replace=False):
+        p0 = params[i]
+        params[i] = p0 + hp
         lp, _ = ano.denoiser_loss_and_grads(den, x0, t, eps, sch, with_grads=False)
-        den.mlp.set_flat(fm)
+        params[i] = p0 - hp
         lm, _ = ano.denoiser_loss_and_grads(den, x0, t, eps, sch, with_grads=False)
+        params[i] = p0
         fd = (lp - lm) / (2 * hp)
         errs.append(abs(grads[i] - fd) / max(abs(fd), abs(grads[i]), 1e-8))
-    den.mlp.set_flat(flat)
     worst["denoiser_parameters"] = max(errs)
 
     # score input gradient vs finite differences

@@ -77,6 +77,8 @@ SCORE_COUPLING_FLOOR = 0.35
 DEFAULT_SENSOR_NOISE = {
     "q": 1e-4, "qdot": 1e-3, "theta": 1e-4, "thetadot": 1e-3, "tau_e": 0.01,
 }
+# the box (deg per joint) training collection draws the wearer's reach targets from
+MOTION_BOX_DEG = ((-20, 60), (5, 100), (-40, 40), (10, 110))
 
 # a go_target with no paramset before it moves at Spd = 0 (duration and speed limit)
 DEFAULT_TASK = ctl.apply_task_config((1, 0, 0))[1]
@@ -151,16 +153,15 @@ TRACE_N, TRACE_N_C = 4, 2
 
 @dataclass
 class SimStack:
-    """Everything a scenario needs besides the scenario itself. The plant
-    must have the layout the trace records, and the detector, if any, must
-    read that layout. The gains are checked against the plant here, once:
-    the controllers do not."""
+    """Everything a scenario needs besides the scenario itself, with the
+    bundled target poses (``load_targets``). The plant must have the layout
+    the trace records, and the detector, if any, must read that layout. The
+    gains are checked against the plant here, once: the controllers do not."""
 
     model: dyn.PlantModel
     control: ctl.ControlConfig
     planner: PlannerRuntime
     detector: AnomalyDetector | None = None
-    targets: dict | None = None
 
     def __post_init__(self):
         if (self.model.n, self.model.n_c) != (TRACE_N, TRACE_N_C):
@@ -173,8 +174,7 @@ class SimStack:
         self.control.transparent.validated(self.model.n_c)
         self.control.impedance.validated(self.model.n, self.model.n_c)
         self.control.qp.validated(self.model.n)
-        if self.targets is None:
-            self.targets = load_targets()
+        self.targets = load_targets()
 
 
 TRACE_COLUMNS = (
@@ -199,7 +199,7 @@ _LIST_COLUMNS = ("mode", "subtask", "replan", "mode_cmd")
 @dataclass
 class TraceRecord:
     """Column-major per-tick trace; ``append`` takes one row in
-    TRACE_COLUMNS order and ``rows`` gives CSV-ready row lists."""
+    TRACE_COLUMNS order."""
 
     fault: str | None = None
     columns: dict = field(default_factory=lambda: {
@@ -207,10 +207,6 @@ class TraceRecord:
 
     def __len__(self) -> int:
         return len(self.columns["t"])
-
-    @property
-    def rows(self) -> list[list]:
-        return [list(r) for r in zip(*self.columns.values())]
 
     def append(self, row):
         for col, value in zip(self.columns.values(), row, strict=True):
@@ -677,8 +673,9 @@ def run_scenario(scenario: Scenario, stack: SimStack, seed: int | None = None):
 # metrics
 
 
-def metrics(trace: TraceRecord, scenario: Scenario | None = None) -> dict:
-    """Aggregate per-run quantities from a trace."""
+def metrics(trace: TraceRecord, scenario: Scenario) -> dict:
+    """Aggregate per-run quantities from a trace; tracking and assist torque
+    are taken over the scenario's assist joints."""
     if not len(trace):
         return {"n_ticks": 0}
     n = TRACE_N
@@ -693,7 +690,7 @@ def metrics(trace: TraceRecord, scenario: Scenario | None = None) -> dict:
 
     mask = np.array([m == 1 and str(lbl).startswith("go_target")
                      for m, lbl in zip(mode, subtask)])
-    joints = list(scenario.assist_joints) if scenario else list(range(n))
+    joints = list(scenario.assist_joints)
 
     out = {
         "n_ticks": len(trace),
@@ -794,31 +791,27 @@ def tracking_comparison(model: dyn.PlantModel, control_cfg: ctl.ControlConfig,
 
 def collect_training_data(model: dyn.PlantModel, subjects: list[WearerParams],
                           duration: float, seed: int = 0, L_s: int = 25,
-                          stride: int = 5,
-                          cfg: ctl.TransparentConfig | None = None,
-                          sensor_noise: dict | None = None,
-                          motion_box_deg=((-20, 60), (5, 100), (-40, 40), (10, 110))):
+                          stride: int = 5):
     """Transparent-mode reach/transport motions sliced into sensory windows.
 
-    Returns a dict with raw windows (M, L_s, per_tick), per-window subject
-    tags, a contiguous 80/20 train/validation split, and the channel stats
-    computed on the training part only. ``sensor_noise`` follows a
-    scenario's rule (a missing key is no noise; a bad one raises
-    ConfigError) and is read out as ``run_scenario`` reads it: one draw per
-    read-out over the channels with a nonzero level. A subject that breaks
-    ``WEARER_FIELDS`` on this plant raises ConfigError before any motion.
+    The wearer reaches for random targets in MOTION_BOX_DEG under the
+    default ``TransparentConfig``, and every channel is read out with
+    DEFAULT_SENSOR_NOISE, as ``run_scenario`` reads it: one draw per
+    read-out. Returns a dict with raw windows (M, L_s, per_tick),
+    per-window subject tags, a contiguous 80/20 train/validation split, and
+    the channel stats computed on the training part only. A subject that
+    breaks ``WEARER_FIELDS`` on this plant raises ConfigError before any
+    motion.
     """
     ticks_per_subject = int(round(duration / CONTROL_DT))
     if ticks_per_subject < L_s:
         raise ValueError("duration too short for a single sensory window")
-    cfg = (cfg or ctl.TransparentConfig()).validated(model.n_c)
-    noise = DEFAULT_SENSOR_NOISE if sensor_noise is None else sensor_noise
-    check_fields(noise, SCENARIO_FIELDS["sensor_noise"].table, "sensor_noise")
+    cfg = ctl.TransparentConfig().validated(model.n_c)
     for s_idx, subject in enumerate(subjects):
         check_fields(subject, WEARER_FIELDS, f"subjects[{s_idx}]", {"n": model.n, "n_c": model.n_c})
-    read_row = _ReadOut(noise, model)  # the window's channels
-    read_belief = _ReadOut(noise, model, ("q", "qdot", "tau_e"))  # the controller's
-    box = [np.radians(np.array(b, dtype=float)) for b in motion_box_deg]
+    read_row = _ReadOut(DEFAULT_SENSOR_NOISE, model)  # the window's channels
+    read_belief = _ReadOut(DEFAULT_SENSOR_NOISE, model, ("q", "qdot", "tau_e"))  # the controller's
+    box = [np.radians(np.array(b, dtype=float)) for b in MOTION_BOX_DEG]
 
     all_windows = []
     tags = []

@@ -75,16 +75,6 @@ class MLP:
             g = g @ self.W[i].T
         return g
 
-    # -- flat parameter copies (gradient checks) ---------------------------
-
-    def get_flat(self) -> np.ndarray:
-        return self.params.copy()
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        if np.shape(flat) != self.params.shape:
-            raise ValueError("flat parameter vector has wrong length")
-        self.params[...] = flat
-
 
 # parameters per pass of Adam's update: its scratch stays chunk-sized and in cache
 ADAM_CHUNK = 16384

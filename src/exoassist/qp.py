@@ -5,9 +5,9 @@ style dual active set (the working set grows from the unconstrained
 optimum, so no feasible starting point is needed and infeasibility is
 detected directly). A box on x is two blocks of rows, [I; -I] x <= [ub; -lb].
 
-A Cholesky factorization of H - 2e-12 max|H_ij| I proves H positive
-definite; only when it fails does ``eigh`` look for null directions
-(unbounded if f pushes along one, otherwise regularised).
+The dual method is defined for a positive-definite H (Goldfarb & Idnani,
+1983): a Cholesky factorization of H - 2e-12 max(1, max|H_ij|) I proves it,
+and an H that fails is returned as ``not_positive_definite``.
 
 Problems here are small and dense (at most a few hundred variables), so
 every iteration re-solves against H instead of maintaining factorization
@@ -28,7 +28,7 @@ _MAX_ITER = 200  # active-set iterations before giving up
 @dataclass
 class QPResult:
     """Solution record; ``status`` is one of optimal / infeasible /
-    unbounded / iteration_limit."""
+    not_positive_definite / iteration_limit."""
 
     status: str
     x: np.ndarray | None = None
@@ -147,8 +147,8 @@ def _dual_active_set(G, a, A, b):
 
 
 def qp_solve(H, f, A_in=None, b_in=None) -> QPResult:
-    """Solve the QP; returns a typed result rather than raising on
-    infeasible or unbounded problems."""
+    """Solve the QP; returns a typed result rather than raising on an
+    infeasible problem or an H that is not positive definite."""
     H = np.atleast_2d(np.asarray(H, dtype=float))
     f = np.atleast_1d(np.asarray(f, dtype=float))
     n = f.size
@@ -160,19 +160,12 @@ def qp_solve(H, f, A_in=None, b_in=None) -> QPResult:
 
     A, b = _inequalities(n, A_in, b_in)
 
-    # unbounded directions: null curvature with a nonzero linear term
     scale = max(1.0, float(np.max(np.abs(H))))
-    G = H
-    try:  # every eigenvalue well above the null threshold: no null directions
+    try:  # every eigenvalue of H above 2e-12 scale
         np.linalg.cholesky(H - (2e-12 * scale) * np.eye(n))
     except np.linalg.LinAlgError:
-        evals, evecs = np.linalg.eigh(H)
-        null_mask = evals < 1e-12 * scale
-        if np.any(null_mask):
-            if np.max(np.abs(evecs[:, null_mask].T @ f)) > 1e-10 * (1.0 + np.max(np.abs(f))):
-                return QPResult(status="unbounded")
-            G = H + (1e-12 * scale) * np.eye(n)
-    status, x, mu, iters = _dual_active_set(G, f, A, b)
+        return QPResult(status="not_positive_definite")
+    status, x, mu, iters = _dual_active_set(H, f, A, b)
     if status != "optimal":
         return QPResult(status=status, iterations=iters)
 

@@ -11,6 +11,8 @@
   ``reference_step`` is the plant step on them.
 - ``numpy_step``: the plant step as first written on numpy arrays around
   the package's kernel, which the float step must match bit for bit.
+- ``frozen_mass_matrix``: the kernel's composite-rigid-body pass for M,
+  frozen as written on Python floats, which pins the bits of M.
 - ``reference_friction``: the cable-joint friction law as one numpy
   expression, which the package splits between numpy and floats.
 - ``plant_matrices``: the selection matrices S1, S2 and the diagonal
@@ -22,8 +24,8 @@
 - ``reference_refine``: the refinement QP rebuilt from scratch on every
   call, as first written (prediction matrices entry by entry in
   ``reference_prediction_matrices``), solved by ``reference_qp_solve``
-  (the QP solver with an ``eigh`` positive-definiteness test on every
-  call).
+  (the QP solver with an eigenvalue test of positive definiteness on
+  every call).
 """
 import itertools
 import math
@@ -238,6 +240,56 @@ def reference_step(model, state, u, tau_e, dt):
                           thetadot=thd_new, payload_mass=state.payload_mass, tau_e=tau_e)
 
 
+def frozen_mass_matrix(model, q, payload_mass):
+    """M(q) as n lists of n floats: a frozen copy of the frame updates and
+    the composite-rigid-body pass of ``dynamics._rigid_body_terms``, every
+    float operation in its order, so any change to the bits of M shows."""
+    chain = model._chain
+    R = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]  # link frame columns
+    p0 = p1 = p2 = 0.0  # joint origin
+    axes, bodies = [], []
+    for qi, (ax, b, d, length, lc, m, it, dit) in zip(q.tolist(), chain):
+        k0, k1, k2 = R[ax]  # world joint axis, fixed in the parent frame
+        co, si = math.cos(qi), math.sin(qi)
+        (b0, b1, b2), (d0, d1, d2) = R[b], R[d]
+        R[b] = (co * b0 + si * d0, co * b1 + si * d1, co * b2 + si * d2)
+        R[d] = (co * d0 - si * b0, co * d1 - si * b1, co * d2 - si * b2)
+        z0, z1, z2 = R[2]
+        axes.append((k0, k1, k2, k1 * p2 - k2 * p1, k2 * p0 - k0 * p2, k0 * p1 - k1 * p0))
+        bodies.append((m, p0 - lc * z0, p1 - lc * z1, p2 - lc * z2, it, dit, z0, z1, z2))
+        p0, p1, p2 = p0 - length * z0, p1 - length * z1, p2 - length * z2
+
+    pm = payload_mass
+    bodies.append((pm, p0, p1, p2, 0.0, 0.0, 0.0, 0.0, 0.0))
+    mc = mu0 = mu1 = mu2 = -0.0
+    xx = yy = zz = xy = xz = yz = 0.0
+    n = len(chain)
+    M = [[0.0] * n for _ in range(n)]
+    for j in range(n, -1, -1):
+        m, c0, c1, c2, it, dit, z0, z1, z2 = bodies[j]
+        mc += m
+        mu0, mu1, mu2 = mu0 + m * c0, mu1 + m * c1, mu2 + m * c2
+        iso = it + m * (c0 * c0 + c1 * c1 + c2 * c2)
+        d0, d1, d2 = dit * z0, dit * z1, dit * z2
+        xx, yy, zz, xy, xz, yz = (
+            xx + iso + d0 * z0 - m * c0 * c0, yy + iso + d1 * z1 - m * c1 * c1,
+            zz + iso + d2 * z2 - m * c2 * c2, xy + d0 * z1 - m * c0 * c1,
+            xz + d0 * z2 - m * c0 * c2, yz + d1 * z2 - m * c1 * c2)
+        if j == n:
+            continue
+        k0, k1, k2, u0, u1, u2 = axes[j]
+        n0 = xx * k0 + xy * k1 + xz * k2 + (u1 * mu2 - u2 * mu1)
+        n1 = xy * k0 + yy * k1 + yz * k2 + (u2 * mu0 - u0 * mu2)
+        n2 = xz * k0 + yz * k1 + zz * k2 + (u0 * mu1 - u1 * mu0)
+        f0 = (k1 * mu2 - k2 * mu1) - mc * u0
+        f1 = (k2 * mu0 - k0 * mu2) - mc * u1
+        f2 = (k0 * mu1 - k1 * mu0) - mc * u2
+        row = M[j]
+        for l, (a0, a1, a2, b0, b1, b2) in enumerate(axes[:j + 1]):
+            row[l] = M[l][j] = a0 * n0 + a1 * n1 + a2 * n2 - b0 * f0 - b1 * f1 - b2 * f2
+    return M
+
+
 def numpy_step(model, state, u, tau_e, dt):
     """``dynamics.step`` as it was written on numpy arrays, every check and
     message included (the friction as ``reference_friction``). The float
@@ -350,8 +402,8 @@ def reference_wearer_torque(params, intent, override, transients, t, state):
 
 
 def reference_qp_solve(H, f, A_in=None, b_in=None) -> QPResult:
-    """``qp.qp_solve`` with its first positive-definiteness test: an ``eigh``
-    on every call."""
+    """``qp.qp_solve`` with an eigenvalue test of positive definiteness
+    (``eigvalsh``) on every call in place of its Cholesky test."""
     H = np.atleast_2d(np.asarray(H, dtype=float))
     f = np.atleast_1d(np.asarray(f, dtype=float))
     n = f.size
@@ -363,16 +415,10 @@ def reference_qp_solve(H, f, A_in=None, b_in=None) -> QPResult:
 
     A, b = _inequalities(n, A_in, b_in)
 
-    # unbounded directions: null curvature with a nonzero linear term
-    evals, evecs = np.linalg.eigh(H)
     scale = max(1.0, float(np.max(np.abs(H))))
-    null_mask = evals < 1e-12 * scale
-    G = H
-    if np.any(null_mask):
-        if np.max(np.abs(evecs[:, null_mask].T @ f)) > 1e-10 * (1.0 + np.max(np.abs(f))):
-            return QPResult(status="unbounded")
-        G = H + (1e-12 * scale) * np.eye(n)
-    status, x, mu, iters = _dual_active_set(G, f, A, b)
+    if np.linalg.eigvalsh(H)[0] <= 2e-12 * scale:
+        return QPResult(status="not_positive_definite")
+    status, x, mu, iters = _dual_active_set(H, f, A, b)
     if status != "optimal":
         return QPResult(status=status, iterations=iters)
 

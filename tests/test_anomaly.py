@@ -145,7 +145,7 @@ def test_training_is_seed_deterministic(small_setup):
     cfg = ano.TrainConfig(epochs=3, batch_size=16, hidden=(16,), embed_dim=8, seed=21)
     d1, h1 = ano.train_denoiser(normed, sch, cfg)
     d2, h2 = ano.train_denoiser(normed, sch, cfg)
-    assert np.array_equal(d1.mlp.get_flat(), d2.mlp.get_flat())
+    assert np.array_equal(d1.mlp.params, d2.mlp.params)
     assert h1["train"] == h2["train"]
 
 
@@ -188,20 +188,18 @@ def test_parameter_gradients_match_finite_differences(small_setup):
     t = rng.integers(1, sch.T + 1, 5)
     eps = rng.standard_normal((5, 16))
     _, grads = ano.denoiser_loss_and_grads(den, x0, t, eps, sch)
-    flat = den.mlp.get_flat()
+    params = den.mlp.params
     h = 1e-5
-    for i in rng.choice(flat.size, 50, replace=False):
-        fp, fm = flat.copy(), flat.copy()
-        fp[i] += h
-        fm[i] -= h
-        den.mlp.set_flat(fp)
+    for i in rng.choice(params.size, 50, replace=False):
+        p0 = params[i]
+        params[i] = p0 + h
         lp, _ = ano.denoiser_loss_and_grads(den, x0, t, eps, sch, with_grads=False)
-        den.mlp.set_flat(fm)
+        params[i] = p0 - h
         lm, _ = ano.denoiser_loss_and_grads(den, x0, t, eps, sch, with_grads=False)
+        params[i] = p0
         fd = (lp - lm) / (2 * h)
         denom = max(abs(fd), abs(grads[i]), 1e-8)
         assert abs(grads[i] - fd) / denom < 1e-4
-    den.mlp.set_flat(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +229,7 @@ def test_in_distribution_scores_below_p95(small_setup):
     det = small_setup["detector"]
     train_scores = det.score_batch(small_setup["normed"][:300])
     p95 = np.percentile(train_scores, 95)
-    fresh = small_setup["normed"][310]
+    fresh = small_setup["raw"][310]
     assert det.score(fresh) < max(p95, np.percentile(train_scores, 99) * 1.5)
 
 
@@ -242,25 +240,45 @@ def test_in_distribution_scores_below_p95(small_setup):
 def test_score_zero_for_perfect_reconstruction(small_setup, monkeypatch):
     det = small_setup["detector"]
     monkeypatch.setattr(det, "reconstruct", lambda x0: np.array(x0, copy=True))
-    x0 = small_setup["normed"][5]
-    assert np.any(x0 != 0.0)
-    assert det.score(x0) == 0.0
+    assert np.any(small_setup["normed"][5] != 0.0)
+    assert det.score(small_setup["raw"][5]) == 0.0
     batch = small_setup["normed"][:4]
     assert np.array_equal(det.score_batch(batch), np.zeros(4))
 
 
 def test_score_nonnegative_and_order_sensitive(small_setup):
     det = small_setup["detector"]
-    x0 = small_setup["normed"][7]
-    assert det.score(x0.copy()) >= 0.0
-    shuffled = x0.reshape(L_S, LAYOUT.per_tick)[::-1].reshape(-1).copy()
-    assert det.score(shuffled) != pytest.approx(det.score(x0), rel=1e-6)
+    raw = small_setup["raw"][7]
+    assert det.score(raw.copy()) >= 0.0
+    shuffled = raw[::-1].copy()
+    assert det.score(shuffled) != pytest.approx(det.score(raw), rel=1e-6)
+
+
+@pytest.mark.parametrize("shape", [(L_S * LAYOUT.per_tick,), (L_S - 1, LAYOUT.per_tick),
+                                   (1, L_S, LAYOUT.per_tick)],
+                         ids=["flat", "short", "batched"])
+def test_score_takes_only_a_raw_window(small_setup, shape):
+    det = small_setup["detector"]
+    window = np.zeros(shape)
+    for entry in (det.score, det.score_gradient):
+        with pytest.raises(ValueError, match=rf"raw \({L_S}, {LAYOUT.per_tick}\) array"):
+            entry(window)
 
 
 def test_calibration_maps_p99_to_target(small_setup):
     det = small_setup["detector"]
     scores = det.score_batch(small_setup["normed"][:300])
     assert np.percentile(scores, 99) == pytest.approx(0.35, rel=1e-9)
+
+
+def test_failed_calibration_keeps_the_previous_scale(small_setup, monkeypatch):
+    det = small_setup["detector"]
+    scale = det.cal_scale
+    assert scale != 1.0
+    monkeypatch.setattr(det, "score_batch", lambda x0: np.zeros(len(x0)))
+    with pytest.raises(ValueError, match="identically-zero"):
+        det.calibrate(small_setup["normed"][:300])
+    assert det.cal_scale == scale
 
 
 def test_score_gradient_matches_finite_differences(small_setup):
@@ -287,7 +305,7 @@ def test_score_gradient_zero_at_fixed_point(small_setup):
     # reduces to zero; check the algebra by translating the window so the
     # residual vanishes identically
     diff = x0 - xhat
-    assert det.cal_scale * np.sum(diff**2) == pytest.approx(det.score(x0))
+    assert det.cal_scale * np.sum(diff**2) == pytest.approx(det.score(small_setup["raw"][2]))
 
 
 def test_score_gradient_halves_when_std_doubles(small_setup):
@@ -312,10 +330,10 @@ def test_checkpoint_roundtrip(tmp_path, small_setup):
     path = tmp_path / "det.npz"
     ano.save_checkpoint(path, det)
     loaded = ano.load_checkpoint(path)
-    x0 = small_setup["normed"][9]
-    assert loaded.score(x0) == det.score(x0)
-    _, _, g1 = det.score_gradient(small_setup["raw"][9])
-    _, _, g2 = loaded.score_gradient(small_setup["raw"][9])
+    raw = small_setup["raw"][9]
+    assert loaded.score(raw) == det.score(raw)
+    _, _, g1 = det.score_gradient(raw)
+    _, _, g2 = loaded.score_gradient(raw)
     assert np.array_equal(g1, g2)
 
 

@@ -246,6 +246,13 @@ def test_run_scenario_rejects_bad_scenario_value(tmp_path, capsys, field, value,
     assert name in err and len(err.strip().splitlines()) == 1
 
 
+def test_run_scenario_rejects_negative_seed(capsys):
+    # as a scenario file's "seed": -1 does, before any file is read
+    assert main(["run-scenario", "--scenario", "missing.json", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "--seed -1" in err and ">= 0" in err and len(err.strip().splitlines()) == 1
+
+
 def test_run_scenario_rejects_bad_control_file(tmp_path, capsys):
     control = tmp_path / "control.json"
     control.write_text(json.dumps({"qp": {"horizon": 1}}))

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from exoassist import dynamics as dyn
 from exoassist import planner as pl
 from exoassist.config import ConfigError
-from oracles import (christoffel, fk, geometry, numpy_step, plant_matrices, plant_terms,
-                     reference_friction)
+from oracles import (christoffel, fk, frozen_mass_matrix, geometry, numpy_step, plant_matrices,
+                     plant_terms, reference_friction)
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +172,19 @@ def test_rigid_body_kernel_matches_complex_step(case):
     assert_close(dyn.mass_matrix(model, q, payload), M_ref)
     assert_close(dyn.gravity_vector(model, q, payload), g_ref)
     assert_close(dyn.coriolis_matrix(model, q, qdot, payload), C_ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_states(), st.sampled_from([0.0, -0.0, 1e-12, -np.pi, np.pi]))
+def test_mass_matrix_bits_are_frozen(case, edge):
+    """The kernel's M has the frozen pass's bits, signed zeros included, on
+    drawn chains and on a pose with one joint at an edge value."""
+    model, q, qdot, payload = case
+    for pose in (q, np.concatenate([[edge], q[1:]])):
+        M, _ = dyn._rigid_body_terms(model, pose, qdot, payload)
+        assert np.array(M).tobytes() == np.array(frozen_mass_matrix(model, pose, payload)).tobytes()
+    assert dyn.mass_matrix(model, q, payload).tobytes() == \
+        np.array(frozen_mass_matrix(model, q, payload)).tobytes()
 
 
 # ---------------------------------------------------------------------------

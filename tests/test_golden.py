@@ -117,7 +117,7 @@ def training_run() -> dict:
     denoiser, history = ano.train_denoiser(normed[:48], schedule, cfg,
                                            val_windows=normed[48:])
     detector = ano.AnomalyDetector(denoiser, schedule, stats, L_s, layout, seed=5)
-    flat = denoiser.mlp.get_flat()
+    flat = denoiser.mlp.params
     idx = np.linspace(0, flat.size - 1, TRAIN_SAMPLES).astype(int)
     return {"train": history["train"], "val": history["val"],
             "param_index": idx.tolist(), "params": flat[idx].tolist(),

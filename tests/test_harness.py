@@ -100,24 +100,12 @@ def test_two_subjects_are_tagged(trained):
     assert (tags == "subject-a").sum() == (tags == "subject-b").sum()
 
 
-def test_degenerate_motion_rejected(trained):
+def test_degenerate_motion_rejected(trained, monkeypatch):
+    """A motion box of single poses read without noise leaves channels constant."""
+    monkeypatch.setattr(hz, "MOTION_BOX_DEG", ((10, 10), (30, 30), (0, 0), (40, 40)))
+    monkeypatch.setattr(hz, "DEFAULT_SENSOR_NOISE", {})
     with pytest.raises(ano.DegenerateDataError):
-        hz.collect_training_data(
-            trained["model"], [hz.WearerParams()], duration=4.0, seed=0,
-            sensor_noise={k: 0.0 for k in hz.DEFAULT_SENSOR_NOISE},
-            motion_box_deg=((10, 10), (30, 30), (0, 0), (40, 40)))
-
-
-def test_collection_noise_missing_key_is_no_noise(trained):
-    """A sensor_noise dict replaces the default as a whole, as in a
-    scenario file: the missing channels are read without noise, and a zero
-    level draws nothing, so it reads like a missing key."""
-    quiet = {k: 0.0 for k in hz.DEFAULT_SENSOR_NOISE}
-    no_q = {k: v for k, v in hz.DEFAULT_SENSOR_NOISE.items() if k != "q"}
-    for pair in (({"q": 0.1}, {**quiet, "q": 0.1}), (no_q, {**no_q, "q": 0.0})):
-        runs = [hz.collect_training_data(trained["model"], [hz.WearerParams()], duration=1.0,
-                                         seed=3, sensor_noise=noise)["raw"] for noise in pair]
-        assert np.array_equal(runs[0], runs[1])
+        hz.collect_training_data(trained["model"], [hz.WearerParams()], duration=4.0, seed=0)
 
 
 class RecordingRng:
@@ -138,7 +126,8 @@ class RecordingRng:
 def test_scenario_and_collection_read_out_by_one_rule(monkeypatch):
     """Both loops read a noise dict the same way: one draw per read-out over
     the entries with a nonzero level, in channel order, none for a zero or
-    missing level, each draw added to the channel it belongs to."""
+    missing level, each draw added to the channel it belongs to. Collection
+    reads DEFAULT_SENSOR_NOISE, where every level is nonzero."""
     model = dyn.default_model()
     noise = {"q": 0.0, "qdot": 1e-3, "thetadot": 0.0, "tau_e": 0.02}  # theta missing
     draws = []
@@ -159,15 +148,9 @@ def test_scenario_and_collection_read_out_by_one_rule(monkeypatch):
         assert np.array_equal(qd_s[k], qd[k - 1] + draws[k][:model.n] * 1e-3)
 
     draws.clear()
-    hz.collect_training_data(model, [hz.WearerParams()], duration=0.3, seed=3,
-                             sensor_noise=noise)
-    assert [z.size for z in draws] == [2 * model.n] * 2 * 30  # controller, then window
-
-
-def test_collection_rejects_negative_noise(no_physics):
-    with pytest.raises(ConfigError, match="sensor_noise q"):
-        hz.collect_training_data(dyn.default_model(), [hz.WearerParams()], duration=1.0,
-                                 sensor_noise={**hz.DEFAULT_SENSOR_NOISE, "q": -1.0})
+    hz.collect_training_data(model, [hz.WearerParams()], duration=0.3, seed=3)
+    per_tick = ano.ChannelLayout(n=model.n, n_c=model.n_c).per_tick
+    assert [z.size for z in draws] == [3 * model.n, per_tick] * 30  # controller, then window
 
 
 def test_too_short_duration_rejected(trained):
@@ -193,8 +176,8 @@ def synthetic_trace(q_fn, q_d_fn, ticks=200):
 def test_trace_record_rows_and_csv(tmp_path):
     trace = synthetic_trace(lambda t: np.array([0.1, 0.2, 0.3, 0.4]) + t,
                             lambda t: np.zeros(4), ticks=5)
-    assert len(trace) == len(trace.rows) == 5
-    row = trace.rows[2]
+    assert len(trace) == 5
+    row = [trace.columns[c][2] for c in hz.TRACE_COLUMNS]
     assert row[hz.TRACE_COLUMNS.index("q1")] == 0.2 + 2 * hz.CONTROL_DT
     assert row[hz.TRACE_COLUMNS.index("replan")] == 0  # flags stay integers
     path = tmp_path / "trace.csv"
@@ -204,10 +187,13 @@ def test_trace_record_rows_and_csv(tmp_path):
     assert lines[3].split(",") == [str(v) for v in row]
 
 
+ALL_JOINTS = hz.Scenario(name="synthetic", task="t", assist_joints=(0, 1, 2, 3))
+
+
 def test_metrics_perfect_tracking_zero_rms():
     q = lambda t: np.array([0.1, 0.2, 0.3, 0.4])
     trace = synthetic_trace(q, q)
-    out = hz.metrics(trace)
+    out = hz.metrics(trace, ALL_JOINTS)
     assert out["rms_tracking_deg"] == 0.0
 
 
@@ -217,7 +203,7 @@ def test_metrics_sinusoid_rms_closed_form():
     base = lambda t: np.zeros(4)
     off = lambda t: np.array([amp * np.sin(omega * t), 0, 0, 0])
     trace = synthetic_trace(off, base, ticks=400)  # integer periods
-    out = hz.metrics(trace)
+    out = hz.metrics(trace, ALL_JOINTS)
     # RMS over one joint = amp/sqrt(2); over 4 joints divide by sqrt(4)
     expected = np.degrees(amp / np.sqrt(2.0)) / 2.0
     assert out["rms_tracking_deg"] == pytest.approx(expected, rel=1e-3)
@@ -241,9 +227,7 @@ def test_scenario_deterministic_traces(stack_no_detector):
     scen.duration = 4.0
     t1, _ = hz.run_scenario(scen, stack_no_detector, seed=42)
     t2, _ = hz.run_scenario(scen, stack_no_detector, seed=42)
-    assert len(t1.rows) == len(t2.rows)
-    for r1, r2 in zip(t1.rows, t2.rows):
-        assert r1 == r2
+    assert t1.columns == t2.columns
 
 
 def test_scenario_completes_and_interlock_holds(stack_no_detector):
@@ -281,7 +265,7 @@ def test_engine_fault_flushes_partial_trace(trained, stack_no_detector):
     stack_no_detector.control = dataclasses.replace(trained["control"], impedance=bad_imp)
     trace, report = hz.run_scenario(scen, stack_no_detector)
     assert report.get("fault")
-    assert len(trace.rows) > 0
+    assert len(trace) > 0
     # the report of a completed run, plus the fault
     assert set(report) == set(hz.metrics(trace, scen)) | {
         "schema_version", "task_completed", "replan_count", "detection_latency_ms", "fault"}
@@ -296,7 +280,7 @@ def test_trace_csv_roundtrip(tmp_path, stack_no_detector):
     hz.save_trace_csv(path, trace)
     lines = path.read_text().splitlines()
     assert lines[0].split(",") == list(hz.TRACE_COLUMNS)
-    assert len(lines) == len(trace.rows) + 1
+    assert len(lines) == len(trace) + 1
 
 
 def test_scenario_loader_rejects_unknown_fields(tmp_path):
@@ -374,9 +358,6 @@ def test_wrong_gain_length_fails_before_the_first_tick(no_physics):
         hz.SimStack(model=model, control=short_kd, planner=None)
     with pytest.raises(ConfigError, match="Kd"):
         hz.tracking_comparison(model, short_kd, [0, 5, 0, 20], [0, 95, 0, 20], t_f=3.0)
-    with pytest.raises(ConfigError, match="Kv"):
-        hz.collect_training_data(model, [hz.WearerParams()], duration=1.0,
-                                 cfg=ctl.TransparentConfig(Kv=[5.0, 5.0, 5.0]))
 
 
 def test_wrong_qp_bound_length_fails_before_the_first_tick(no_physics):
@@ -455,8 +436,8 @@ def test_default_speed_limit_binds_without_paramset():
     scorer = NoParamsetScorer(pl.load_corpus(pl.data_path("corpus.jsonl")))
     stack = hz.SimStack(model=dyn.load_plant_config(pl.data_path("plant.json")),
                         control=ctl.load_control_config(pl.data_path("control.json")),
-                        planner=pl.PlannerRuntime(scorer, pl.default_library()),
-                        targets=targets)
+                        planner=pl.PlannerRuntime(scorer, pl.default_library()))
+    stack.targets = targets
     scen = hz.load_scenario(scenario_path("water_mouth.json"))
     scen.duration = 8.0
     trace, report = hz.run_scenario(scen, stack)

@@ -14,11 +14,11 @@ def test_backprop_matches_finite_differences():
     target = rng.standard_normal((4, 3))
 
     def loss_of(flat):
-        net.set_flat(flat)
+        net.params[...] = flat
         out, _ = net.forward(x)
         return float(np.sum((out - target) ** 2))
 
-    flat = net.get_flat()
+    flat = net.params.copy()
     out, acts = net.forward(x)
     grads = net.backward(acts, 2.0 * (out - target))
 
@@ -30,7 +30,6 @@ def test_backprop_matches_finite_differences():
         fm[i] -= h
         fd = (loss_of(fp) - loss_of(fm)) / (2 * h)
         assert grads[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
-    net.set_flat(flat)
 
 
 def test_input_vjp_matches_finite_differences():
@@ -60,7 +59,7 @@ def test_weights_and_gradients_are_views_of_the_flat_buffers(tmp_path):
 
     net = MLP([4, 7, 5, 2], seed=0)
     assert_views(net)
-    net.set_flat(np.arange(net.params.size, dtype=float))
+    net.params[...] = np.arange(net.params.size, dtype=float)
     assert_views(net)
     assert net.W[0][0, 1] == 1.0 and net.b[-1][-1] == net.params.size - 1
 
@@ -76,13 +75,10 @@ def test_weights_and_gradients_are_views_of_the_flat_buffers(tmp_path):
 
 def test_flat_roundtrip():
     net = MLP([4, 7, 2], seed=0)
-    flat = net.get_flat()
     net2 = MLP([4, 7, 2], seed=99)
-    net2.set_flat(flat)
+    net2.params[...] = net.params
     x = np.random.default_rng(5).standard_normal((2, 4))
     assert np.array_equal(net(x), net2(x))
-    with pytest.raises(ValueError):
-        net2.set_flat(flat[:-1])
 
 
 def test_adam_first_step_magnitude():

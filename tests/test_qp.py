@@ -1,5 +1,6 @@
 """QP solver contract tests against a brute-force active-set enumeration
-oracle, plus typed infeasible/unbounded results and KKT certification."""
+oracle, plus typed infeasible/not-positive-definite results and KKT
+certification."""
 import numpy as np
 import pytest
 from oracles import brute_force_qp
@@ -69,21 +70,32 @@ def test_infeasible_returns_typed_result():
 
 
 def test_unbounded_returns_typed_result():
-    # zero curvature along x2 with a linear term pushing that way
-    H = np.diag([1.0, 0.0])
-    f = np.array([0.0, -1.0])
-    res = qp_solve(H, f)
-    assert res.status == "unbounded"
+    # zero curvature along x2 with a linear term pushing that way: the problem
+    # is unbounded below, and its H is not positive definite
+    res = qp_solve(np.diag([1.0, 0.0]), np.array([0.0, -1.0]))
+    assert res.status == "not_positive_definite"
+    assert res.x is None and not res.certified
 
 
 def test_degenerate_psd_with_consistent_linear_term():
-    # null direction with no linear push: minimizer exists (non-unique)
-    H = np.diag([2.0, 0.0])
-    f = np.array([-2.0, 0.0])
+    # a null direction with no linear push has a (non-unique) boxed minimiser,
+    # but the dual method is defined for a positive-definite H only
     A, b = box_rows(np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
-    res = qp_solve(H, f, A_in=A, b_in=b)
-    assert res.status == "optimal"
-    assert res.x[0] == pytest.approx(1.0, abs=1e-6)
+    res = qp_solve(np.diag([2.0, 0.0]), np.array([-2.0, 0.0]), A_in=A, b_in=b)
+    assert res.status == "not_positive_definite"
+    assert res.x is None and not res.certified
+
+
+@pytest.mark.parametrize("H, f", [
+    (np.diag([1.0, 1e-14]), np.array([0.0, -1.0])),  # an eigenvalue below 2e-12 x scale
+    (np.diag([1.0, 1e-14]), np.array([-2.0, 0.0])),  # the same, with no push along it
+    (np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros(2)),
+    (np.diag([1.0, -1.0]), np.zeros(2)),
+], ids=["near-null-push", "near-null", "rank-one", "indefinite"])
+def test_near_null_or_indefinite_curvature_is_not_positive_definite(H, f):
+    res = qp_solve(H, f)
+    assert res.status == "not_positive_definite"
+    assert res.x is None and not res.certified
 
 
 @pytest.mark.parametrize("A_in, b_in", [
@@ -100,27 +112,3 @@ def test_rejects_asymmetric_h():
     with pytest.raises(ValueError):
         qp_solve(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2))
 
-
-def test_near_null_curvature_with_push_is_unbounded():
-    # an eigenvalue of 1e-14 is below the null threshold (1e-12 x scale)
-    res = qp_solve(np.diag([1.0, 1e-14]), np.array([0.0, -1.0]))
-    assert res.status == "unbounded"
-
-
-def test_near_null_curvature_without_push_is_regularised():
-    H, f = np.diag([1.0, 1e-14]), np.array([-2.0, 0.0])
-    res = qp_solve(H, f)
-    assert res.status == "optimal"
-    assert res.x.tobytes() == (-np.linalg.solve(H + 1e-12 * np.eye(2), f)).tobytes()
-
-
-def test_positive_definite_h_skips_eigendecomposition(monkeypatch):
-    def no_eigh(_):
-        raise AssertionError("eigh ran on a positive definite H")
-
-    rng = np.random.default_rng(5)
-    H = random_spd(rng, 6)
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    A, b = box_rows(-np.ones(6), np.ones(6))
-    res = qp_solve(H, rng.normal(size=6), A_in=A, b_in=b)
-    assert res.status == "optimal" and res.certified

@@ -11,6 +11,7 @@ from oracles import brute_force_qp, reference_refine
 
 from exoassist import control as ctl
 from exoassist import trajectory as traj
+from exoassist.qp import QPResult
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +155,14 @@ def test_refine_infeasible_is_reported():
     setup = make_setup(horizon=5, dt=0.05, speed_limit=0.1, accel_limit=0.01)
     with pytest.raises(traj.RefinementError, match="infeasible"):
         traj.refine(ref, (np.array([0.0]), np.array([2.0])), setup, 0.0)
+
+
+def test_refine_reports_a_hessian_that_is_not_positive_definite(monkeypatch):
+    # QPConfig's R > 0 keeps H positive definite; a solver result saying otherwise is an error
+    monkeypatch.setattr(traj, "qp_solve", lambda *args, **kw: QPResult("not_positive_definite"))
+    ref = traj.quintic_reference([0.0], [0.5], 2.0)
+    with pytest.raises(traj.RefinementError, match="QP solver failed: not_positive_definite"):
+        traj.refine(ref, (np.array([0.0]), np.array([0.0])), make_setup(horizon=5, dt=0.05), 0.0)
 
 
 def test_refine_monotone_cost_in_speed_limit():
