@@ -1,5 +1,5 @@
-"""Command-line entry points: detector training, scenario runs, planner
-evaluation, and the finite-difference check suite."""
+"""Command-line entry points: detector training, scenario runs and planner
+evaluation."""
 from __future__ import annotations
 
 import argparse
@@ -152,87 +152,6 @@ def cmd_eval_planner(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# gradcheck
-
-
-def cmd_gradcheck(args) -> int:
-    rng = np.random.default_rng(0)
-    worst = {}
-
-    # gravity vector vs potential-energy finite differences
-    model = dyn.default_model()
-    h = 1e-6
-    errs = []
-    for _ in range(5):
-        q = rng.uniform(-1.2, 1.2, model.n)
-        g = dyn.gravity_vector(model, q, 0.5)
-        g_fd = np.array([
-            (dyn.potential_energy(model, q + h * e, 0.5) - dyn.potential_energy(model, q - h * e, 0.5)) / (2 * h)
-            for e in np.eye(model.n)])
-        errs.append(np.max(np.abs(g - g_fd)) / max(1.0, np.max(np.abs(g_fd))))
-    worst["gravity_vs_potential"] = max(errs)
-
-    # skew symmetry with finite-difference Mdot
-    errs = []
-    for _ in range(20):
-        q = rng.uniform(-1.2, 1.2, model.n)
-        qd = rng.uniform(-1.5, 1.5, model.n)
-        C = dyn.coriolis_matrix(model, q, qd)
-        Mdot = (dyn.mass_matrix(model, q + h * qd) - dyn.mass_matrix(model, q - h * qd)) / (2 * h)
-        errs.append(abs(qd @ (Mdot - 2 * C) @ qd))
-    worst["skew_symmetry"] = max(errs)
-
-    # denoiser parameter gradients
-    sch = ano.NoiseSchedule.linear(T=12, nu=4)
-    den = ano.Denoiser(20, sch.T, hidden=(24, 24), embed_dim=8, seed=1)
-    x0 = rng.standard_normal((6, 20))
-    t = rng.integers(1, sch.T + 1, 6)
-    eps = rng.standard_normal((6, 20))
-    _, grads = ano.denoiser_loss_and_grads(den, x0, t, eps, sch)
-    params = den.mlp.params  # perturbed in place, one entry at a time
-    hp = 1e-5
-    errs = []
-    for i in rng.choice(params.size, 50, replace=False):
-        p0 = params[i]
-        params[i] = p0 + hp
-        lp, _ = ano.denoiser_loss_and_grads(den, x0, t, eps, sch, with_grads=False)
-        params[i] = p0 - hp
-        lm, _ = ano.denoiser_loss_and_grads(den, x0, t, eps, sch, with_grads=False)
-        params[i] = p0
-        fd = (lp - lm) / (2 * hp)
-        errs.append(abs(grads[i] - fd) / max(abs(fd), abs(grads[i]), 1e-8))
-    worst["denoiser_parameters"] = max(errs)
-
-    # score input gradient vs finite differences
-    layout = ano.ChannelLayout(n=4, n_c=2)
-    stats = ano.NormStats(mean=np.zeros(layout.per_tick), std=np.full(layout.per_tick, 1.5))
-    den2 = ano.Denoiser(5 * layout.per_tick, sch.T, hidden=(24, 24), embed_dim=8, seed=2)
-    det = ano.AnomalyDetector(den2, sch, stats, 5, layout, seed=3)
-    raw = rng.standard_normal((5, layout.per_tick)) * 1.5
-    _, _, dfdtau = det.score_gradient(raw)
-    hi = 1e-4
-    errs = []
-    for j in range(4):
-        col = layout.tau_e_slice.start + j
-        rp, rm = raw.copy(), raw.copy()
-        rp[-1, col] += hi
-        rm[-1, col] -= hi
-        fd = (det.score(rp) - det.score(rm)) / (2 * hi)
-        errs.append(abs(dfdtau[j] - fd) / max(abs(fd), abs(dfdtau[j]), 1e-10))
-    worst["score_input"] = max(errs)
-
-    limits = {"gravity_vs_potential": 1e-6, "skew_symmetry": 1e-8,
-              "denoiser_parameters": 1e-4, "score_input": 1e-3}
-    ok = True
-    for name, err in worst.items():
-        status = "ok" if err < limits[name] else "FAIL"
-        if err >= limits[name]:
-            ok = False
-        print(f"{name:24s} max rel err {err:.3e}  (limit {limits[name]:.0e})  {status}")
-    return 0 if ok else 1
-
-
-# ---------------------------------------------------------------------------
 
 
 def main(argv=None) -> int:
@@ -266,9 +185,6 @@ def main(argv=None) -> int:
     p.add_argument("--fallback", action="store_true",
                    help="fall back to the rule scorer on transport errors")
     p.set_defaults(func=cmd_eval_planner)
-
-    p = sub.add_parser("gradcheck", help="run all finite-difference suites")
-    p.set_defaults(func=cmd_gradcheck)
 
     args = parser.parse_args(argv)
     try:

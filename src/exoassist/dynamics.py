@@ -10,10 +10,11 @@ functions of (model, state); ``step`` returns a fresh state.
 The rigid-body terms have one implementation, ``_rigid_body_terms``: a
 single-state kernel on Python floats that returns M(q) and the bias torque
 h = C(q, qdot) qdot + g(q) from one forward and one backward pass. ``step``,
-both controllers, ``mass_matrix``, ``gravity_vector`` and
-``coriolis_matrix`` all use it. It and the forward kinematics read one
-description of the arm, ``PlantModel._chain``. The tests hold both to an
-independent complex-step reference in ``tests/oracles.py``.
+both controllers, ``mass_matrix`` and ``gravity_vector`` all use it; the
+tests take C(q, qdot) from its h by polarization. It and the forward
+kinematics read one description of the arm, ``PlantModel._chain``. The
+tests hold both to an independent complex-step reference in
+``tests/oracles.py``.
 
 ``PLANT_FIELDS`` is plant.json's table; ``config.check_fields`` checks it
 when a ``PlantModel`` is built.
@@ -36,16 +37,12 @@ __all__ = [
     "PlantModel",
     "PlantState",
     "mass_matrix",
-    "coriolis_matrix",
     "gravity_vector",
     "potential_energy",
     "total_energy",
-    "end_effector_position",
-    "link_com_positions",
     "settled_state",
     "step",
     "load_plant_config",
-    "default_model",
 ]
 
 # Default geometry: shoulder bracket, upper arm, elbow bracket, forearm.
@@ -89,9 +86,8 @@ class PlantModel:
 
     ``__post_init__`` checks the fields and derives ``_chain``, the one
     geometry the model holds: one tuple of Python floats per link, which
-    the rigid-body kernel and the forward-kinematics helpers
-    (``link_com_positions``, ``end_effector_position``,
-    ``potential_energy``) read; and ``_friction_coeffs``, ``_spring`` and
+    the rigid-body kernel and the forward kinematics behind
+    ``potential_energy`` read; and ``_friction_coeffs``, ``_spring`` and
     ``_motor``, the friction coefficients, spring stiffness and motor
     inertia as floats."""
 
@@ -188,10 +184,6 @@ class PlantState:
             object.__setattr__(state, name, arr)
         object.__setattr__(state, "payload_mass", payload_mass)
         return state
-
-
-def default_model() -> PlantModel:
-    return PlantModel()
 
 
 # ---------------------------------------------------------------------------
@@ -370,26 +362,6 @@ def gravity_vector(model: PlantModel, q, payload_mass: float = 0.0) -> np.ndarra
                                       with_mass=False)[1])
 
 
-def coriolis_matrix(model: PlantModel, q, qdot, payload_mass: float = 0.0) -> np.ndarray:
-    """Coriolis matrix from Christoffel symbols, so Mdot - 2C is skew-symmetric.
-
-    G(v) = h(q, v) - g(q) is the quadratic form of the symmetric bilinear
-    map B with B(qdot, e_j) = C e_j, so by polarization column j of C is
-    [G(qdot + e_j) - G(qdot) - G(e_j)] / 2.
-    """
-    q = _check_q(model, q)
-    qdot = np.asarray(qdot, dtype=float)
-    if qdot.shape != (model.n,) or not np.all(np.isfinite(qdot)):
-        raise ValueError(f"qdot must be finite with length {model.n}")
-
-    def bias(v):
-        return np.array(_rigid_body_terms(model, q, v, payload_mass, with_mass=False)[1])
-
-    # G(qdot + e_j) - G(e_j) = h(qdot + e_j) - h(e_j): their g's cancel
-    G_qdot = bias(qdot) - bias(np.zeros(model.n))
-    return 0.5 * np.column_stack([bias(qdot + e) - bias(e) - G_qdot for e in np.eye(model.n)])
-
-
 # ---------------------------------------------------------------------------
 # friction, energy and the integrator
 
@@ -407,15 +379,6 @@ def _friction(model: PlantModel, thetadot: np.ndarray, eps_v: float) -> list[flo
     cube, layer = (thetadot**3).tolist(), np.tanh(thetadot / eps_v).tolist()
     return [-(c1 * v + c3 * v3 + c0 * s) for (c0, c1, c3), v, v3, s in zip(
         model._friction_coeffs, thetadot.tolist(), cube, layer)]
-
-
-def link_com_positions(model: PlantModel, q) -> np.ndarray:
-    """World positions of all link centres of mass, shape (n, 3)."""
-    return _fk(model, _check_q(model, q))[0]
-
-
-def end_effector_position(model: PlantModel, q) -> np.ndarray:
-    return _fk(model, _check_q(model, q))[1]
 
 
 def potential_energy(model: PlantModel, q, payload_mass: float = 0.0) -> float:

@@ -656,10 +656,13 @@ class _ScenarioRun:
 
 def run_scenario(scenario: Scenario, stack: SimStack, seed: int | None = None):
     """Execute the closed loop; returns (TraceRecord, metrics dict). The
-    scenario's per-joint values are checked against the plant before the
-    first tick. A SimulationFault or RefinementError ends the run: the
-    trace keeps the ticks before it and the report names it."""
+    scenario's per-joint values are checked against the plant, and a
+    ``seed`` override like the scenario's own seed, before the first tick.
+    A SimulationFault or RefinementError ends the run: the trace keeps the
+    ticks before it and the report names it."""
     _check_scenario(vars(scenario), {"n": stack.model.n})
+    if seed is not None:
+        check_fields({"seed": seed}, {"seed": SCENARIO_FIELDS["seed"]}, "run_scenario")
     run = _ScenarioRun(scenario, stack, seed)
     try:
         for tick in range(int(round(scenario.duration / CONTROL_DT))):
@@ -766,10 +769,10 @@ def tracking_comparison(model: dyn.PlantModel, control_cfg: ctl.ControlConfig,
                 delta = np.clip(q_r - q_d, -step_lim, step_lim)
                 q_d = q_d + delta
                 cmd = (q_d, delta / CONTROL_DT, np.zeros(n))
-            else:  # receding-horizon refinement, stepped along its own solution
+            else:  # receding-horizon refinement, stepped along its own solution as _track does
                 seg = traj.refine(ref, (q_d, qd_d), setup, t_ref)
-                cmd = (q_d, qd_d, seg.qddot_d[0])
                 q_d, qd_d, _ = seg.sample(CONTROL_DT)
+                cmd = (q_d, qd_d, seg.qddot_d[0])
             arm.intent = lambda _t, cmd=cmd: cmd[:2]  # the wearer follows
             tau = arm.torque(t, state)
             u = ctl.impedance_control(model, state, *cmd, tau, icfg)

@@ -50,9 +50,6 @@ class MLP:
             acts.append(h)
         return h, acts
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[0]
-
     def backward(self, acts, grad_out: np.ndarray) -> np.ndarray:
         """Backprop a cotangent into the gradient buffer and return it, valid
         until the next call; the input cotangent is ``input_vjp``'s."""

@@ -9,6 +9,9 @@
   differentiation (``plant_terms``) and C from Christoffel symbols
   (``christoffel``).
   ``reference_step`` is the plant step on them.
+- ``coriolis_matrix``: C(q, qdot) by polarization of the package kernel's
+  own bias torque h, so the skew-symmetry checks test the kernel, not the
+  complex-step ``christoffel``.
 - ``numpy_step``: the plant step as first written on numpy arrays around
   the package's kernel, which the float step must match bit for bit.
 - ``frozen_mass_matrix``: the kernel's composite-rigid-body pass for M,
@@ -33,7 +36,7 @@ import math
 import numpy as np
 
 from exoassist import dynamics as dyn
-from exoassist.dynamics import _rigid_body_terms
+from exoassist.dynamics import PlantModel, _check_q, _rigid_body_terms
 from exoassist.qp import QPResult, _dual_active_set, _inequalities, _residuals
 from exoassist.trajectory import QPSetup, RefinedSegment, RefinementError, ReferenceSpline
 
@@ -200,6 +203,26 @@ def christoffel(D: np.ndarray, qdot: np.ndarray) -> np.ndarray:
         + np.einsum("jik,k->ij", D, qdot)
         - np.einsum("ijk,k->ij", D, qdot)
     )
+
+
+def coriolis_matrix(model: PlantModel, q, qdot, payload_mass: float = 0.0) -> np.ndarray:
+    """Coriolis matrix from Christoffel symbols, so Mdot - 2C is skew-symmetric.
+
+    G(v) = h(q, v) - g(q) is the quadratic form of the symmetric bilinear
+    map B with B(qdot, e_j) = C e_j, so by polarization column j of C is
+    [G(qdot + e_j) - G(qdot) - G(e_j)] / 2.
+    """
+    q = _check_q(model, q)
+    qdot = np.asarray(qdot, dtype=float)
+    if qdot.shape != (model.n,) or not np.all(np.isfinite(qdot)):
+        raise ValueError(f"qdot must be finite with length {model.n}")
+
+    def bias(v):
+        return np.array(_rigid_body_terms(model, q, v, payload_mass, with_mass=False)[1])
+
+    # G(qdot + e_j) - G(e_j) = h(qdot + e_j) - h(e_j): their g's cancel
+    G_qdot = bias(qdot) - bias(np.zeros(model.n))
+    return 0.5 * np.column_stack([bias(qdot + e) - bias(e) - G_qdot for e in np.eye(model.n)])
 
 
 def plant_matrices(model):

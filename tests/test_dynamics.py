@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 from exoassist import dynamics as dyn
 from exoassist import planner as pl
 from exoassist.config import ConfigError
-from oracles import (christoffel, fk, frozen_mass_matrix, geometry, numpy_step, plant_matrices,
-                     plant_terms, reference_friction)
+from oracles import (christoffel, coriolis_matrix, fk, frozen_mass_matrix, geometry, numpy_step,
+                     plant_matrices, plant_terms, reference_friction)
 
 
 @pytest.fixture(scope="module")
 def model():
-    return dyn.default_model()
+    return dyn.PlantModel()
 
 
 def rng_states(seed, count, n=4):
@@ -36,7 +36,7 @@ def fd_ee_jacobian(model, q, h=1e-7):
         qp, qm = q.copy(), q.copy()
         qp[i] += h
         qm[i] -= h
-        J[:, i] = (dyn.end_effector_position(model, qp) - dyn.end_effector_position(model, qm)) / (2 * h)
+        J[:, i] = (dyn._fk(model, qp)[1] - dyn._fk(model, qm)[1]) / (2 * h)
     return J
 
 
@@ -67,8 +67,8 @@ def test_kinetic_energy_matches_link_sum(model):
     for basis in range(model.n):
         qdot = np.eye(model.n)[basis]
         h = 1e-7
-        com_p = dyn.link_com_positions(model, q + h * qdot)
-        com_m = dyn.link_com_positions(model, q - h * qdot)
+        com_p = dyn._fk(model, q + h * qdot)[0]
+        com_m = dyn._fk(model, q - h * qdot)[0]
         v_com = (com_p - com_m) / (2 * h)
 
         ke_oracle = 0.0
@@ -89,7 +89,7 @@ def test_kinetic_energy_matches_link_sum(model):
 
 
 @pytest.mark.parametrize("chain", [
-    dyn.default_model(),
+    dyn.PlantModel(),
     dyn.PlantModel(n=6, n_c=3, link_lengths=[0.05, 0.3, 0.1, 0.25, 0.2, 0.15],
                    link_masses=[1.5, 2.0, 0.5, 1.2, 0.8, 0.4], link_inertias=[0.01] * 6),
 ], ids=["default", "six-joint"])
@@ -97,8 +97,9 @@ def test_forward_kinematics_matches_rotation_matrices(chain):
     qs = np.random.default_rng(11).uniform(-np.pi, np.pi, (200, chain.n))
     _, _, coms, _, ees = fk(chain, qs)
     for q, c, ee in zip(qs, coms, ees):
-        assert np.max(np.abs(dyn.link_com_positions(chain, q) - c)) < 1e-12
-        assert np.max(np.abs(dyn.end_effector_position(chain, q) - ee)) < 1e-12
+        coms_k, ee_k = dyn._fk(chain, q)
+        assert np.max(np.abs(coms_k - c)) < 1e-12
+        assert np.max(np.abs(ee_k - ee)) < 1e-12
         u = chain.gravity * (chain.link_masses @ c[:, 2])
         assert abs(dyn.potential_energy(chain, q) - u) < 1e-12
         u += chain.gravity * 0.7 * ee[2]
@@ -123,11 +124,8 @@ def test_energies_reject_bad_q(model, q):
         dyn.total_energy(model, state)
 
 
-@pytest.mark.parametrize("helper", [
-    dyn.mass_matrix, dyn.gravity_vector, dyn.end_effector_position, dyn.link_com_positions,
-    dyn.potential_energy, lambda model, q: dyn.coriolis_matrix(model, q, np.zeros(model.n)),
-], ids=["mass_matrix", "gravity_vector", "end_effector_position", "link_com_positions",
-        "potential_energy", "coriolis_matrix"])
+@pytest.mark.parametrize("helper", [dyn.mass_matrix, dyn.gravity_vector, dyn.potential_energy],
+                         ids=["mass_matrix", "gravity_vector", "potential_energy"])
 def test_helpers_reject_batched_q(model, helper):
     with pytest.raises(ValueError, match="q must"):
         helper(model, np.zeros((2, model.n)))
@@ -171,7 +169,7 @@ def test_rigid_body_kernel_matches_complex_step(case):
     assert M_none is None and np.array_equal(h_only, h)
     assert_close(dyn.mass_matrix(model, q, payload), M_ref)
     assert_close(dyn.gravity_vector(model, q, payload), g_ref)
-    assert_close(dyn.coriolis_matrix(model, q, qdot, payload), C_ref)
+    assert_close(coriolis_matrix(model, q, qdot, payload), C_ref)
 
 
 @settings(max_examples=200, deadline=None)
@@ -193,19 +191,19 @@ def test_mass_matrix_bits_are_frozen(case, edge):
 
 def test_coriolis_zero_velocity(model):
     q = np.array([0.2, -0.4, 0.9, 0.3])
-    assert np.allclose(dyn.coriolis_matrix(model, q, np.zeros(4)), 0.0)
+    assert np.allclose(coriolis_matrix(model, q, np.zeros(4)), 0.0)
 
 
 def test_coriolis_single_joint_is_zero():
     m1 = dyn.PlantModel(n=1, n_c=1, link_lengths=[0.3], link_masses=[1.0])
-    C = dyn.coriolis_matrix(m1, np.array([0.7]), np.array([1.3]))
+    C = coriolis_matrix(m1, np.array([0.7]), np.array([1.3]))
     assert np.allclose(C, 0.0, atol=1e-14)
 
 
 def test_skew_symmetry_100_random_states(model):
     worst = 0.0
     for q, qdot in rng_states(42, 100):
-        C = dyn.coriolis_matrix(model, q, qdot)
+        C = coriolis_matrix(model, q, qdot)
         Mdot = fd_mass_rate(model, q, qdot)
         worst = max(worst, abs(qdot @ (Mdot - 2 * C) @ qdot))
     assert worst < 1e-8
@@ -213,7 +211,7 @@ def test_skew_symmetry_100_random_states(model):
 
 def test_coriolis_rejects_nonfinite(model):
     with pytest.raises(ValueError):
-        dyn.coriolis_matrix(model, np.zeros(4), np.array([np.inf, 0, 0, 0]))
+        coriolis_matrix(model, np.zeros(4), np.array([np.inf, 0, 0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +240,7 @@ def test_gravity_payload_moment_arm(model):
     # horizontal reach: flexion joint raised 90 deg puts the arm along -x,
     # so the payload adds m*g*L to the flexion-joint gravity term
     q = np.array([0.0, np.pi / 2, 0.0, 0.0])
-    reach = dyn.end_effector_position(model, q)
+    reach = dyn._fk(model, q)[1]
     L = np.hypot(reach[0], reach[1])
     g0 = dyn.gravity_vector(model, q, payload_mass=0.0)
     g1 = dyn.gravity_vector(model, q, payload_mass=1.0)
@@ -266,7 +264,7 @@ def test_friction_opposes_motion(model):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-20, 20, allow_nan=False), min_size=2, max_size=2))
 def test_friction_passivity(thd):
-    model = dyn.default_model()
+    model = dyn.PlantModel()
     tau = dyn._friction(model, np.array(thd), model.friction_eps_v)
     assert np.asarray(thd) @ tau <= 1e-12
 
@@ -342,6 +340,23 @@ def test_step_energy_drift_conservative():
         state = dyn.step(model, state, np.zeros(4), np.zeros(4), 1e-3)
     e1 = dyn.total_energy(model, state)
     assert abs(e1 - e0) / e0 < 1e-3
+
+
+def test_total_energy_spring_and_motor_terms():
+    """Each of the two motor-side terms alone, with gravity and everything
+    else zero: a deflection d holds 0.5 sum K d^2, a motor velocity
+    0.5 sum B thetadot^2."""
+    model = dyn.PlantModel(gravity=0.0, spring_stiffness=[80.0, 120.0],
+                           motor_inertia=[0.04, 0.07])
+    zeros = np.zeros(model.n)
+    d = np.array([0.03, -0.05])
+    state = dyn.PlantState(q=zeros, qdot=zeros, theta=d, thetadot=np.zeros(2))
+    assert dyn.total_energy(model, state) == pytest.approx(
+        0.5 * np.sum(model.spring_stiffness * d**2), rel=1e-12)
+    w = np.array([0.7, -1.1])
+    state = dyn.PlantState(q=zeros, qdot=zeros, theta=np.zeros(2), thetadot=w)
+    assert dyn.total_energy(model, state) == pytest.approx(
+        0.5 * np.sum(model.motor_inertia * w**2), rel=1e-12)
 
 
 def test_step_first_order_convergence(model):

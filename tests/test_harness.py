@@ -40,7 +40,7 @@ def test_drop_gravity_step_matches_moment_arm(trained):
     g_before = dyn.gravity_vector(model, q, 0.5)
     out = hz.inject_event(state, hz.EventSpec(type="drop", t=0.0), model)
     g_after = dyn.gravity_vector(model, out.state.q, out.state.payload_mass)
-    reach = dyn.end_effector_position(model, q)
+    reach = dyn._fk(model, q)[1]
     arm = np.hypot(reach[0], reach[1])
     assert g_before[1] - g_after[1] == pytest.approx(9.81 * 0.5 * arm, rel=1e-9)
     # transient opposes with the sign of the former payload load
@@ -128,7 +128,7 @@ def test_scenario_and_collection_read_out_by_one_rule(monkeypatch):
     the entries with a nonzero level, in channel order, none for a zero or
     missing level, each draw added to the channel it belongs to. Collection
     reads DEFAULT_SENSOR_NOISE, where every level is nonzero."""
-    model = dyn.default_model()
+    model = dyn.PlantModel()
     noise = {"q": 0.0, "qdot": 1e-3, "thetadot": 0.0, "tau_e": 0.02}  # theta missing
     draws = []
     monkeypatch.setattr(np.random, "default_rng", lambda seed: RecordingRng(seed, draws))
@@ -351,7 +351,7 @@ def test_bad_gain_rejected_at_load(tmp_path):
 
 
 def test_wrong_gain_length_fails_before_the_first_tick(no_physics):
-    model = dyn.default_model()
+    model = dyn.PlantModel()
     control = ctl.load_control_config(pl.data_path("control.json"))
     short_kd = replace(control, impedance=replace(control.impedance, Kd=[50.0, 50.0]))
     with pytest.raises(ConfigError, match="Kd"):
@@ -361,7 +361,7 @@ def test_wrong_gain_length_fails_before_the_first_tick(no_physics):
 
 
 def test_wrong_qp_bound_length_fails_before_the_first_tick(no_physics):
-    model = dyn.default_model()
+    model = dyn.PlantModel()
     control = ctl.load_control_config(pl.data_path("control.json"))
     short_bound = replace(control, qp=replace(control.qp, position_min=[-1.0, -1.0],
                                               position_max=[1.0, 1.0]))
@@ -379,7 +379,7 @@ def test_wrong_qp_bound_length_fails_before_the_first_tick(no_physics):
     ([hz.EventSpec("intent_conflict", 0.5, {"pose_deg": [0.0, 10.0]})], "pose_deg"),
 ], ids=["pulse-length", "drop-joint-range", "drop-joint-type", "pose-length"])
 def test_wrong_event_vector_fails_before_the_first_tick(no_physics, events, match):
-    stack = hz.SimStack(model=dyn.default_model(),
+    stack = hz.SimStack(model=dyn.PlantModel(),
                         control=ctl.load_control_config(pl.data_path("control.json")),
                         planner=None)
     scen = hz.Scenario(name="x", task="help me drink water", duration=1.0, events=events)
@@ -395,12 +395,22 @@ def test_wrong_event_vector_fails_before_the_first_tick(no_physics, events, matc
     ({"wearer": hz.WearerParams(C_h=[5.0, 5.0, 5.0])}, "C_h"),
 ], ids=["joint-range", "joint-type", "pose-length", "pose-inf", "damping-length"])
 def test_wrong_scenario_vector_fails_before_the_first_tick(no_physics, fields, match):
-    stack = hz.SimStack(model=dyn.default_model(),
+    stack = hz.SimStack(model=dyn.PlantModel(),
                         control=ctl.load_control_config(pl.data_path("control.json")),
                         planner=None)
     scen = hz.Scenario(name="x", task="help me drink water", duration=1.0, **fields)
     with pytest.raises(ConfigError, match=match):
         hz.run_scenario(scen, stack)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5], ids=["negative", "non-integer"])
+def test_seed_override_fails_before_the_first_tick(no_physics, seed):
+    stack = hz.SimStack(model=dyn.PlantModel(),
+                        control=ctl.load_control_config(pl.data_path("control.json")),
+                        planner=None)
+    scen = hz.load_scenario(scenario_path("raise_lower.json"))
+    with pytest.raises(ConfigError, match="run_scenario seed must be an integer >= 0"):
+        hz.run_scenario(scen, stack, seed=seed)
 
 
 def test_per_joint_wearer_gains_load_and_run(tmp_path):

@@ -16,8 +16,6 @@ SOURCES = sorted((ROOT / "src" / "exoassist").glob("*.py")) + sorted((ROOT / "pe
 # benchmark calls them
 KEPT_FOR_USERS = {
     "total_energy",  # the energy bookkeeping the integrator tests check
-    "end_effector_position",
-    "link_com_positions",
     "save_windows_csv",  # writes the format ``train-detector --data`` reads
 }
 

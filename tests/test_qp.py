@@ -28,6 +28,15 @@ def test_textbook_scalar():
     assert res.certified
 
 
+def test_bound_violated_by_1e_8_is_made_active():
+    # the unconstrained minimum x0 = 1 + 1e-8 breaks x0 <= 1 by less than the
+    # certification tolerance; the solver must still make the row active
+    res = qp_solve(np.eye(2), -np.array([1.0 + 1e-8, 0.0]),
+                   A_in=np.array([[1.0, 0.0]]), b_in=np.array([1.0]))
+    assert res.status == "optimal" and res.certified
+    assert res.x[0] - 1.0 <= 1e-12
+
+
 def test_box_projection():
     rng = np.random.default_rng(3)
     n = 6
